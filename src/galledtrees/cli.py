@@ -55,13 +55,27 @@ def _fmt(v: int, pretty: bool) -> str:
     return f"{v:,}" if pretty else str(v)
 
 
+def _over_exact_limit(option: str, n: int) -> bool:
+    """Say so on stderr and return True when n is past the exact recursion's limit."""
+    if n <= EXACT_ENGINE_LIMIT:
+        return False
+    print(
+        f"{option} {n} exceeds the exact-recursion limit ({EXACT_ENGINE_LIMIT}); "
+        "use the series engine (`series --mode arbitrary`) for larger n",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_count(args, parser) -> int:
     if args.n < 1:
         parser.error("-n must be at least 1")
+    if args.g is not None and args.g < 0:
+        parser.error("-g must be nonnegative")
+    if _over_exact_limit("-n", args.n):
+        return EXIT_ENGINE_LIMIT
     spec = _spec_of(args)
     if args.g is not None:
-        if args.g < 0:
-            parser.error("-g must be nonnegative")
         print(_fmt(count(spec, args.n, args.g), args.pretty))
         return EXIT_OK
     row = [count(spec, args.n, g) for g in range(spec.max_galls(args.n) + 1)]
@@ -73,15 +87,9 @@ def cmd_count(args, parser) -> int:
 def cmd_table(args, parser) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    spec = _spec_of(args)
-    limit = EXACT_ENGINE_LIMIT[(spec.network_class, spec.labeling)]
-    if args.max_n > limit:
-        print(
-            f"max-n {args.max_n} exceeds the exact-recursion limit ({limit}) for this "
-            "family; use the series engine (`series --mode arbitrary`) for larger n",
-            file=sys.stderr,
-        )
+    if _over_exact_limit("max-n", args.max_n):
         return EXIT_ENGINE_LIMIT
+    spec = _spec_of(args)
     table = build_table(spec, args.max_n)
     gmax = spec.max_galls(args.max_n)
     out = []
@@ -129,15 +137,19 @@ def cmd_table(args, parser) -> int:
 def cmd_series(args, parser) -> int:
     if args.order < 1:
         parser.error("-N must be at least 1")
+    if args.max_g is not None and args.max_g < 0:
+        parser.error("--max-g must be nonnegative")
     spec = _spec_of(args)
     try:
         if args.mode == "bivariate":
-            bv = genfunc.solve_bivariate(spec, args.order, args.max_g or args.order)
+            max_g = args.order if args.max_g is None else args.max_g
+            bv = genfunc.solve_bivariate(spec, args.order, max_g)
             scale = (
                 (lambda n, c: c * math.factorial(n)) if spec.is_labeled else (lambda n, c: c)
             )
             for n in range(1, args.order + 1):
-                row = [scale(n, bv.coefficient(n, m)) for m in range(spec.max_galls(n) + 1)]
+                gs = range(min(spec.max_galls(n), max_g) + 1)
+                row = [scale(n, bv.coefficient(n, m)) for m in gs]
                 print(f"n={n}: " + ",".join(str(v) for v in row))
             return EXIT_OK
         if args.mode == "fixed-g":

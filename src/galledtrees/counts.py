@@ -7,9 +7,10 @@ sequences are both nonempty, and -- for the general class only -- a root gall
 with one empty sequence.  Time-consistent counts reuse the general recursion
 with the one-empty-side contribution dropped.
 
-Everything here is exact big-integer arithmetic; a table row is computed in
-one pass over leaf compositions, with the gall distributions of a composition
-evaluated as a bounded convolution over the children's legal gall ranges.
+Everything here is exact big-integer arithmetic.  The sums over the ways to
+share a gall's leaves among its children are not enumerated composition by
+composition: they are memoized convolution powers of the smaller rows (see
+`_powers`), so a table to n costs polynomial time in n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Tuple
 
-from .comb import double_factorial_odd, palindromic_compositions
+from .comb import double_factorial_odd
 
 
 class NetworkClass(Enum):
@@ -67,30 +68,22 @@ ALL_SPECS = (
     SIMPLEX_LABELED,
 )
 
-# Practical ceilings for the exact recursions (the composition sums are
-# exponential in n); larger n is served by the generating-function engine.
-EXACT_ENGINE_LIMIT = {
-    (NetworkClass.GENERAL, Labeling.UNLABELED): 16,
-    (NetworkClass.GENERAL, Labeling.LEAF_LABELED): 16,
-    (NetworkClass.TIME_CONSISTENT, Labeling.UNLABELED): 16,
-    (NetworkClass.TIME_CONSISTENT, Labeling.LEAF_LABELED): 16,
-    (NetworkClass.SIMPLEX_TC, Labeling.UNLABELED): 26,
-    (NetworkClass.SIMPLEX_TC, Labeling.LEAF_LABELED): 26,
-}
+# Largest n the command line serves from the exact recursion.  A row of n
+# leaves costs O(n^4) coefficient products, and a whole table to n = 30 takes
+# a fraction of a second; larger n is served by the generating-function engine.
+EXACT_ENGINE_LIMIT = 30
 
 _row_cache: Dict[Tuple[NetworkClass, Labeling, int], Tuple[int, ...]] = {}
+_power_cache: Dict[Tuple[NetworkClass, Labeling, int], List[List[int]]] = {}
 
 
-def _conv(a: List[int], b, cap: int) -> List[int]:
-    out = [0] * min(cap, len(a) + len(b) - 1)
+def _conv(a, b) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= cap:
-                break
-            if y:
-                out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
     return out
 
 
@@ -102,42 +95,50 @@ def _stretch2(row) -> List[int]:
     return out
 
 
-def _comp_sum(total: int, parts: int, poly_of, cap: int, label_pool: int | None = None):
-    """Sum over compositions c of `total` into `parts` positive parts of the
-    convolution of the children's gall polynomials poly_of(c_i).
+def _add_root_gall(acc: List[int], vec, weight: int = 1) -> None:
+    # The root gall adds one gall to those of its children.
+    for h, v in enumerate(vec):
+        if v:
+            acc[h + 1] += weight * v
 
-    With label_pool = L, each composition is additionally weighted by the
-    multinomial coefficient distributing L labels as (c_1, ..., c_parts).
-    Returns a vector indexed by total gall count.
+
+def _powers(spec: TreeClassSpec, v: int) -> List[List[int]]:
+    """Convolution powers of the rows for v leaves, indexed by part count k.
+
+    Entry k is the sum, over compositions (c_1, ..., c_k) of v into k positive
+    parts, of the convolution of the rows of c_1, ..., c_k leaves; in labeled
+    families each composition carries the multinomial v! / (c_1! ... c_k!).
+    Entry k >= 2 follows from P_k(v) = sum_f w(v, f) row(f) * P_{k-1}(v - f),
+    with w = comb(v, f) labeled and 1 unlabeled, so only rows below v are
+    read.  Entries 0 and 1 (the row of v itself) are left empty; use _power.
     """
-    out = [0] * cap
+    key = (spec.network_class, spec.labeling, v)
+    column = _power_cache.get(key)
+    if column is None:
+        column = [[], []]
+        for k in range(2, v + 1):
+            acc = [0] * (v - k + 1)  # a composition into k parts has <= v - k galls
+            for f in range(1, v - k + 2):
+                w = math.comb(v, f) if spec.is_labeled else 1
+                for h, x in enumerate(_conv(_get_row(spec, f), _power(spec, k - 1, v - f))):
+                    acc[h] += w * x
+            while not acc[-1]:  # classes narrower than general leave a zero tail
+                acc.pop()
+            column.append(acc)
+        _power_cache[key] = column
+    return column
 
-    def rec(rem, k, acc, weight):
-        if k == 1:
-            vec = _conv(acc, poly_of(rem), cap)
-            if weight == 1:
-                for h, v in enumerate(vec):
-                    if v:
-                        out[h] += v
-            else:
-                for h, v in enumerate(vec):
-                    if v:
-                        out[h] += weight * v
-            return
-        for first in range(1, rem - k + 2):
-            w = weight if label_pool is None else weight * math.comb(rem, first)
-            rec(rem - first, k - 1, _conv(acc, poly_of(first), cap), w)
 
-    if parts >= 1 and total >= parts:
-        rec(total, parts, [1], 1)
-    return out
+def _power(spec: TreeClassSpec, k: int, v: int):
+    """P_k(v) of `_powers`, with P_1(v) the row of v itself."""
+    return _get_row(spec, v) if k == 1 else _powers(spec, v)[k]
 
 
 def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
     """Row of counts (g = 0 .. max_galls(n)) for n leaves, from smaller rows."""
     if n == 1:
         return (1,)
-    rows = [None] + [list(_get_row(spec, m)) for m in range(1, n)]
+    rows = [None] + [_get_row(spec, m) for m in range(1, n)]
     width = n  # scratch is wider than any legal row; the tail must stay zero
     general = spec.network_class is NetworkClass.GENERAL
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
@@ -170,67 +171,40 @@ def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
     # Root gall, both node sequences nonempty: k non-root nodes in the gall,
     # k - 2 possible positions for the reticulation node.  In the simplex
     # class the reticulation subtree is a single leaf, so only k - 1 children
-    # receive the remaining n - 1 leaves.
-    for k in range(3, n + 1):
-        if simplex:
-            vec = _comp_sum(
-                n - 1,
-                k - 1,
-                lambda m: rows[m],
-                width,
-                label_pool=(n - 1) if spec.is_labeled else None,
-            )
-            w = (k - 2) * (n if spec.is_labeled else 1)
-        else:
-            vec = _comp_sum(
-                n,
-                k,
-                lambda m: rows[m],
-                width,
-                label_pool=n if spec.is_labeled else None,
-            )
-            w = k - 2
-        for h, v in enumerate(vec[: width - 1]):
-            if v:
-                sym[h + 1] += w * v
+    # receive the remaining n - 1 leaves (and the labeled leaf is one of n).
+    if simplex:
+        powers = _powers(spec, n - 1)
+        for k in range(3, n + 1):
+            _add_root_gall(sym, powers[k - 1], (k - 2) * (n if spec.is_labeled else 1))
+    else:
+        powers = _powers(spec, n)
+        for k in range(3, n + 1):
+            _add_root_gall(sym, powers[k], k - 2)
 
     # Mirror-symmetric root galls (unlabeled only): the reticulation sits at
     # the center and one side determines the other, so side galls count twice.
+    # Stretching commutes with convolution, so the a mirrored children of a
+    # side with s leaves contribute the stretched power P_a(s).
     if not spec.is_labeled:
         if simplex:
             if n % 2 == 1:
                 half = (n - 1) // 2
                 for a in range(1, half + 1):
-                    vec = _comp_sum(half, a, lambda m: _stretch2(rows[m]), width)
-                    for h, v in enumerate(vec[: width - 1]):
-                        if v:
-                            sym[h + 1] += v
+                    _add_root_gall(sym, _stretch2(_power(spec, a, half)))
         else:
+            # A palindromic composition of n into 2a + 1 parts: a mirrored
+            # parts summing to s on each side and a center part of n - 2s.
             for a in range(1, (n - 1) // 2 + 1):
-                for c in palindromic_compositions(n, 2 * a + 1):
-                    acc = [1]
-                    for ci in c[:a]:
-                        acc = _conv(acc, _stretch2(rows[ci]), width)
-                    acc = _conv(acc, rows[c[a]], width)
-                    for h, v in enumerate(acc[: width - 1]):
-                        if v:
-                            sym[h + 1] += v
+                for s in range(a, (n - 1) // 2 + 1):
+                    mirrored = _stretch2(_power(spec, a, s))
+                    _add_root_gall(sym, _conv(mirrored, rows[n - 2 * s]))
 
     # General class only: root gall with an empty sequence on one side.  The
     # reticulation node is pinned at the bottom of the single path, so the two
     # sides are distinguishable: no 1/2 factor, no palindromic correction.
     if general:
         for k in range(2, n + 1):
-            vec = _comp_sum(
-                n,
-                k,
-                lambda m: rows[m],
-                width,
-                label_pool=n if spec.is_labeled else None,
-            )
-            for h, v in enumerate(vec[: width - 1]):
-                if v:
-                    extra[h + 1] += v
+            _add_root_gall(extra, powers[k])
 
     gmax = spec.max_galls(n)
     row = []
@@ -378,3 +352,4 @@ def build_table(spec: TreeClassSpec, max_n: int) -> CountTable:
 
 def clear_cache() -> None:
     _row_cache.clear()
+    _power_cache.clear()

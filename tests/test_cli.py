@@ -1,7 +1,8 @@
 import json
 
 from galledtrees.cli import main
-from galledtrees import golden
+from galledtrees import genfunc, golden
+from galledtrees.counts import GENERAL_UNLABELED
 
 
 def run(capsys, *argv):
@@ -36,6 +37,17 @@ def test_count_usage_error(capsys):
     code, _, err = run(capsys, "count", "--class", "general", "--labeling", "unlabeled",
                        "-n", "0")
     assert code == 2
+
+
+def test_count_engine_limit(capsys):
+    code, out, _ = run(capsys, "count", "--class", "general", "--labeling", "unlabeled",
+                       "-n", "30", "-g", "2")
+    assert code == 0
+    assert int(out) == genfunc.closed_small_g(GENERAL_UNLABELED, 2, 30)[30]
+    code, out, err = run(capsys, "count", "--class", "general", "--labeling", "unlabeled",
+                         "-n", "31", "-g", "2")
+    assert code == 3 and out == ""
+    assert "series" in err
 
 
 def test_table_csv_matches_golden(capsys):
@@ -113,6 +125,19 @@ def test_series_bivariate(capsys):
                        "--mode", "bivariate", "-N", "5")
     assert code == 0
     assert "n=5: 3,11,1" in out
+
+
+def test_series_bivariate_max_g(capsys):
+    argv = ("series", "--class", "general", "--labeling", "unlabeled",
+            "--mode", "bivariate", "-N", "4", "--max-g")
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0
+    assert out.splitlines() == ["n=1: 1", "n=2: 1", "n=3: 1", "n=4: 2"]
+    code, out, _ = run(capsys, *argv, "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "n=4: 2,16,20"  # g = 3 (5) is past the cap, not 0
+    code, _, err = run(capsys, *argv, "-1")
+    assert code == 2 and "--max-g" in err
 
 
 def test_series_usage(capsys):

@@ -1,11 +1,12 @@
 import pytest
 
-from galledtrees import comb
+from galledtrees import comb, genfunc
 from galledtrees.counts import (
     ALL_SPECS,
     EXACT_ENGINE_LIMIT,
     GENERAL_LABELED,
     GENERAL_UNLABELED,
+    NetworkClass,
     SIMPLEX_LABELED,
     SIMPLEX_UNLABELED,
     TC_LABELED,
@@ -83,11 +84,29 @@ def test_totals():
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_row_sum_identity(spec):
     top = 12 if spec is GENERAL_LABELED else 15
-    top = min(top, EXACT_ENGINE_LIMIT[(spec.network_class, spec.labeling)])
+    top = min(top, EXACT_ENGINE_LIMIT)
     for n in range(1, top + 1):
         assert total(spec, n) == sum(
             count(spec, n, g) for g in range(spec.max_galls(n) + 1)
         )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_rows_match_series_engine_to_exact_limit(spec):
+    # The recursion and the generating functions are derived independently;
+    # every row the exact engine serves must agree with them.
+    top = EXACT_ENGINE_LIMIT
+    totals = genfunc.arbitrary_galls_series(spec, top).integer_coefficients(
+        scale_factorials=spec.is_labeled
+    )
+    assert [total(spec, n) for n in range(1, top + 1)] == totals[1:top + 1]
+    if spec.network_class is NetworkClass.TIME_CONSISTENT:
+        return  # no closed small-g form for this class
+    for g in (1, 2):
+        column = genfunc.closed_small_g(spec, g, top).integer_coefficients(
+            scale_factorials=spec.is_labeled
+        )
+        assert [count(spec, n, g) for n in range(1, top + 1)] == column[1:top + 1]
 
 
 def test_simplex_total_direct_matches_rowsums():
