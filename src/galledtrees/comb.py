@@ -37,6 +37,65 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[Composition]:
+    """Compositions of `total` into len(bounds) parts with 1 <= c_i <= bounds[i].
+
+    Generated directly rather than by filtering `compositions`, so parts that
+    would exceed their bound are never produced.
+    """
+    if total < 1 or not bounds:
+        return
+    yield from _bounded(total, tuple(bounds))
+
+
+def _bounded(total, bounds):
+    if len(bounds) == 1:
+        if 1 <= total <= bounds[0]:
+            yield (total,)
+        return
+    rest = bounds[1:]
+    lo = max(1, total - sum(rest))
+    hi = min(bounds[0], total - len(rest))
+    for first in range(lo, hi + 1):
+        for tail in _bounded(total - first, rest):
+            yield (first,) + tail
+
+
+def palindromic_compositions(total: int, parts: int) -> Iterator[Composition]:
+    """Yield compositions with c_i = c_{parts+1-i} for all i.
+
+    Generated by choosing the first floor(parts/2) parts freely; for odd
+    `parts` the middle part is whatever positive remainder is left, so parity
+    obstructions make some streams empty (e.g. total 3 into 2 parts).
+    """
+    if total < 1 or parts < 1:
+        raise ValueError(f"need total >= 1 and parts >= 1, got {total}, {parts}")
+    half = parts // 2
+    if parts % 2 == 0:
+        if total % 2 != 0:
+            return
+        for first in _compositions(total // 2, half) if half else iter(()):
+            yield first + tuple(reversed(first))
+        return
+    if half == 0:
+        yield (total,)
+        return
+    for first in _compositions_any_sum(half, total - 1):
+        middle = total - 2 * sum(first)
+        if middle >= 1:
+            yield first + (middle,) + tuple(reversed(first))
+
+
+def _compositions_any_sum(parts, max_sum):
+    # All tuples of `parts` positive integers with sum <= max_sum, lexicographic.
+    if parts == 0:
+        yield ()
+        return
+    for first in range(1, max_sum - parts + 2):
+        for rest in _compositions_any_sum(parts - 1, max_sum - first):
+            yield (first,) + rest
+
+
 def weighted_partitions(weight: int) -> Iterator[WeightedPartition]:
     """Yield every sparse vector {i: k_i} with sum(i * k_i) = weight, k_i >= 1.
 

@@ -32,6 +32,30 @@ def test_compositions_sum_over_parts_is_power_of_two(a):
     assert sum(len(list(comb.compositions(a, b))) for b in range(1, a + 1)) == 2 ** (a - 1)
 
 
+def test_palindromic_examples():
+    assert list(comb.palindromic_compositions(5, 3)) == [(1, 3, 1), (2, 1, 2)]
+    assert list(comb.palindromic_compositions(4, 2)) == [(2, 2)]
+    assert list(comb.palindromic_compositions(3, 2)) == []
+
+
+@pytest.mark.parametrize("a", range(1, 11))
+def test_palindromic_equals_filtered_full_stream(a):
+    for b in range(1, a + 1):
+        full = [c for c in comb.compositions(a, b) if c == tuple(reversed(c))]
+        assert sorted(comb.palindromic_compositions(a, b)) == sorted(full)
+
+
+def test_bounded_compositions_equal_filtered_stream():
+    bounds = (2, 5, 1, 3)
+    for total in range(1, sum(bounds) + 1):
+        want = [
+            c
+            for c in comb.compositions(total, len(bounds))
+            if all(x <= m for x, m in zip(c, bounds))
+        ] if total >= len(bounds) else []
+        assert list(comb.bounded_compositions(total, bounds)) == want
+
+
 def _partition_count(w):
     # independent oracle: classic coin-change DP over parts 1..w
     table = [1] + [0] * w
