@@ -166,9 +166,15 @@ class AsymptoticEstimate:
 
 
 def asymptotic_estimate(spec: TreeClassSpec, g: int, order: int = 60) -> AsymptoticEstimate:
-    """Leading-order estimate of the fixed-g count for the family; g >= 1."""
+    """Leading-order estimate of the fixed-g count for the family; g >= 1.
+
+    The time-consistent class is refused: its leading constant has not been
+    derived, and no exact engine checks it at large n.
+    """
     if g < 1:
         raise ValueError(f"fixed-gall estimates need g >= 1, got {g}")
+    if spec.network_class is NetworkClass.TIME_CONSISTENT:
+        raise ValueError("no asymptotic estimate is derived for the time-consistent class")
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
     if spec.labeling is Labeling.UNLABELED:
         sc = solve_rho_gamma(order)

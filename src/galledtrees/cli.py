@@ -182,8 +182,12 @@ def cmd_asym(args, parser) -> int:
             if not args.family:
                 parser.error("charsys needs --family")
             fam = asym.CharFamily(args.family)
-            sol = asym.solve_charsys(
-                fam, args.order or 25, replicate_reported=args.replicate_reported
+            order = args.order or 25
+            sol = asym.solve_charsys(fam, order, replicate_reported=args.replicate_reported)
+            # The residuals are taken against the same truncated data, so they
+            # cannot see truncation error; halving the order exposes it.
+            half = asym.solve_charsys(
+                fam, max(1, order // 2), replicate_reported=args.replicate_reported
             )
             print(f"r {sol.r:.10f}")
             print(f"s {sol.s:.10f}")
@@ -194,6 +198,7 @@ def cmd_asym(args, parser) -> int:
             print(f"delta {sol.delta:.10f}")
             res = sol.residuals()
             print(f"residuals {res[0]:.3e} {res[1]:.3e}")
+            print(f"truncation-error {abs(sol.delta - half.delta):.3e}")
             return EXIT_OK
         spec = _spec_of(args)
         if args.g is None or args.g < 1 or args.n is None or args.n < 2:

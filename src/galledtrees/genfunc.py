@@ -13,13 +13,15 @@ Each (network class, labeling) family gets three routes to the same numbers:
   series available for g = 1, 2.
 
 ``arbitrary_galls_series`` solves the u = 1 equation, counting over all gall
-numbers at once.  The ``*_counts`` functions are integer fast paths for large
+numbers at once.  ``fixed_g_counts`` is the integer fast path for large
 truncation orders, used by the asymptotic ratio studies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from .comb import even_weighted_partitions, partition_multinomial, weighted_partitions
@@ -313,122 +315,98 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
     return fixed_point_solve(update, order)
 
 
-def series_counts(s: TruncatedSeries, spec: TreeClassSpec) -> List[int]:
-    """Exact integer counts from a series (scaling by n! for labeled families)."""
-    return s.integer_coefficients(scale_factorials=spec.is_labeled)
-
-
 # ---------------------------------------------------------------------------
 # Large-order integer engines (asymptotic ratio studies).  These evaluate the
 # g = 1, 2 closed forms over plain integer arrays: ordinary convolution for
 # the unlabeled families, count-form binomial convolution for the labeled
-# ones.  Scalars of 1/2 are handled by computing twice the series and halving
-# at the end, so everything stays in exact integer arithmetic.
+# ones.  Every u^k inv^k in the closed forms is w^k with w = inv - 1 =
+# u / (1 - u), and likewise u(t^2) inv(t^2) = w2 = inv(t^2) - 1, so
+#   general  e1 = 1/2 w (w^2 + 2w + w2)
+#            e2 = 1/2 inv (e1 (e1 + w^2 + w2 + 2w + 2p) + e1(t^2))
+#   simplex  e1 = 1/2 t inv (w^2 + w2)
+#            e2 = 1/2 inv (e1 (e1 + 2t p) + e1(t^2))
+# with p = inv (w^2 + w) = w inv^2; w2 and the e1(t^2) terms drop out for
+# the labeled families.  The shared kit (inv, w, w^2, w2, p and the g = 1
+# arrays) is built once per (labeling, order), so the four unlabeled arrays
+# cost 8 products and 2 geometric inverses in all.  The 1/2 is applied by
+# computing twice the series and halving, so everything stays in exact
+# integer arithmetic.
 # ---------------------------------------------------------------------------
 
 
-def _halve(arr: List[int]) -> List[int]:
-    out = []
-    for v in arr:
-        assert v % 2 == 0
-        out.append(v // 2)
+_kit_cache: Dict[Tuple[Labeling, int], SimpleNamespace] = {}
+
+
+def _ring(labeling: Labeling, order: int):
+    """(multiply, multiply by t, 1 / (1 - f)) through t^order on the arrays of
+    the labeling: OGF arrays unlabeled, count form labeled."""
+    if labeling is Labeling.UNLABELED:
+        ops = (int_mul, int_shift_t, int_geom_inverse)
+    else:
+        ops = (egf_mul, egf_shift_t, egf_geom_inverse)
+    return [partial(op, order=order) for op in ops]
+
+
+def _lin(*terms) -> List[int]:
+    """Sum of arrays; a (c, array) term adds c times the array."""
+    out = None
+    for term in terms:
+        c, arr = term if isinstance(term, tuple) else (1, term)
+        out = [c * x for x in arr] if out is None else [x + c * y for x, y in zip(out, arr)]
     return out
 
 
+def _halve(arr: List[int]) -> List[int]:
+    assert all(v % 2 == 0 for v in arr)
+    return [v // 2 for v in arr]
+
+
+def _kit(labeling: Labeling, order: int) -> SimpleNamespace:
+    kit = _kit_cache.get((labeling, order))
+    if kit is None:
+        mul, _, inverse = _ring(labeling, order)
+        if labeling is Labeling.UNLABELED:
+            u = wedderburn_sequence(order)
+            w2 = inverse(int_substitute_t_squared(u, order))
+            w2[0] -= 1
+        else:
+            u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
+            w2 = [0] * (order + 1)
+        inv = inverse(u)
+        w = list(inv)
+        w[0] -= 1
+        ww = mul(w, w)
+        kit = SimpleNamespace(inv=inv, w=w, ww=ww, w2=w2, p=mul(inv, _lin(ww, w)), e1={})
+        _kit_cache[labeling, order] = kit
+    return kit
+
+
 def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
-    """Exact counts with g galls (g in {1, 2}) through t^order, as integers."""
+    """Exact counts with g galls (g in {1, 2}) through t^order, as integers
+    (n! times the coefficient for the labeled families)."""
     if g not in (1, 2):
         raise ValueError(f"integer fast path covers g in {{1, 2}}, got {g}")
     if spec.network_class is NetworkClass.TIME_CONSISTENT:
         raise ValueError("time-consistent large-order counts are not wired up")
-    N = order
+    kit = _kit(spec.labeling, order)
+    mul, shift, _ = _ring(spec.labeling, order)
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
-
-    if spec.labeling is Labeling.UNLABELED:
-        u = wedderburn_sequence(N)
-        u2 = int_substitute_t_squared(u, N)
-        inv = int_geom_inverse(u, N)
-        inv2 = int_geom_inverse(u2, N)
-        mul = lambda a, b: int_mul(a, b, N)
-        shift = lambda a: int_shift_t(a, N)
-        uu = mul(u, u)
-        inv_2 = mul(inv, inv)
-        inv_3 = mul(inv_2, inv)
-        inv_4 = mul(inv_3, inv)
+    e1 = kit.e1.get(spec.network_class)
+    if e1 is None:
         if simplex:
-            e1_twice = [
-                a + b
-                for a, b in zip(shift(mul(uu, inv_3)), shift(mul(u2, mul(inv, inv2))))
-            ]
-            if g == 1:
-                return _halve(e1_twice)
-            e1 = _halve(e1_twice)
-            e12 = int_substitute_t_squared(e1, N)
-            acc = mul(mul(e1, e1), inv)
-            acc = [a + b for a, b in zip(acc, mul(e12, inv))]
-            last = shift(mul(mul(e1, u), inv_4))
-            return _halve([a + 2 * b for a, b in zip(acc, last)])
-        e1_twice = [
-            a + b + 2 * c
-            for a, b, c in zip(
-                mul(mul(uu, u), inv_3), mul(mul(u, u2), mul(inv, inv2)), mul(uu, inv_2)
-            )
-        ]
-        if g == 1:
-            return _halve(e1_twice)
-        e1 = _halve(e1_twice)
-        e12 = int_substitute_t_squared(e1, N)
-        terms2 = [
-            mul(mul(e1, e1), inv),
-            mul(e12, inv),
-            mul(mul(uu, e1), inv_3),
-            mul(mul(u2, e1), mul(inv, inv2)),
-        ]
-        terms1 = [
-            mul(mul(uu, e1), inv_4),
-            mul(mul(u, e1), inv_3),
-            mul(mul(u, e1), inv_2),
-        ]
-        return _halve(
-            [
-                sum(t[n] for t in terms2) + 2 * sum(t[n] for t in terms1)
-                for n in range(N + 1)
-            ]
-        )
-
-    # labeled families, count form: arrays of n! * coefficient
-    u = [0] + [labeled_tree_count(n) for n in range(1, N + 1)]
-    inv = egf_geom_inverse(u, N)
-    mul = lambda a, b: egf_mul(a, b, N)
-    shift = lambda a: egf_shift_t(a, N)
-    uu = mul(u, u)
-    inv_2 = mul(inv, inv)
-    inv_3 = mul(inv_2, inv)
-    inv_4 = mul(inv_3, inv)
-    if simplex:
-        e1_twice = shift(mul(uu, inv_3))
-        if g == 1:
-            return _halve(e1_twice)
-        e1 = _halve(e1_twice)
-        acc = mul(mul(e1, e1), inv)
-        last = shift(mul(mul(e1, u), inv_4))
-        return _halve([a + 2 * b for a, b in zip(acc, last)])
-    e1_twice = [a + 2 * b for a, b in zip(mul(mul(uu, u), inv_3), mul(uu, inv_2))]
+            e1 = _halve(shift(mul(kit.inv, _lin(kit.ww, kit.w2))))
+        else:
+            e1 = _halve(mul(kit.w, _lin(kit.ww, (2, kit.w), kit.w2)))
+        kit.e1[spec.network_class] = e1
     if g == 1:
-        return _halve(e1_twice)
-    e1 = _halve(e1_twice)
-    terms2 = [mul(mul(e1, e1), inv), mul(mul(uu, e1), inv_3)]
-    terms1 = [
-        mul(mul(uu, e1), inv_4),
-        mul(mul(u, e1), inv_3),
-        mul(mul(u, e1), inv_2),
-    ]
-    return _halve(
-        [
-            sum(t[n] for t in terms2) + 2 * sum(t[n] for t in terms1)
-            for n in range(N + 1)
-        ]
-    )
+        return list(e1)
+    if simplex:
+        inner = mul(e1, _lin(e1, (2, shift(kit.p))))
+    else:
+        inner = mul(e1, _lin(e1, kit.ww, kit.w2, (2, kit.w), (2, kit.p)))
+    if spec.labeling is Labeling.UNLABELED:
+        inner = _lin(inner, int_substitute_t_squared(e1, order))
+    return _halve(mul(kit.inv, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +487,4 @@ def labeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int) -> int:
 def clear_caches() -> None:
     _base_cache.clear()
     _ladder_cache.clear()
+    _kit_cache.clear()

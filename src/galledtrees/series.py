@@ -3,10 +3,14 @@
 `TruncatedSeries` and `BivariateSeries` carry Fraction coefficients so one
 kernel serves both ordinary and exponential generating functions; counting
 series stay integral and that is asserted, not assumed.  Functional equations
-of the shape F = Phi(F) are solved by `fixed_point_solve`: every equation fed
-to it gains at least one exact coefficient per pass because its right side
-carries an extra factor of t (or is quadratic in F), so N+1 passes suffice
-and stationarity is verified.
+of the shape F = Phi(F) are solved by `fixed_point_solve` and
+`bivariate_fixed_point`.  Every equation fed to them is contractive: its right
+side carries an extra factor of t, or is quadratic in an F with zero constant
+term, so coefficient k of Phi(F) reads only coefficients below k of F.  Pass
+k therefore runs Phi on the solution so far, padded to order k, and fixes
+coefficient k.  Products cost about the square of the order, so the N + 1
+passes together cost about as much as N / 3 passes at full order.  One last
+full-order pass verifies stationarity.
 
 The module also provides plain-integer fast paths (`int_mul`,
 `int_geom_inverse`, ...) used by the large-order coefficient engines, where
@@ -18,6 +22,7 @@ convolved in pure integer arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
@@ -185,17 +190,15 @@ def fixed_point_solve(
 ) -> TruncatedSeries:
     """Solve F = Phi(F) to the given order for equations contractive in the
     coefficient filtration (coefficient n of Phi(F) uses only coefficients
-    < n of F).  Converges in at most order+1 passes; one extra pass verifies
-    stationarity and raises SeriesDivergenceError otherwise.
+    < n of F).  Pass k, for k = 0..order, runs Phi on the solution so far
+    padded with a zero to order k, which fixes coefficient k.  A final pass
+    at full order verifies stationarity and raises SeriesDivergenceError
+    otherwise.
     """
-    f = TruncatedSeries.zero(order)
-    for _ in range(order + 1):
-        nxt = update(f).truncate(order)
-        if nxt == f:
-            break
-        f = nxt
-    else:
-        nxt = update(f).truncate(order)
+    coeffs: Tuple[Fraction, ...] = ()
+    for k in range(order + 1):
+        f = update(TruncatedSeries(coeffs + (Fraction(0),))).truncate(k)
+        coeffs = f.coeffs
     if update(f).truncate(order) != f:
         raise SeriesDivergenceError("fixed-point iteration did not stabilize")
     return f
@@ -261,9 +264,9 @@ class BivariateSeries:
         )
 
     def __mul__(self, other) -> "BivariateSeries":
-        N, G = self.t_order, self.u_order
+        N, G = min(self.t_order, other.t_order), self.u_order
         out = [[Fraction(0)] * (G + 1) for _ in range(N + 1)]
-        for n1, row in enumerate(self.coeffs):
+        for n1, row in enumerate(self.coeffs[: N + 1]):
             for m1, x in enumerate(row):
                 if not x:
                     continue
@@ -330,13 +333,13 @@ def bivariate_fixed_point(
     update: Callable[[BivariateSeries], BivariateSeries], t_order: int, u_order: int
 ) -> BivariateSeries:
     """Fixed point of F = Phi(F) for bivariate equations contractive in the
-    t-filtration."""
-    f = BivariateSeries.zero(t_order, u_order)
-    for _ in range(t_order + 1):
-        nxt = update(f)
-        if nxt == f:
-            break
-        f = nxt
+    t-filtration: pass k runs Phi at t-order k and fixes the t^k row, and a
+    final full-order pass verifies stationarity."""
+    zero_row = (Fraction(0),) * (u_order + 1)
+    rows: Tuple[Tuple[Fraction, ...], ...] = ()
+    for k in range(t_order + 1):
+        f = update(BivariateSeries(rows + (zero_row,)))
+        rows = f.coeffs[: k + 1]
     if update(f) != f:
         raise SeriesDivergenceError("bivariate fixed point did not stabilize")
     return f
@@ -349,24 +352,27 @@ def bivariate_fixed_point(
 
 
 def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
+    """Product of OGF arrays through t^order, one dot product per coefficient."""
+    la, lb = min(len(a), order + 1), min(len(b), order + 1)
     out = [0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x == 0:
-            continue
-        top = order + 1 - i
-        for j, y in enumerate(b[:top]):
-            if y:
-                out[i + j] += x * y
+    rb = b[:lb][::-1]  # rb[lb - 1 - j] = b[j]
+    for n in range(min(order, la + lb - 2) + 1):
+        lo, hi = max(0, n - lb + 1), min(n, la - 1)
+        out[n] = sum(map(operator.mul, a[lo : hi + 1], rb[lb - 1 - n + lo : lb - n + hi]))
     return out
 
 
 def int_geom_inverse(f: Sequence[int], order: int) -> List[int]:
+    """1 / (1 - f) through t^order, from out[m] = sum_i f[i] out[m - i]."""
     if f[0] != 0:
         raise ValueError("geom_inverse needs a zero constant term")
+    lf = min(len(f), order + 1)
+    rf = f[1:lf][::-1]  # f[lf - 1], ..., f[1]
     out = [0] * (order + 1)
     out[0] = 1
     for m in range(1, order + 1):
-        out[m] = sum(f[i] * out[m - i] for i in range(1, m + 1) if i < len(f) and f[i])
+        k = min(m, lf - 1)
+        out[m] = sum(map(operator.mul, rf[lf - 1 - k :], out[m - k : m]))
     return out
 
 

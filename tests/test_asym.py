@@ -66,6 +66,17 @@ def test_estimate_guards_and_log_form():
     assert abs(est.log_value(n) - want) < 1e-12
 
 
+def test_estimate_refuses_time_consistent():
+    from galledtrees.counts import Labeling, NetworkClass, TreeClassSpec
+
+    for labeling in Labeling:
+        spec = TreeClassSpec(NetworkClass.TIME_CONSISTENT, labeling)
+        with pytest.raises(ValueError):
+            asym.asymptotic_estimate(spec, 1)
+        with pytest.raises(ValueError):
+            asym.estimate_log(spec, 2, 100)
+
+
 def test_simplex_estimate_carries_rho_and_half_powers():
     sc = asym.solve_rho_gamma(60)
     n, g = 40, 2

@@ -163,6 +163,23 @@ def test_asym_charsys(capsys):
     assert abs(float(vals["delta"]) - 0.38353) < 5e-4
 
 
+def test_asym_charsys_truncation_error(capsys):
+    # the residuals cannot see truncation error; the N versus N // 2 estimate can
+    from galledtrees import asym
+
+    code, out, _ = run(capsys, "asym", "charsys", "--family", "general-unlabeled",
+                       "--order", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-2].startswith("residuals ")
+    name, value = lines[-1].split()
+    assert name == "truncation-error"
+    fam = asym.CharFamily.GENERAL_UNLABELED
+    true_error = abs(asym.solve_charsys(fam, 3).delta - asym.solve_charsys(fam, 50).delta)
+    assert float(value) >= true_error > 0
+    assert max(float(v) for v in lines[-2].split()[1:]) < true_error
+
+
 def test_asym_charsys_replicated(capsys):
     code, out, _ = run(capsys, "asym", "charsys", "--family", "simplex-unlabeled",
                        "--replicate-reported")
@@ -182,6 +199,14 @@ def test_asym_estimate(capsys):
     code, out, _ = run(capsys, "asym", "estimate", "--class", "general", "--labeling",
                        "unlabeled", "-g", "1", "-n", "100")
     assert code == 0 and out.startswith("log-estimate")
+
+
+def test_asym_estimate_refuses_time_consistent(capsys):
+    for labeling in ("unlabeled", "labeled"):
+        code, out, err = run(capsys, "asym", "estimate", "--class", "time-consistent",
+                             "--labeling", labeling, "-g", "1", "-n", "100")
+        assert code == 4 and out == ""
+        assert "asymptotics solver failed" in err
 
 
 def test_verify_scopes(capsys):

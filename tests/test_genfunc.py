@@ -149,6 +149,23 @@ def test_integer_fast_paths_match_ladder(spec, g):
     assert fast == slow
 
 
+def test_fast_paths_match_closed_forms_in_any_call_order():
+    # g = 2 first (it builds the shared kit and the g = 1 array on the way),
+    # then g = 1 from the kit; and the same again after the caches are cleared
+    want = {
+        (spec, g): genfunc.closed_small_g(spec, g, 60).integer_coefficients(
+            scale_factorials=spec.is_labeled
+        )
+        for spec in CLOSED_FORM_SPECS
+        for g in (1, 2)
+    }
+    for _ in range(2):
+        genfunc.clear_caches()
+        for spec in CLOSED_FORM_SPECS:
+            for g in (2, 1):
+                assert genfunc.fixed_g_counts(spec, g, 60) == want[spec, g], (spec, g)
+
+
 def test_fast_path_guards():
     with pytest.raises(ValueError):
         genfunc.fixed_g_counts(GENERAL_UNLABELED, 3, 10)

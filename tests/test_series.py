@@ -126,6 +126,19 @@ def test_fixed_point_divergence():
         fixed_point_solve(lambda f: f.scale(2) + TruncatedSeries.t(4), 4)
 
 
+def test_fixed_point_passes_grow_with_the_order():
+    # pass k sees the solution padded to order k; one full-order pass verifies
+    seen = []
+
+    def update(f):
+        seen.append(f.order)
+        return f * f + TruncatedSeries.t(6)
+
+    c = fixed_point_solve(update, 6)
+    assert c.integer_coefficients() == [0, 1, 1, 2, 5, 14, 42]
+    assert seen == [0, 1, 2, 3, 4, 5, 6, 6]
+
+
 def test_bivariate_ops():
     t = BivariateSeries.t(4, 3)
     tu = t.shift_by_u()
@@ -149,6 +162,18 @@ def test_bivariate_fixed_point_catalan_in_two_marks():
     assert f.coefficient(4, 3) == 5
     assert f.coefficient(5, 4) == 14
     assert f.coefficient(4, 2) == 0
+    # a full-order constant on the left of a product, as the passes below
+    # full order hand the update a shorter F: F = t + u t F = t / (1 - u t)
+    t = BivariateSeries.t(6, 5)
+    f = bivariate_fixed_point(lambda F: t + (t * F).shift_by_u(), 6, 5)
+    assert all(f.coefficient(n, n - 1) == 1 for n in range(1, 7))
+    assert f.coefficient(4, 2) == 0
+
+
+def test_bivariate_fixed_point_divergence():
+    # the t^1 row of phi(F) depends on the t^1 row of F with gain 2
+    with pytest.raises(SeriesDivergenceError):
+        bivariate_fixed_point(lambda F: F.scale(2) + BivariateSeries.t(4, 2), 4, 2)
 
 
 # -- integer fast paths vs the Fraction kernel --------------------------------
@@ -165,6 +190,28 @@ def test_int_paths_match_fraction_kernel():
         int(c) for c in fa.substitute_t_squared().coeffs
     ]
     assert int_shift_t(a, order) == [int(c) for c in fa.shift_by_t().coeffs]
+
+
+def _padded(arr, order):
+    return TruncatedSeries(list(arr[: order + 1]) + [0] * (order + 1 - len(arr)))
+
+
+sparse_ints = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=sparse_ints, b=sparse_ints, extra=st.integers(0, 6))
+def test_int_kernels_match_fraction_kernel_on_random_arrays(a, b, extra):
+    # zeros anywhere, unequal lengths, and an order past both lengths
+    order = max(len(a), len(b)) + extra
+    fa, fb = _padded(a, order), _padded(b, order)
+    assert int_mul(a, b, order) == [int(c) for c in (fa * fb).coeffs]
+    assert int_mul(b, a, order) == [int(c) for c in (fb * fa).coeffs]
+    low = min(len(a), len(b)) - 1  # an order below the longer operand too
+    assert int_mul(a, b, low) == [int(c) for c in (fa * fb).coeffs[: low + 1]]
+    f = [0] + a
+    ff = _padded(f, order)
+    assert int_geom_inverse(f, order) == [int(c) for c in ff.geom_inverse().coeffs]
 
 
 def test_egf_paths_match_fraction_kernel():
