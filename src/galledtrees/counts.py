@@ -16,6 +16,7 @@ composition: they are memoized convolution powers of the smaller rows (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Tuple
@@ -265,9 +266,10 @@ def wedderburn_sequence(max_n: int) -> List[int]:
     if max_n >= 1:
         u[1] = 1
     for n in range(2, max_n + 1):
-        s = sum(u[a] * u[n - a] for a in range(1, n))
+        # the pairs a < n - a, doubled; even n adds u[n/2]^2 and the symmetric half
+        s = 2 * sum(map(operator.mul, u[1 : (n + 1) // 2], u[n - 1 : n // 2 : -1]))
         if n % 2 == 0:
-            s += u[n // 2]
+            s += u[n // 2] * (u[n // 2] + 1)
         assert s % 2 == 0
         u[n] = s // 2
     return u

@@ -1,26 +1,27 @@
 """Exact truncated formal power series over the rationals.
 
-`TruncatedSeries` and `BivariateSeries` carry Fraction coefficients so one
-kernel serves both ordinary and exponential generating functions; counting
-series stay integral and that is asserted, not assumed.  Functional equations
-of the shape F = Phi(F) are solved by `fixed_point_solve` and
-`bivariate_fixed_point`.  Every equation fed to them is contractive: its right
-side carries an extra factor of t, or is quadratic in an F with zero constant
-term, so coefficient k of Phi(F) reads only coefficients below k of F.  Pass
-k therefore runs Phi on the solution so far, padded to order k, and fixes
-coefficient k.  Products cost about the square of the order, so the N + 1
-passes together cost about as much as N / 3 passes at full order.  One last
-full-order pass verifies stationarity.
+`TruncatedSeries` and `BivariateSeries` hold integer numerators over one
+positive common denominator, gcd-reduced, so equal series are equal tuples.
+All their arithmetic runs on the integer kernels below; `geom_inverse` first
+scales t (and u) by a factor that makes its recursion integral.  Coefficients
+read back as Fractions, so one kernel serves both ordinary and exponential
+generating functions; counting series stay integral and that is asserted, not
+assumed.  Functional equations of the shape F = Phi(F) are solved by
+`fixed_point_solve` and `bivariate_fixed_point`.  Every equation fed to them
+is contractive: its right side carries an extra factor of t, or is quadratic
+in an F with zero constant term, so coefficient k of Phi(F) reads only
+coefficients below k of F.  Pass k therefore runs Phi on the solution so far,
+padded to order k, and fixes coefficient k.  Products cost about the square of
+the order, so the N + 1 passes together cost about as much as N / 3 passes at
+full order.  One last full-order pass verifies stationarity.
 
-The module also provides plain-integer fast paths (`int_mul`,
-`int_geom_inverse`, ...) used by the large-order coefficient engines, where
-Fraction wrappers would dominate the runtime.  `egf_mul` and friends work on
-"count form" arrays A with A[n] = n! * [t^n] f, so exponential series can be
-convolved in pure integer arithmetic.
+`egf_mul` and friends work on "count form" arrays A with A[n] = n! * [t^n] f,
+so exponential series can be convolved in pure integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -31,42 +32,85 @@ class SeriesDivergenceError(ArithmeticError):
     """A fixed-point pass changed a coefficient after its stabilization pass."""
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _over_common_den(values) -> Tuple[List[int], int]:
+    """Numerators of the values over the lcm of their denominators; that pair
+    is already gcd-reduced."""
+    fr = [Fraction(c) for c in values]
+    den = math.lcm(*(c.denominator for c in fr))
+    return [c.numerator * (den // c.denominator) for c in fr], den
+
+
+def _rescale(nums: Sequence[int], den: int, new_den: int) -> Sequence[int]:
+    """Numerators over den rewritten over new_den, a multiple of den."""
+    return nums if new_den == den else [x * (new_den // den) for x in nums]
+
+
+def _grading_scale(terms: Sequence[Tuple[int, int]], den: int, top: int) -> int:
+    """A c with every c^s x / den integral, (s, x) in terms, s >= 1 unless x = 0.
+    c = den would do, but it grows the integers like den^s; c takes each prime
+    p <= top of den only to the least power that suffices, the rest whole."""
+    c, rest = 1, den
+    for p in range(2, top + 1):
+        if rest == 1:
+            break
+        if rest % p == 0:
+            pe = 1
+            while rest % p == 0:
+                rest, pe = rest // p, pe * p
+            k = 1  # each term's test is monotone in k, so one pass finds the least
+            for s, x in terms:
+                while x * p ** (k * s) % pe:
+                    k += 1
+            c *= p**k
+    return c * rest
 
 
 class TruncatedSeries:
-    """A power series known exactly through order N (inclusive)."""
+    """A power series known exactly through order N (inclusive): coefficient
+    k is nums[k] / den."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence) -> None:
-        self.coeffs: Tuple[Fraction, ...] = tuple(_frac(c) for c in coeffs)
+        nums, self.den = _over_common_den(coeffs)
+        self.nums: Tuple[int, ...] = tuple(nums)
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series nums / den, gcd-reduced."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        out = object.__new__(cls)
+        out.nums, out.den = tuple(nums), den
+        return out
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
+        return cls._make([0] * (order + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * order)
+        return cls._make([1] + [0] * order, 1)
 
     @classmethod
     def t(cls, order: int) -> "TruncatedSeries":
-        c = [0] * (order + 1)
-        if order >= 1:
-            c[1] = 1
-        return cls(c)
+        return cls.one(order).shift_by_t()
 
     def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n <= self.order else Fraction(0)
+        return Fraction(self.nums[n], self.den) if 0 <= n <= self.order else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, TruncatedSeries)
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -81,17 +125,20 @@ class TruncatedSeries:
             return other
         return TruncatedSeries([other] + [0] * self.order)
 
-    def __add__(self, other) -> "TruncatedSeries":
+    def _linear(self, other, op) -> "TruncatedSeries":
+        """op (add or sub) termwise over the lcm of the denominators."""
         o = self._coerce(other)
-        n = min(self.order, o.order)
-        return TruncatedSeries([self.coeffs[i] + o.coeffs[i] for i in range(n + 1)])
+        den = math.lcm(self.den, o.den)
+        a, b = _rescale(self.nums, self.den, den), _rescale(o.nums, o.den, den)
+        return TruncatedSeries._make(list(map(op, a, b)), den)
+
+    def __add__(self, other) -> "TruncatedSeries":
+        return self._linear(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
-        n = min(self.order, o.order)
-        return TruncatedSeries([self.coeffs[i] - o.coeffs[i] for i in range(n + 1)])
+        return self._linear(other, operator.sub)
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return self._coerce(other) - self
@@ -100,25 +147,17 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(self.coeffs[: n + 1]):
-            if not x:
-                continue
-            for j in range(n + 1 - i):
-                y = other.coeffs[j]
-                if y:
-                    out[i + j] += x * y
-        return TruncatedSeries(out)
+        return TruncatedSeries._make(int_mul(self.nums, other.nums, n), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "TruncatedSeries":
-        f = _frac(factor)
-        return TruncatedSeries([c * f for c in self.coeffs])
+        f = Fraction(factor)
+        return TruncatedSeries._make([x * f.numerator for x in self.nums], self.den * f.denominator)
 
     def shift_by_t(self) -> "TruncatedSeries":
         """Multiply by t (the leading coefficient drops off the far end)."""
-        return TruncatedSeries((Fraction(0),) + self.coeffs[:-1])
+        return TruncatedSeries._make(int_shift_t(self.nums, self.order), self.den)
 
     def pow(self, k: int) -> "TruncatedSeries":
         if k < 0:
@@ -133,36 +172,28 @@ class TruncatedSeries:
         return out
 
     def geom_inverse(self) -> "TruncatedSeries":
-        """1 / (1 - f) for a series f with zero constant term."""
-        if self.coeffs[0] != 0:
+        """1 / (1 - f) for f with zero constant term.  With t scaled by c, where
+        every c^i f_i is an integer, the recursion is integral:
+        H_m = c^m h_m = sum_i (c^i f_i) H_(m-i), one `int_geom_inverse`; h comes
+        back over c^N."""
+        if self.nums[0] != 0:
             raise ValueError("geom_inverse needs a zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[m - i]
-            out[m] = acc
-        return TruncatedSeries(out)
+        n, d = self.order, self.den
+        c = _grading_scale(list(enumerate(self.nums)), d, n)
+        h = int_geom_inverse([x * c**i // d for i, x in enumerate(self.nums)], n)
+        return TruncatedSeries._make([x * c ** (n - m) for m, x in enumerate(h)], c**n)
 
     def substitute_t_squared(self) -> "TruncatedSeries":
         """f(t^2), truncated at the same order."""
-        out = [Fraction(0)] * (self.order + 1)
-        for k in range(self.order // 2 + 1):
-            out[2 * k] = self.coeffs[k]
-        return TruncatedSeries(out)
+        return TruncatedSeries._make(int_substitute_t_squared(self.nums, self.order), self.den)
 
     def derivative(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            [self.coeffs[k + 1] * (k + 1) for k in range(self.order)] + [Fraction(0)]
-        )
+        return TruncatedSeries._make([k * x for k, x in enumerate(self.nums)][1:] + [0], self.den)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries._make(self.nums[: order + 1], self.den)
 
     def integer_coefficients(self, scale_factorials: bool = False) -> List[int]:
         """Coefficients as exact ints; with scale_factorials, n! * c_n.
@@ -170,18 +201,19 @@ class TruncatedSeries:
         Raises if any value is not integral -- counting series must be.
         """
         out = []
-        for n, c in enumerate(self.coeffs):
-            v = c * math.factorial(n) if scale_factorials else c
-            if v.denominator != 1:
-                raise ValueError(f"coefficient {n} is not an integer: {v}")
-            out.append(v.numerator)
+        for n, x in enumerate(self.nums):
+            v = x * math.factorial(n) if scale_factorials else x
+            q, r = divmod(v, self.den)
+            if r:
+                raise ValueError(f"coefficient {n} is not an integer: {Fraction(v, self.den)}")
+            out.append(q)
         return out
 
     def evaluate(self, x: float) -> float:
         """Horner evaluation of the truncated polynomial at a float point."""
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        for c in reversed(self.nums):
+            acc = acc * x + c / self.den
         return acc
 
 
@@ -195,138 +227,138 @@ def fixed_point_solve(
     at full order verifies stationarity and raises SeriesDivergenceError
     otherwise.
     """
-    coeffs: Tuple[Fraction, ...] = ()
+    nums, den = (), 1
     for k in range(order + 1):
-        f = update(TruncatedSeries(coeffs + (Fraction(0),))).truncate(k)
-        coeffs = f.coeffs
+        f = update(TruncatedSeries._make(nums + (0,), den)).truncate(k)
+        nums, den = f.nums, f.den
     if update(f).truncate(order) != f:
         raise SeriesDivergenceError("fixed-point iteration did not stabilize")
     return f
 
 
-class BivariateSeries:
-    """Exact series in t and u, truncated at t-order N and u-order G."""
+def _row_products(pairs, order: int) -> List[int]:
+    """Sum of int_mul(a, b, order) over the pairs of rows, zero rows skipped."""
+    out = [0] * (order + 1)
+    for a, b in pairs:
+        if any(a) and any(b):
+            out = list(map(operator.add, out, int_mul(a, b, order)))
+    return out
 
-    __slots__ = ("coeffs",)
+
+class BivariateSeries:
+    """Exact series in t and u, truncated at t-order N and u-order G: the
+    t^n u^m coefficient is rows[n][m] / den."""
+
+    __slots__ = ("rows", "den")
 
     def __init__(self, coeffs: Sequence[Sequence]) -> None:
-        self.coeffs: Tuple[Tuple[Fraction, ...], ...] = tuple(
-            tuple(_frac(c) for c in row) for row in coeffs
-        )
+        coeffs = [tuple(row) for row in coeffs]
+        nums, self.den = _over_common_den(itertools.chain.from_iterable(coeffs))
+        it = iter(nums)
+        self.rows = tuple(tuple(itertools.islice(it, len(row))) for row in coeffs)
+
+    @classmethod
+    def _make(cls, rows: Sequence[Sequence[int]], den: int) -> "BivariateSeries":
+        """The series rows / den, gcd-reduced."""
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            rows, den = [[x // g for x in row] for row in rows], den // g
+        out = object.__new__(cls)
+        out.rows, out.den = tuple(map(tuple, rows)), den
+        return out
+
+    @property
+    def coeffs(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(self.u_slice(n) for n in range(len(self.rows)))
 
     @property
     def t_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     @property
     def u_order(self) -> int:
-        return len(self.coeffs[0]) - 1
+        return len(self.rows[0]) - 1
 
     @classmethod
     def zero(cls, t_order: int, u_order: int) -> "BivariateSeries":
-        return cls([[0] * (u_order + 1) for _ in range(t_order + 1)])
+        return cls._make([[0] * (u_order + 1)] * (t_order + 1), 1)
 
     @classmethod
     def one(cls, t_order: int, u_order: int) -> "BivariateSeries":
-        z = [[0] * (u_order + 1) for _ in range(t_order + 1)]
-        z[0][0] = 1
-        return cls(z)
+        return cls._make([[1] + [0] * u_order] + [[0] * (u_order + 1)] * t_order, 1)
 
     @classmethod
     def t(cls, t_order: int, u_order: int) -> "BivariateSeries":
-        z = [[0] * (u_order + 1) for _ in range(t_order + 1)]
-        if t_order >= 1:
-            z[1][0] = 1
-        return cls(z)
+        return cls.one(t_order, u_order).shift_by_t()
 
     def coefficient(self, n: int, m: int) -> Fraction:
         if 0 <= n <= self.t_order and 0 <= m <= self.u_order:
-            return self.coeffs[n][m]
+            return Fraction(self.rows[n][m], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivariateSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, BivariateSeries)
+                and self.rows == other.rows and self.den == other.den)
+
+    def _linear(self, other, op) -> "BivariateSeries":
+        """op (add or sub) termwise over the lcm of the denominators."""
+        den = math.lcm(self.den, other.den)
+        rows = [list(map(op, _rescale(a, self.den, den), _rescale(b, other.den, den)))
+                for a, b in zip(self.rows, other.rows)]
+        return BivariateSeries._make(rows, den)
 
     def __add__(self, other) -> "BivariateSeries":
-        return BivariateSeries(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ]
-        )
+        return self._linear(other, operator.add)
 
     def __sub__(self, other) -> "BivariateSeries":
-        return BivariateSeries(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ]
-        )
+        return self._linear(other, operator.sub)
 
     def __mul__(self, other) -> "BivariateSeries":
         N, G = min(self.t_order, other.t_order), self.u_order
-        out = [[Fraction(0)] * (G + 1) for _ in range(N + 1)]
-        for n1, row in enumerate(self.coeffs[: N + 1]):
-            for m1, x in enumerate(row):
-                if not x:
-                    continue
-                for n2 in range(N + 1 - n1):
-                    orow = other.coeffs[n2]
-                    for m2 in range(min(G - m1, len(orow) - 1) + 1):
-                        y = orow[m2]
-                        if y:
-                            out[n1 + n2][m1 + m2] += x * y
-        return BivariateSeries(out)
+        a, b = self.rows, other.rows
+        out = [_row_products(zip(a[: n + 1], b[n::-1]), G) for n in range(N + 1)]
+        return BivariateSeries._make(out, self.den * other.den)
 
     def scale(self, factor) -> "BivariateSeries":
-        f = _frac(factor)
-        return BivariateSeries([[c * f for c in row] for row in self.coeffs])
+        f = Fraction(factor)
+        rows = [[x * f.numerator for x in row] for row in self.rows]
+        return BivariateSeries._make(rows, self.den * f.denominator)
 
     def shift_by_t(self) -> "BivariateSeries":
-        zero_row = (Fraction(0),) * (self.u_order + 1)
-        return BivariateSeries((zero_row,) + self.coeffs[:-1])
+        return BivariateSeries._make(((0,) * (self.u_order + 1),) + self.rows[:-1], self.den)
 
     def shift_by_u(self) -> "BivariateSeries":
-        return BivariateSeries(
-            [(Fraction(0),) + row[:-1] for row in self.coeffs]
-        )
+        return BivariateSeries._make([(0,) + row[:-1] for row in self.rows], self.den)
 
     def geom_inverse(self) -> "BivariateSeries":
-        """1 / (1 - f) for f with zero (t^0 u^0) coefficient."""
-        if self.coeffs[0][0] != 0:
+        """1 / (1 - f) for f with zero (t^0 u^0) coefficient.  With t and u both
+        scaled by c, where every c^(i+j) f_(i,j) is an integer, the graded
+        H_(n,m) = c^(n+m) h_(n,m) are integral too: with S_(i,j) =
+        c^(i+j) f_(i,j), by rows H_0 = 1 / (1 - S_0) and H_n = H_0 * sum_(i>=1)
+        S_i H_(n-i); h comes back over c^(N+G)."""
+        if self.rows[0][0] != 0:
             raise ValueError("geom_inverse needs a zero constant term")
-        N, G = self.t_order, self.u_order
-        out = [[Fraction(0)] * (G + 1) for _ in range(N + 1)]
-        out[0][0] = Fraction(1)
-        # h = 1 + f*h, filled in graded order of n + m.
-        for s in range(1, N + G + 1):
-            for n in range(min(s, N) + 1):
-                m = s - n
-                if m > G:
-                    continue
-                acc = Fraction(0)
-                for i in range(n + 1):
-                    frow = self.coeffs[i]
-                    for j in range(m + 1):
-                        if (i, j) == (0, 0):
-                            continue
-                        x = frow[j]
-                        if x:
-                            acc += x * out[n - i][m - j]
-                out[n][m] = acc
-        return BivariateSeries(out)
+        N, G, d = self.t_order, self.u_order, self.den
+        terms = [(i + j, x) for i, row in enumerate(self.rows) for j, x in enumerate(row)]
+        c = _grading_scale(terms, d, N + G)
+        s = [[x * c ** (i + j) // d for j, x in enumerate(row)] for i, row in enumerate(self.rows)]
+        h = [int_geom_inverse(s[0], G)]
+        for n in range(1, N + 1):
+            h.append(int_mul(h[0], _row_products(zip(s[1 : n + 1], h[::-1]), G), G))
+        top = N + G
+        rows = [[x * c ** (top - n - m) for m, x in enumerate(row)] for n, row in enumerate(h)]
+        return BivariateSeries._make(rows, c**top)
 
     def substitute_squared(self) -> "BivariateSeries":
         """f(t^2, u^2), truncated at the same orders."""
         N, G = self.t_order, self.u_order
-        out = [[Fraction(0)] * (G + 1) for _ in range(N + 1)]
+        out = [[0] * (G + 1) for _ in range(N + 1)]
         for n in range(N // 2 + 1):
-            for m in range(G // 2 + 1):
-                out[2 * n][2 * m] = self.coeffs[n][m]
-        return BivariateSeries(out)
+            out[2 * n] = int_substitute_t_squared(self.rows[n], G)
+        return BivariateSeries._make(out, self.den)
 
     def u_slice(self, n: int) -> Tuple[Fraction, ...]:
-        return self.coeffs[n]
+        return tuple(Fraction(x, self.den) for x in self.rows[n])
 
 
 def bivariate_fixed_point(
@@ -335,11 +367,11 @@ def bivariate_fixed_point(
     """Fixed point of F = Phi(F) for bivariate equations contractive in the
     t-filtration: pass k runs Phi at t-order k and fixes the t^k row, and a
     final full-order pass verifies stationarity."""
-    zero_row = (Fraction(0),) * (u_order + 1)
-    rows: Tuple[Tuple[Fraction, ...], ...] = ()
+    zero_row = (0,) * (u_order + 1)
+    rows, den = (), 1
     for k in range(t_order + 1):
-        f = update(BivariateSeries(rows + (zero_row,)))
-        rows = f.coeffs[: k + 1]
+        f = update(BivariateSeries._make(rows + (zero_row,), den))
+        rows, den = f.rows[: k + 1], f.den
     if update(f) != f:
         raise SeriesDivergenceError("bivariate fixed point did not stabilize")
     return f

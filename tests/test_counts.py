@@ -6,6 +6,7 @@ from galledtrees.counts import (
     EXACT_ENGINE_LIMIT,
     GENERAL_LABELED,
     GENERAL_UNLABELED,
+    Labeling,
     NetworkClass,
     SIMPLEX_LABELED,
     SIMPLEX_UNLABELED,
@@ -18,6 +19,7 @@ from galledtrees.counts import (
     simplex_total_sequence,
     total,
     wedderburn,
+    wedderburn_sequence,
 )
 
 # spot values from the four published tables
@@ -63,6 +65,13 @@ def test_wedderburn():
     assert wedderburn(8) == 23
     for n in range(1, 13):
         assert wedderburn(n) == count(GENERAL_UNLABELED, n, 0)
+
+
+def test_wedderburn_sequence_matches_base_tree_fixed_point():
+    # U = t + (U^2 + U(t^2)) / 2 solved as a series: an independent fixed point
+    want = genfunc.base_tree_series(Labeling.UNLABELED, 80).integer_coefficients()
+    assert wedderburn_sequence(80) == want
+    assert wedderburn_sequence(0) == [0] and wedderburn_sequence(1) == [0, 1]
 
 
 def test_labeled_tree_count():

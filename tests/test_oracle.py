@@ -11,6 +11,7 @@ from galledtrees.counts import (
 )
 from galledtrees.oracle import (
     GallTop,
+    _build_dag,
     Internal,
     LEAF,
     aut_order,
@@ -168,3 +169,23 @@ def test_leaves_and_galls_tally():
     s = GallTop((Internal(LEAF, LEAF),), (LEAF,), GallTop((LEAF,), (), LEAF))
     assert leaves(s) == 5
     assert galls(s) == 2
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_canonical_key_merges_every_isomorphism_class():
+    # networkx as an outside referee: no two structures that canonical_key
+    # keeps apart may be isomorphic as directed graphs.  Weisfeiler-Lehman
+    # hashes are isomorphism invariants, so only structures sharing a hash
+    # need the full isomorphism test.
+    nx = pytest.importorskip("networkx")
+    for cls in NetworkClass:
+        for n in range(1, 7):
+            buckets = {}
+            for s in generate_all(cls, n):
+                _, n_nodes, edges = _build_dag(s)
+                g = nx.DiGraph(edges)
+                g.add_nodes_from(range(1, n_nodes + 1))
+                buckets.setdefault(nx.weisfeiler_lehman_graph_hash(g), []).append(g)
+            for graphs in buckets.values():
+                for i, g in enumerate(graphs):
+                    assert not any(nx.is_isomorphic(g, h) for h in graphs[i + 1 :]), (cls, n)

@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galledtrees.counts import Labeling
+from galledtrees.genfunc import base_tree_series
 from galledtrees.series import (
     BivariateSeries,
     SeriesDivergenceError,
     TruncatedSeries,
+    _grading_scale,
     bivariate_fixed_point,
     egf_geom_inverse,
     egf_mul,
@@ -232,3 +236,154 @@ def test_egf_paths_match_fraction_kernel():
     assert egf_scale([2, 4, 6], 1, 2) == [1, 2, 3]
     with pytest.raises(ValueError):
         egf_scale([1], 1, 2)
+
+
+# -- common-denominator representation vs a schoolbook Fraction reference -----
+
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+def _ref_geom_inverse(f):
+    h = [Fraction(1)]
+    for m in range(1, len(f)):
+        h.append(sum((f[i] * h[m - i] for i in range(1, m + 1)), Fraction(0)))
+    return h
+
+
+def _ref_mul2(a, b):
+    N, G = min(len(a), len(b)), len(a[0])
+    out = [[Fraction(0)] * G for _ in range(N)]
+    for n1 in range(N):
+        for m1 in range(G):
+            for n2 in range(N - n1):
+                for m2 in range(G - m1):
+                    out[n1 + n2][m1 + m2] += a[n1][m1] * b[n2][m2]
+    return out
+
+
+def _ref_geom_inverse2(f):
+    # h = 1 + f h, filled in graded order of n + m
+    N, G = len(f), len(f[0])
+    h = [[Fraction(0)] * G for _ in range(N)]
+    h[0][0] = Fraction(1)
+    for s in range(1, N + G - 1):
+        for n in range(max(0, s - G + 1), min(s, N - 1) + 1):
+            m = s - n
+            h[n][m] = sum(
+                (f[i][j] * h[n - i][m - j]
+                 for i in range(n + 1) for j in range(m + 1) if (i, j) != (0, 0)),
+                Fraction(0),
+            )
+    return h
+
+
+def _is_canonical(s):
+    nums = s.nums if isinstance(s, TruncatedSeries) else [x for r in s.rows for x in r]
+    return s.den > 0 and math.gcd(s.den, *nums) == 1
+
+
+# denominators like n!, 3 and a prime above every order used below
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-60, 60),
+              st.sampled_from([1, 2, 3, 4, 6, 9, 24, 97, 120, 720, 5040])),
+)
+factors = rationals.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.lists(rationals, min_size=1, max_size=9),
+       b=st.lists(rationals, min_size=1, max_size=9), factor=factors)
+def test_series_ops_match_schoolbook_reference(a, b, factor):
+    A, B = TruncatedSeries(a), TruncatedSeries(b)
+    n = min(len(a), len(b))
+    assert list((A * B).coeffs) == _ref_mul(a, b)
+    assert list((A + B).coeffs) == [x + y for x, y in zip(a, b)]
+    assert list((A - B).coeffs) == [x - y for x, y in zip(a, b)]
+    assert list(A.scale(factor).coeffs) == [x * factor for x in a]
+    assert list(A.shift_by_t().coeffs) == [0] + a[:-1]
+    assert list(A.substitute_t_squared().coeffs) == [
+        a[k // 2] if k % 2 == 0 else 0 for k in range(len(a))
+    ]
+    f = [Fraction(0)] + a[1:]
+    assert list(TruncatedSeries(f).geom_inverse().coeffs) == _ref_geom_inverse(f)
+    assert list(A.truncate(n - 1).coeffs) == a[:n]
+    for s in (A, B, A * B, A + B, A - B, A.scale(factor), A.shift_by_t(),
+              TruncatedSeries(f).geom_inverse(), A.truncate(0)):
+        assert _is_canonical(s)
+        assert all(type(c) is Fraction for c in s.coeffs)
+
+
+@st.composite
+def grid_pairs(draw):
+    N, G = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    grid = lambda: [[draw(rationals) for _ in range(G + 1)] for _ in range(N + 1)]
+    return grid(), grid()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ab=grid_pairs(), factor=factors)
+def test_bivariate_ops_match_schoolbook_reference(ab, factor):
+    a, b = ab
+    A, B = BivariateSeries(a), BivariateSeries(b)
+    N, G = len(a) - 1, len(a[0]) - 1
+    zero_row = [Fraction(0)] * (G + 1)
+    as_lists = lambda s: [list(r) for r in s.coeffs]
+    assert as_lists(A * B) == _ref_mul2(a, b)
+    assert as_lists(A + B) == [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]
+    assert as_lists(A - B) == [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)]
+    assert as_lists(A.scale(factor)) == [[x * factor for x in r] for r in a]
+    assert as_lists(A.shift_by_t()) == [zero_row] + a[:-1]
+    assert as_lists(A.shift_by_u()) == [[0] + r[:-1] for r in a]
+    assert as_lists(A.substitute_squared()) == [
+        [a[n // 2][m // 2] if n % 2 == 0 and m % 2 == 0 else 0 for m in range(G + 1)]
+        for n in range(N + 1)
+    ]
+    f = [list(r) for r in a]
+    f[0][0] = Fraction(0)
+    F = BivariateSeries(f)
+    assert as_lists(F.geom_inverse()) == _ref_geom_inverse2(f)
+    for s in (A, A * B, A + B, A - B, A.scale(factor), A.shift_by_u(), F.geom_inverse()):
+        assert _is_canonical(s)
+        assert all(type(s.coefficient(n, m)) is Fraction
+                   for n in range(N + 2) for m in range(G + 2))
+        assert all(type(c) is Fraction for n in range(N + 1) for c in s.u_slice(n))
+
+
+def test_equal_values_built_two_ways_are_equal_series():
+    a = TruncatedSeries([Fraction(2, 4), 0, Fraction(6, 3), Fraction(-10, 15)])
+    b = TruncatedSeries([Fraction(1, 2), Fraction(0), 2, Fraction(-2, 3)])
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(a.coeffs)
+    c = a.scale(Fraction(7, 3)).scale(Fraction(3, 7))
+    assert c == a and hash(c) == hash(a)
+    d = (a + TruncatedSeries([Fraction(1, 6)] * 4)) - TruncatedSeries([Fraction(1, 6)] * 4)
+    assert d == a and hash(d) == hash(a)
+    # a difference that cancels to zero is the zero series, over denominator 1
+    z = a - b
+    assert z == TruncatedSeries.zero(3) and z.den == 1 and hash(z) == hash((Fraction(0),) * 4)
+    # truncation and shifts may drop the only coefficient that needed the denominator
+    e = TruncatedSeries([1, 0, Fraction(1, 5)])
+    assert e.truncate(1) == TruncatedSeries([1, 0]) and e.truncate(1).den == 1
+    assert e.shift_by_t() == TruncatedSeries([0, 1, 0]) and e.shift_by_t().den == 1
+    assert all(type(x) is Fraction for x in TruncatedSeries([1, 2, 3]).coeffs)
+    assert type(TruncatedSeries([1, 2])[5]) is Fraction
+    p = BivariateSeries([[Fraction(2, 4), 0], [0, Fraction(9, 3)]])
+    q = BivariateSeries([[Fraction(1, 2), 0], [Fraction(0), 3]])
+    assert p == q and (p - q) == BivariateSeries.zero(1, 1) and (p - q).den == 1
+
+
+def test_geom_inverse_keeps_labeled_integers_small():
+    # labeled tree EGF coefficients are Catalan(n-1) / 2^(n-1): scaling t by 2
+    # (not by the common denominator) already makes the inverse's recursion integral
+    u = base_tree_series(Labeling.LEAF_LABELED, 40)
+    assert u.den > 2**30
+    assert _grading_scale(list(enumerate(u.nums)), u.den, u.order) == 2
+    inv = u.geom_inverse()
+    assert list(inv.coeffs) == _ref_geom_inverse(list(u.coeffs))
+    assert _grading_scale([(1, 1), (2, 1)], 97, 3) == 97  # a prime above top enters whole
+    assert _grading_scale([(2, 2), (3, 1)], 8, 3) == 2  # 2^2 * 2/8 and 2^3 * 1/8
+    assert _grading_scale([(1, 2), (3, 1)], 8, 3) == 4  # 2/8 at t^1 needs 4
