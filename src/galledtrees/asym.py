@@ -250,11 +250,23 @@ class CharSysSolution:
     phi_ww: float
     delta: float
     truncation_n: int
+    mode: Optional[DerivativeMode] = None
+    replicate_reported: bool = False
 
     def residuals(self) -> Tuple[float, float]:
         """(|phi(r,s) - s|, |phi_w(r,s) - 1|) recomputed from scratch."""
         phi, phi_w, _, _ = _family_phi(self.family, self.truncation_n)
         return abs(phi(self.r, self.s) - self.s), abs(phi_w(self.r, self.s) - 1.0)
+
+    def truncation_error(self) -> float:
+        """|delta(N) - delta(max(1, N // 2))| for truncation order N.
+
+        The residuals are taken against the same truncated data, so they
+        cannot see truncation error; halving the order exposes it."""
+        half = solve_charsys(
+            self.family, max(1, self.truncation_n // 2), self.mode, self.replicate_reported
+        )
+        return abs(self.delta - half.delta)
 
 
 @lru_cache(maxsize=None)
@@ -470,7 +482,8 @@ def solve_charsys(
     pww = phi_ww(r, s)
     delta = math.sqrt(2.0 * r * pt / pww)
     return CharSysSolution(
-        family=family, r=r, s=s, b=b, phi_t=pt, phi_ww=pww, delta=delta, truncation_n=order
+        family=family, r=r, s=s, b=b, phi_t=pt, phi_ww=pww, delta=delta, truncation_n=order,
+        mode=mode, replicate_reported=replicate_reported,
     )
 
 

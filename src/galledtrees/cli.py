@@ -184,11 +184,6 @@ def cmd_asym(args, parser) -> int:
             fam = asym.CharFamily(args.family)
             order = args.order or 25
             sol = asym.solve_charsys(fam, order, replicate_reported=args.replicate_reported)
-            # The residuals are taken against the same truncated data, so they
-            # cannot see truncation error; halving the order exposes it.
-            half = asym.solve_charsys(
-                fam, max(1, order // 2), replicate_reported=args.replicate_reported
-            )
             print(f"r {sol.r:.10f}")
             print(f"s {sol.s:.10f}")
             if sol.b is not None:
@@ -198,7 +193,7 @@ def cmd_asym(args, parser) -> int:
             print(f"delta {sol.delta:.10f}")
             res = sol.residuals()
             print(f"residuals {res[0]:.3e} {res[1]:.3e}")
-            print(f"truncation-error {abs(sol.delta - half.delta):.3e}")
+            print(f"truncation-error {sol.truncation_error():.3e}")
             return EXIT_OK
         spec = _spec_of(args)
         if args.g is None or args.g < 1 or args.n is None or args.n < 2:

@@ -3,9 +3,11 @@ small n, validate against the graph-theoretic definitions, and count.
 
 Structures are built from a three-case grammar -- a leaf, an unordered root
 split, or a root gall carrying two node sequences and a reticulation subtree
--- with canonical forms deduplicating isomorphic shapes.  Validation is
-deliberately independent of that algebra: a structure is expanded to an
-explicit node/edge DAG and checked against the degree and reticulation-cycle
+-- with canonical forms deduplicating isomorphic shapes.  Each node carries
+its canonical key and its leaf and gall tallies, computed once when it is
+built from its children's stored fields.  Validation is deliberately
+independent of that algebra: a structure is expanded to an explicit
+node/edge DAG and checked against the degree and reticulation-cycle
 conditions directly, so the halving factors and palindromic corrections of
 the counting recursions are exercised against something that knows nothing
 about them.
@@ -26,6 +28,9 @@ DEFAULT_MAX_LEAVES = 8
 
 class Leaf:
     __slots__ = ()
+    key = b"L"
+    n_leaves = 1
+    n_galls = 0
 
     def __repr__(self):
         return "Leaf()"
@@ -34,66 +39,70 @@ class Leaf:
 LEAF = Leaf()
 
 
-@dataclass(frozen=True)
+# The stored key and tallies stay out of ==, hash and repr, which compare and
+# show the structure alone.
+
+
+@dataclass(frozen=True, slots=True)
 class Internal:
     left: object
     right: object
+    key: bytes = field(init=False, repr=False, compare=False)
+    n_leaves: int = field(init=False, repr=False, compare=False)
+    n_galls: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b = sorted((self.left.key, self.right.key))
+        object.__setattr__(self, "key", b"I" + _blob(a) + _blob(b))
+        object.__setattr__(self, "n_leaves", self.left.n_leaves + self.right.n_leaves)
+        object.__setattr__(self, "n_galls", self.left.n_galls + self.right.n_galls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GallTop:
     left_seq: Tuple[object, ...]
     right_seq: Tuple[object, ...]
     ret_child: object
+    key: bytes = field(init=False, repr=False, compare=False)
+    n_leaves: int = field(init=False, repr=False, compare=False)
+    n_galls: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ls, rs = _keys(self.left_seq), _keys(self.right_seq)
+        if rs < ls:
+            ls, rs = rs, ls
+        body = _blob(bytes([len(ls)]) + b"".join(map(_blob, ls)))
+        body += _blob(bytes([len(rs)]) + b"".join(map(_blob, rs)))
+        body += _blob(self.ret_child.key)
+        pieces = (*self.left_seq, *self.right_seq, self.ret_child)
+        object.__setattr__(self, "key", b"G" + body)
+        object.__setattr__(self, "n_leaves", sum(x.n_leaves for x in pieces))
+        object.__setattr__(self, "n_galls", 1 + sum(x.n_galls for x in pieces))
 
 
 def leaves(s) -> int:
-    if isinstance(s, Leaf):
-        return 1
-    if isinstance(s, Internal):
-        return leaves(s.left) + leaves(s.right)
-    return (
-        sum(leaves(x) for x in s.left_seq)
-        + sum(leaves(x) for x in s.right_seq)
-        + leaves(s.ret_child)
-    )
+    return s.n_leaves
 
 
 def galls(s) -> int:
-    if isinstance(s, Leaf):
-        return 0
-    if isinstance(s, Internal):
-        return galls(s.left) + galls(s.right)
-    return (
-        1
-        + sum(galls(x) for x in s.left_seq)
-        + sum(galls(x) for x in s.right_seq)
-        + galls(s.ret_child)
-    )
+    return s.n_galls
 
 
 def canonical_key(s) -> bytes:
     """Length-prefixed preorder encoding; equal keys iff isomorphic as
     non-plane networks.  Internal children are sorted; a gall takes the
     lexicographically smaller orientation of its two sequences (each
-    sequence keeps its own top-to-bottom order)."""
-    if isinstance(s, Leaf):
-        return b"L"
-    if isinstance(s, Internal):
-        a, b = sorted((canonical_key(s.left), canonical_key(s.right)))
-        return b"I" + _blob(a) + _blob(b)
-    ls = tuple(canonical_key(x) for x in s.left_seq)
-    rs = tuple(canonical_key(x) for x in s.right_seq)
-    if (rs, ls) < (ls, rs):
-        ls, rs = rs, ls
-    body = _blob(bytes([len(ls)]) + b"".join(_blob(k) for k in ls))
-    body += _blob(bytes([len(rs)]) + b"".join(_blob(k) for k in rs))
-    body += _blob(canonical_key(s.ret_child))
-    return b"G" + body
+    sequence keeps its own top-to-bottom order).  Built once per node, at
+    construction."""
+    return s.key
 
 
 def _blob(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
+
+
+def _keys(seq) -> Tuple[bytes, ...]:
+    return tuple(x.key for x in seq)
 
 
 def canonicalize(s):
@@ -102,14 +111,12 @@ def canonicalize(s):
         return LEAF
     if isinstance(s, Internal):
         a, b = canonicalize(s.left), canonicalize(s.right)
-        if canonical_key(b) < canonical_key(a):
+        if b.key < a.key:
             a, b = b, a
         return Internal(a, b)
     ls = tuple(canonicalize(x) for x in s.left_seq)
     rs = tuple(canonicalize(x) for x in s.right_seq)
-    kls = tuple(canonical_key(x) for x in ls)
-    krs = tuple(canonical_key(x) for x in rs)
-    if (krs, kls) < (kls, krs):
+    if _keys(rs) < _keys(ls):
         ls, rs = rs, ls
     return GallTop(ls, rs, canonicalize(s.ret_child))
 
@@ -143,23 +150,22 @@ def _generate(cls: NetworkClass, n: int) -> Tuple:
         return got
     out = {}
     if n == 1:
-        out[canonical_key(LEAF)] = LEAF
+        out[LEAF.key] = LEAF
     else:
         # unordered root split
         for a in range(1, n // 2 + 1):
             b = n - a
             for sa in _generate(cls, a):
-                ka = canonical_key(sa)
                 for sb in _generate(cls, b):
-                    if a == b and canonical_key(sb) < ka:
+                    if a == b and sb.key < sa.key:
                         continue
                     s = Internal(sa, sb)
-                    out[canonical_key(s)] = s
+                    out[s.key] = s
         # root gall
         simplex = cls is NetworkClass.SIMPLEX_TC
         tc = cls is not NetworkClass.GENERAL
         for s in _root_galls(cls, n, simplex, tc):
-            out[canonical_key(s)] = s
+            out[s.key] = s
     result = tuple(v for _, v in sorted(out.items()))
     _gen_cache[key] = result
     return result
@@ -174,12 +180,11 @@ def _root_galls(cls, n, simplex, tc) -> Iterable[GallTop]:
             right_total = rest - left_total
             if left_total == 0 and right_total == 0:
                 continue  # both paths empty would double the top-ret edge
-            for ls in _sequences(cls, left_total):
-                for rs in _sequences(cls, right_total):
-                    if (tuple(map(canonical_key, rs)), tuple(map(canonical_key, ls))) < (
-                        tuple(map(canonical_key, ls)),
-                        tuple(map(canonical_key, rs)),
-                    ):
+            rights = [(rs, _keys(rs)) for rs in _sequences_index(cls, right_total)]
+            for ls in _sequences_index(cls, left_total):
+                kls = _keys(ls)
+                for rs, krs in rights:
+                    if krs < kls:
                         continue  # keep one orientation of the two paths
                     for rc in ret_opts:
                         yield GallTop(ls, rs, rc)
@@ -195,10 +200,6 @@ def _sequences_index(cls: NetworkClass, total: int) -> Tuple[Tuple, ...]:
             for rest in _sequences_index(cls, total - first_leaves):
                 out.append((first,) + rest)
     return tuple(out)
-
-
-def _sequences(cls, total):
-    return _sequences_index(cls, total)
 
 
 # -- DAG expansion and validation ---------------------------------------------
@@ -355,7 +356,7 @@ def aut_order(s) -> int:
         return 1
     if isinstance(s, Internal):
         out = aut_order(s.left) * aut_order(s.right)
-        if canonical_key(s.left) == canonical_key(s.right):
+        if s.left.key == s.right.key:
             out *= 2
         return out
     out = aut_order(s.ret_child)
@@ -363,7 +364,7 @@ def aut_order(s) -> int:
         out *= aut_order(x)
     for x in s.right_seq:
         out *= aut_order(x)
-    if tuple(map(canonical_key, s.left_seq)) == tuple(map(canonical_key, s.right_seq)):
+    if _keys(s.left_seq) == _keys(s.right_seq):
         out *= 2
     return out
 

@@ -164,6 +164,27 @@ def test_charsys_time_consistent_soft_targets():
     assert abs(sol.delta - 0.2548) <= 1e-3
 
 
+def test_charsys_truncation_error():
+    fam = CharFamily.GENERAL_UNLABELED
+    sol = asym.solve_charsys(fam, 3)
+    err = sol.truncation_error()
+    assert err == abs(sol.delta - asym.solve_charsys(fam, 1).delta)
+    # it bounds the true error here, which the residuals cannot see
+    true_error = abs(sol.delta - asym.solve_charsys(fam, 50).delta)
+    assert err >= true_error > max(sol.residuals())
+    assert asym.solve_charsys(fam, 1).truncation_error() == 0.0
+    # the half-order solve keeps the derivative mode and the replication
+    fam = CharFamily.SIMPLEX_UNLABELED
+    rep = asym.solve_charsys(fam, 25, replicate_reported=True)
+    half = asym.solve_charsys(fam, 12, replicate_reported=True)
+    assert rep.truncation_error() == abs(rep.delta - half.delta)
+    exact = asym.solve_charsys(fam, 25, DerivativeMode.EXACT_SERIES)
+    half = asym.solve_charsys(fam, 12, DerivativeMode.EXACT_SERIES)
+    assert exact.truncation_error() == abs(exact.delta - half.delta)
+    # closed forms carry no truncation
+    assert asym.solve_charsys(CharFamily.SIMPLEX_LABELED).truncation_error() == 0.0
+
+
 def test_charsys_replicate_guard():
     with pytest.raises(ValueError):
         asym.solve_charsys(CharFamily.GENERAL_LABELED, replicate_reported=True)

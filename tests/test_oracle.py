@@ -1,7 +1,15 @@
 import math
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
+from galledtrees.bijections import (
+    all_plane_trees,
+    all_tree_shapes,
+    plane_to_saturated_general,
+    tree_to_saturated_simplex,
+)
 from galledtrees.counts import (
     Labeling,
     NetworkClass,
@@ -14,6 +22,7 @@ from galledtrees.oracle import (
     _build_dag,
     Internal,
     LEAF,
+    Leaf,
     aut_order,
     canonical_key,
     canonicalize,
@@ -189,3 +198,112 @@ def test_canonical_key_merges_every_isomorphism_class():
             for graphs in buckets.values():
                 for i, g in enumerate(graphs):
                     assert not any(nx.is_isomorphic(g, h) for h in graphs[i + 1 :]), (cls, n)
+
+
+# -- stored keys and tallies against an independent reference ----------------
+
+
+def _reference_key(s) -> bytes:
+    # the recursive encoder: every subtree's key rebuilt at each call
+    if isinstance(s, Leaf):
+        return b"L"
+    if isinstance(s, Internal):
+        a, b = sorted((_reference_key(s.left), _reference_key(s.right)))
+        return b"I" + _ref_blob(a) + _ref_blob(b)
+    ls = tuple(_reference_key(x) for x in s.left_seq)
+    rs = tuple(_reference_key(x) for x in s.right_seq)
+    if (rs, ls) < (ls, rs):
+        ls, rs = rs, ls
+    body = _ref_blob(bytes([len(ls)]) + b"".join(_ref_blob(k) for k in ls))
+    body += _ref_blob(bytes([len(rs)]) + b"".join(_ref_blob(k) for k in rs))
+    body += _ref_blob(_reference_key(s.ret_child))
+    return b"G" + body
+
+
+def _ref_blob(b: bytes) -> bytes:
+    return len(b).to_bytes(4, "big") + b
+
+
+def _dag_tallies(s):
+    """(leaves, reticulations) counted on the explicit DAG."""
+    _, n_nodes, edges = _build_dag(s)
+    indeg = Counter(b for _, b in edges)
+    outdeg = Counter(a for a, _ in edges)
+    nodes = range(1, n_nodes + 1)
+    return sum(outdeg[v] == 0 for v in nodes), sum(indeg[v] == 2 for v in nodes)
+
+
+def _mirror_text(s) -> str:
+    """dump_text of the mirror image: split children and gall paths swapped."""
+    if isinstance(s, Leaf):
+        return "x"
+    if isinstance(s, Internal):
+        return f"({_mirror_text(s.right)},{_mirror_text(s.left)})"
+    ls = ",".join(_mirror_text(x) for x in s.right_seq)
+    rs = ",".join(_mirror_text(x) for x in s.left_seq)
+    return f"[{ls}|{rs};{_mirror_text(s.ret_child)}]"
+
+
+def _generated():
+    for cls in NetworkClass:
+        for n in range(1, 7):
+            yield from generate_all(cls, n)
+
+
+def _parsed():
+    for s in _generated():
+        yield parse_text(dump_text(s))
+        yield parse_text(_mirror_text(s))
+
+
+def _canonicalized():
+    for s in _parsed():
+        yield canonicalize(s)
+
+
+def _plane_images():
+    for n in range(1, 7):
+        for t in all_plane_trees(n):
+            yield plane_to_saturated_general(t)
+
+
+def _shape_images():
+    for m in range(1, 7):
+        for shape in all_tree_shapes(m):
+            yield tree_to_saturated_simplex(shape)
+
+
+@pytest.mark.parametrize(
+    "source", [_generated, _parsed, _canonicalized, _plane_images, _shape_images],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_stored_key_and_tallies_match_reference(source):
+    checked = 0
+    for s in source():
+        assert canonical_key(s) == _reference_key(s), dump_text(s)
+        assert (leaves(s), galls(s)) == _dag_tallies(s), dump_text(s)
+        checked += 1
+    assert checked > 0
+    assert (canonical_key(LEAF), leaves(LEAF), galls(LEAF)) == (b"L", 1, 0)
+
+
+def test_stored_fields_stay_out_of_eq_hash_and_repr():
+    for cls in (Internal, GallTop):
+        stored = [f.name for f in fields(cls) if not f.compare or not f.repr]
+        assert stored == ["key", "n_leaves", "n_galls"]
+    cherry = Internal(LEAF, LEAF)
+    assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
+    assert not hasattr(cherry, "__dict__")
+    # equal trees built separately: equal, with equal hashes over the structure alone
+    a = parse_text("[(x,x)|x;[x|;x]]")
+    b = GallTop((Internal(LEAF, LEAF),), (LEAF,), GallTop((LEAF,), (), LEAF))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(b) == hash((b.left_seq, b.right_seq, b.ret_child))
+    assert hash(cherry) == hash((LEAF, LEAF))
+    assert repr(b) == (
+        "GallTop(left_seq=(Internal(left=Leaf(), right=Leaf()),), right_seq=(Leaf(),), "
+        "ret_child=GallTop(left_seq=(Leaf(),), right_seq=(), ret_child=Leaf()))"
+    )
+    # the mirror image shares the key but is a different plane structure
+    m = parse_text(_mirror_text(b))
+    assert canonical_key(m) == canonical_key(b) and m != b

@@ -180,24 +180,35 @@ def test_bivariate_fixed_point_divergence():
         bivariate_fixed_point(lambda F: F.scale(2) + BivariateSeries.t(4, 2), 4, 2)
 
 
-# -- integer fast paths vs the Fraction kernel --------------------------------
+# -- integer fast paths vs the schoolbook reference ---------------------------
+# The series classes run on these kernels, so the references are the plain
+# loops below, not TruncatedSeries.
+
+
+def _padded(arr, order):
+    return list(arr[: order + 1]) + [0] * (order + 1 - len(arr))
+
+
+def _ref_shift_t(f, order):
+    return [0] + _padded(f, order)[:order]
+
+
+def _ref_substitute_t_squared(f, order):
+    padded = _padded(f, order)
+    return [0 if k % 2 else padded[k // 2] for k in range(order + 1)]
 
 
 def test_int_paths_match_fraction_kernel():
     a = [0, 1, 4, 2, 7, 1]
     b = [3, 0, 2, 5, 1, 1]
     order = 5
-    fa, fb = TruncatedSeries(a), TruncatedSeries(b)
-    assert int_mul(a, b, order) == [int(c) for c in (fa * fb).coeffs]
-    assert int_geom_inverse(a, order) == [int(c) for c in fa.geom_inverse().coeffs]
-    assert int_substitute_t_squared(a, order) == [
-        int(c) for c in fa.substitute_t_squared().coeffs
-    ]
-    assert int_shift_t(a, order) == [int(c) for c in fa.shift_by_t().coeffs]
-
-
-def _padded(arr, order):
-    return TruncatedSeries(list(arr[: order + 1]) + [0] * (order + 1 - len(arr)))
+    assert int_mul(a, b, order) == _ref_mul(a, b)
+    assert int_mul(a, b, order) == [0, 3, 12, 8, 34, 28]  # by hand
+    assert int_geom_inverse(a, order) == _ref_geom_inverse(a)
+    assert int_substitute_t_squared(a, order) == _ref_substitute_t_squared(a, order)
+    assert int_substitute_t_squared(a, order) == [0, 0, 1, 0, 4, 0]
+    assert int_shift_t(a, order) == _ref_shift_t(a, order)
+    assert int_shift_t(a, order) == [0, 0, 1, 4, 2, 7]
 
 
 sparse_ints = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=1, max_size=12)
@@ -208,14 +219,17 @@ sparse_ints = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=1, 
 def test_int_kernels_match_fraction_kernel_on_random_arrays(a, b, extra):
     # zeros anywhere, unequal lengths, and an order past both lengths
     order = max(len(a), len(b)) + extra
-    fa, fb = _padded(a, order), _padded(b, order)
-    assert int_mul(a, b, order) == [int(c) for c in (fa * fb).coeffs]
-    assert int_mul(b, a, order) == [int(c) for c in (fb * fa).coeffs]
+    pa, pb = _padded(a, order), _padded(b, order)
+    assert int_mul(a, b, order) == _ref_mul(pa, pb)
+    assert int_mul(b, a, order) == _ref_mul(pb, pa)
     low = min(len(a), len(b)) - 1  # an order below the longer operand too
-    assert int_mul(a, b, low) == [int(c) for c in (fa * fb).coeffs[: low + 1]]
+    assert int_mul(a, b, low) == _ref_mul(pa, pb)[: low + 1]
     f = [0] + a
-    ff = _padded(f, order)
-    assert int_geom_inverse(f, order) == [int(c) for c in ff.geom_inverse().coeffs]
+    assert int_geom_inverse(f, order) == _ref_geom_inverse(_padded(f, order))
+    assert int_shift_t(a, order) == _ref_shift_t(a, order)
+    assert int_shift_t(a, low) == _ref_shift_t(a, low)
+    assert int_substitute_t_squared(a, order) == _ref_substitute_t_squared(a, order)
+    assert int_substitute_t_squared(a, low) == _ref_substitute_t_squared(a, low)
 
 
 def test_egf_paths_match_fraction_kernel():
