@@ -503,7 +503,7 @@ def exact_fixed_g_count(spec: TreeClassSpec, g: int, n: int, order: Optional[int
     """Exact count at one n through the large-order engines (g in {1, 2})."""
     if spec.labeling is Labeling.LEAF_LABELED:
         return genfunc.labeled_fixed_g_count_at(spec, g, n)
-    order = order or n
+    order = n if order is None else order
     if order < n:
         raise ValueError("truncation order below requested n")
     key = (spec.network_class, g, order)

@@ -171,9 +171,12 @@ def cmd_series(args, parser) -> int:
 
 
 def cmd_asym(args, parser) -> int:
+    if args.order is not None and args.order < 1:
+        parser.error("--order must be at least 1")
+    order = {} if args.order is None else {"order": args.order}  # else each task's default
     try:
         if args.task == "constants":
-            sc = asym.solve_rho_gamma(args.order or 60)
+            sc = asym.solve_rho_gamma(**order)
             print(f"rho {sc.rho:.10f}")
             print(f"gamma {sc.gamma:.10f}")
             print(f"residual {sc.residual():.3e}")
@@ -182,8 +185,7 @@ def cmd_asym(args, parser) -> int:
             if not args.family:
                 parser.error("charsys needs --family")
             fam = asym.CharFamily(args.family)
-            order = args.order or 25
-            sol = asym.solve_charsys(fam, order, replicate_reported=args.replicate_reported)
+            sol = asym.solve_charsys(fam, **order, replicate_reported=args.replicate_reported)
             print(f"r {sol.r:.10f}")
             print(f"s {sol.s:.10f}")
             if sol.b is not None:
@@ -199,7 +201,7 @@ def cmd_asym(args, parser) -> int:
         if args.g is None or args.g < 1 or args.n is None or args.n < 2:
             parser.error("estimate/ratio need -g >= 1 and -n >= 2")
         if args.task == "estimate":
-            log_est = asym.estimate_log(spec, args.g, args.n)
+            log_est = asym.estimate_log(spec, args.g, args.n, **order)
             print(f"log-estimate {log_est:.6f}")
             print(f"estimate {math.exp(min(log_est, 700)):.6e}" if log_est < 700 else
                   f"estimate 10^{log_est / math.log(10):.3f}")
@@ -207,7 +209,7 @@ def cmd_asym(args, parser) -> int:
         # ratio
         if args.g not in (1, 2):
             parser.error("ratio supports -g in {1, 2}")
-        ratio = asym.ratio_exact_to_estimate(spec, args.g, args.n, order=args.order or args.n)
+        ratio = asym.ratio_exact_to_estimate(spec, args.g, args.n, **order)
         print(f"ratio {ratio:.6f}")
         return EXIT_OK
     except (ArithmeticError, ValueError) as exc:

@@ -12,13 +12,19 @@ Each (network class, labeling) family gets three routes to the same numbers:
 * ``closed_small_g`` -- the closed rational expressions in the base tree
   series available for g = 1, 2.
 
-``arbitrary_galls_series`` solves the u = 1 equation, counting over all gall
-numbers at once.  ``fixed_g_counts`` is the integer fast path for large
-truncation orders, used by the asymptotic ratio studies.
+Each family's functional equation is written once, in ``_equation``:
+``solve_bivariate`` evaluates it over ``BivariateSeries``, and
+``arbitrary_galls_series`` over ``TruncatedSeries`` at u = 1, counting over
+all gall numbers at once.  The g = 1, 2 closed forms are written once too, in
+``_closed_form``, and evaluated over integer OGF arrays (unlabeled) and
+count-form arrays (labeled) by ``fixed_g_counts``, the integer fast path for
+large truncation orders that ``closed_small_g`` wraps as a series, and over
+Laurent polynomials in v = sqrt(1 - 2t) by ``labeled_fixed_g_count_at``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -32,6 +38,7 @@ from .series import (
     bivariate_fixed_point,
     egf_geom_inverse,
     egf_mul,
+    egf_scale,
     egf_shift_t,
     fixed_point_solve,
     int_geom_inverse,
@@ -65,43 +72,39 @@ def base_tree_series(labeling: Labeling, order: int) -> TruncatedSeries:
     return got
 
 
+def _equation(spec: TreeClassSpec, f, f2, t, mark):
+    """Right side of the family's functional equation F = Phi(F), over
+    `TruncatedSeries` or `BivariateSeries` alike.  f2 is F(t^2, u^2) for the
+    unlabeled families and None for the labeled ones; mark multiplies by u,
+    the gall marker, or is the identity at u = 1."""
+    ff = f * f
+    inv = f.geom_inverse()  # sequences of subtrees hanging off a gall path
+    ffi = ff * inv
+    paths = ffi * inv  # ordered pair of nonempty gall paths
+    pairs = ff
+    if f2 is not None:  # unordered pairs: add the symmetric halves
+        pairs = pairs + f2
+        paths = paths + f2 * f2.geom_inverse()
+    cls = spec.network_class
+    # below the reticulation: a pinned leaf (simplex) or a subtree
+    gall = paths.shift_by_t() if cls is NetworkClass.SIMPLEX_TC else f * paths
+    out = t + (pairs + mark(gall)).scale(HALF)
+    if cls is NetworkClass.GENERAL:
+        out = out + mark(ffi)  # root gall with one empty path
+    return out
+
+
 def solve_bivariate(spec: TreeClassSpec, t_order: int, u_order: int) -> BivariateSeries:
     """Fixed point of the family's bivariate equation; the coefficient of
     t^n u^g is the (n, g) count (divided by n! in the labeled case)."""
     if t_order < 1 or u_order < 0:
         raise ValueError("need t_order >= 1 and u_order >= 0")
     t = BivariateSeries.t(t_order, u_order)
-    cls = spec.network_class
+    unlabeled = spec.labeling is Labeling.UNLABELED
 
-    if spec.labeling is Labeling.UNLABELED:
-
-        def update(f):
-            f2 = f.substitute_squared()
-            out = t + (f * f + f2).scale(HALF)
-            if cls is NetworkClass.SIMPLEX_TC:
-                q = f * f.geom_inverse()
-                gall = (q * q + f2 * f2.geom_inverse()).scale(HALF)
-                out = out + gall.shift_by_t().shift_by_u()
-            else:
-                q = f * f.geom_inverse()
-                gall = (f * (q * q + f2 * f2.geom_inverse())).scale(HALF)
-                out = out + gall.shift_by_u()
-                if cls is NetworkClass.GENERAL:
-                    out = out + (f * f * f.geom_inverse()).shift_by_u()
-            return out
-
-    else:
-
-        def update(f):
-            out = t + (f * f).scale(HALF)
-            q = f * f.geom_inverse()
-            if cls is NetworkClass.SIMPLEX_TC:
-                out = out + (q * q).scale(HALF).shift_by_t().shift_by_u()
-            else:
-                out = out + (f * q * q).scale(HALF).shift_by_u()
-                if cls is NetworkClass.GENERAL:
-                    out = out + (f * f * f.geom_inverse()).shift_by_u()
-            return out
+    def update(f):
+        f2 = f.substitute_squared() if unlabeled else None
+        return _equation(spec, f, f2, t, BivariateSeries.shift_by_u)
 
     return bivariate_fixed_point(update, t_order, u_order)
 
@@ -231,51 +234,12 @@ def _next_rung(spec: TreeClassSpec, ladder, order: int) -> TruncatedSeries:
 
 
 def closed_small_g(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
-    """Closed rational expression in the base tree series, g in {1, 2} only."""
-    if g not in (1, 2):
-        raise ValueError(f"closed forms exist for g in {{1, 2}}, got {g}")
-    if spec.network_class is NetworkClass.TIME_CONSISTENT:
-        raise ValueError("no closed small-g form is wired up for the time-consistent class")
-    u = base_tree_series(spec.labeling, order)
-    inv = u.geom_inverse()
-    inv2_ = inv * inv
-    inv3 = inv2_ * inv
-    inv4 = inv3 * inv
-    unlabeled = spec.labeling is Labeling.UNLABELED
-    if unlabeled:
-        u2 = u.substitute_t_squared()
-        invu2 = u2.geom_inverse()
-
-    if spec.network_class is NetworkClass.GENERAL:
-        if g == 1:
-            out = (u * u * u * inv3).scale(HALF) + u * u * inv2_
-            if unlabeled:
-                out = out + (u * u2 * inv * invu2).scale(HALF)
-            return out
-        e1 = closed_small_g(spec, 1, order)
-        out = (
-            (e1 * e1 * inv).scale(HALF)
-            + (u * u * e1 * inv3).scale(HALF)
-            + u * u * e1 * inv4
-            + u * e1 * inv3
-            + u * e1 * inv2_
-        )
-        if unlabeled:
-            out = out + (e1.substitute_t_squared() * inv).scale(HALF)
-            out = out + (u2 * e1 * inv * invu2).scale(HALF)
-        return out
-
-    # simplex time-consistent
-    if g == 1:
-        out = (u * u * inv3).scale(HALF).shift_by_t()
-        if unlabeled:
-            out = out + (u2 * inv * invu2).scale(HALF).shift_by_t()
-        return out
-    e1 = closed_small_g(spec, 1, order)
-    out = (e1 * e1 * inv).scale(HALF) + (e1 * u * inv4).shift_by_t()
-    if unlabeled:
-        out = out + (e1.substitute_t_squared() * inv).scale(HALF)
-    return out
+    """Closed rational expression in the base tree series, g in {1, 2} only:
+    the `fixed_g_counts` array as a series, divided by n! when labeled."""
+    counts = fixed_g_counts(spec, g, order)
+    if spec.is_labeled:
+        counts = [Fraction(c, math.factorial(n)) for n, c in enumerate(counts)]
+    return TruncatedSeries(counts)
 
 
 def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
@@ -284,67 +248,65 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("need order >= 1")
     t = TruncatedSeries.t(order)
-    cls = spec.network_class
+    unlabeled = spec.labeling is Labeling.UNLABELED
 
-    if spec.labeling is Labeling.UNLABELED:
-
-        def update(f):
-            f2 = f.substitute_t_squared()
-            out = t + (f * f + f2).scale(HALF)
-            q = f * f.geom_inverse()
-            gall = (q * q + f2 * f2.geom_inverse()).scale(HALF)
-            if cls is NetworkClass.SIMPLEX_TC:
-                return out + gall.shift_by_t()
-            out = out + f * gall
-            if cls is NetworkClass.GENERAL:
-                out = out + f * f * f.geom_inverse()
-            return out
-
-    else:
-
-        def update(f):
-            out = t + (f * f).scale(HALF)
-            q = f * f.geom_inverse()
-            if cls is NetworkClass.SIMPLEX_TC:
-                return out + (q * q).scale(HALF).shift_by_t()
-            out = out + (f * q * q).scale(HALF)
-            if cls is NetworkClass.GENERAL:
-                out = out + f * f * f.geom_inverse()
-            return out
+    def update(f):
+        f2 = f.substitute_t_squared() if unlabeled else None
+        return _equation(spec, f, f2, t, lambda x: x)
 
     return fixed_point_solve(update, order)
 
 
 # ---------------------------------------------------------------------------
-# Large-order integer engines (asymptotic ratio studies).  These evaluate the
-# g = 1, 2 closed forms over plain integer arrays: ordinary convolution for
-# the unlabeled families, count-form binomial convolution for the labeled
-# ones.  Every u^k inv^k in the closed forms is w^k with w = inv - 1 =
+# The g = 1, 2 closed forms, written once.  Every u^k inv^k in them, with u
+# the base tree series and inv = 1 / (1 - u), is w^k for w = inv - 1 =
 # u / (1 - u), and likewise u(t^2) inv(t^2) = w2 = inv(t^2) - 1, so
 #   general  e1 = 1/2 w (w^2 + 2w + w2)
 #            e2 = 1/2 inv (e1 (e1 + w^2 + w2 + 2w + 2p) + e1(t^2))
 #   simplex  e1 = 1/2 t inv (w^2 + w2)
 #            e2 = 1/2 inv (e1 (e1 + 2t p) + e1(t^2))
 # with p = inv (w^2 + w) = w inv^2; w2 and the e1(t^2) terms drop out for
-# the labeled families.  The shared kit (inv, w, w^2, w2, p and the g = 1
-# arrays) is built once per (labeling, order), so the four unlabeled arrays
-# cost 8 products and 2 geometric inverses in all.  The 1/2 is applied by
-# computing twice the series and halving, so everything stays in exact
-# integer arithmetic.
+# the labeled families.  `_closed_form` evaluates this over a ring: a
+# namespace with mul, lin (a sum of terms, (c, x) adding c times x), halve,
+# shift (multiply by t) and sq (the t^2 substitution, None when labeled),
+# holding inv, w2 and the derived w, w^2, p and g = 1 results.  Two kinds:
+# * integer arrays through t^order: OGF arrays unlabeled, count form
+#   (A[n] = n! [t^n] f) labeled.  One ring per (labeling, order) is shared
+#   by the families, so the four unlabeled arrays cost 8 products and 2
+#   geometric inverses in all.  The 1/2 is applied by computing twice the
+#   series and halving, so everything stays in exact integer arithmetic.
+# * Laurent polynomials in v = sqrt(1 - 2t) for the labeled families, whose
+#   base series is 1 - v: inv = 1/v, w2 = 0 and t = (1 - v^2) / 2.  A
+#   coefficient at any single n follows from n! [t^n] (1 - 2t)^(k/2) =
+#   prod_{j=0}^{n-1} (2j - k) without building the whole series.
 # ---------------------------------------------------------------------------
 
 
-_kit_cache: Dict[Tuple[Labeling, int], SimpleNamespace] = {}
+def _ring(inv, one, w2, **ops) -> SimpleNamespace:
+    ring = SimpleNamespace(inv=inv, w2=w2, e1={}, **ops)
+    ring.w = ring.lin(inv, (-1, one))
+    ring.ww = ring.mul(ring.w, ring.w)
+    ring.p = ring.mul(inv, ring.lin(ring.ww, ring.w))
+    return ring
 
 
-def _ring(labeling: Labeling, order: int):
-    """(multiply, multiply by t, 1 / (1 - f)) through t^order on the arrays of
-    the labeling: OGF arrays unlabeled, count form labeled."""
-    if labeling is Labeling.UNLABELED:
-        ops = (int_mul, int_shift_t, int_geom_inverse)
+def _closed_form(ring: SimpleNamespace, simplex: bool, g: int):
+    e1 = ring.e1.get(simplex)
+    if e1 is None:
+        if simplex:
+            e1 = ring.halve(ring.shift(ring.mul(ring.inv, ring.lin(ring.ww, ring.w2))))
+        else:
+            e1 = ring.halve(ring.mul(ring.w, ring.lin(ring.ww, (2, ring.w), ring.w2)))
+        ring.e1[simplex] = e1
+    if g == 1:
+        return e1
+    if simplex:
+        inner = ring.mul(e1, ring.lin(e1, (2, ring.shift(ring.p))))
     else:
-        ops = (egf_mul, egf_shift_t, egf_geom_inverse)
-    return [partial(op, order=order) for op in ops]
+        inner = ring.mul(e1, ring.lin(e1, ring.ww, ring.w2, (2, ring.w), (2, ring.p)))
+    if ring.sq is not None:
+        inner = ring.lin(inner, ring.sq(e1))
+    return ring.halve(ring.mul(ring.inv, inner))
 
 
 def _lin(*terms) -> List[int]:
@@ -356,66 +318,41 @@ def _lin(*terms) -> List[int]:
     return out
 
 
-def _halve(arr: List[int]) -> List[int]:
-    assert all(v % 2 == 0 for v in arr)
-    return [v // 2 for v in arr]
+_kit_cache: Dict[Tuple[Labeling, int], SimpleNamespace] = {}
 
 
-def _kit(labeling: Labeling, order: int) -> SimpleNamespace:
-    kit = _kit_cache.get((labeling, order))
-    if kit is None:
-        mul, _, inverse = _ring(labeling, order)
+def _array_ring(labeling: Labeling, order: int) -> SimpleNamespace:
+    ring = _kit_cache.get((labeling, order))
+    if ring is None:
+        one = [1] + [0] * order
         if labeling is Labeling.UNLABELED:
+            mul, shift, inverse = int_mul, int_shift_t, int_geom_inverse
+            sq = partial(int_substitute_t_squared, order=order)
             u = wedderburn_sequence(order)
-            w2 = inverse(int_substitute_t_squared(u, order))
-            w2[0] -= 1
+            w2 = _lin(inverse(sq(u), order), (-1, one))
         else:
+            mul, shift, inverse, sq = egf_mul, egf_shift_t, egf_geom_inverse, None
             u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
             w2 = [0] * (order + 1)
-        inv = inverse(u)
-        w = list(inv)
-        w[0] -= 1
-        ww = mul(w, w)
-        kit = SimpleNamespace(inv=inv, w=w, ww=ww, w2=w2, p=mul(inv, _lin(ww, w)), e1={})
-        _kit_cache[labeling, order] = kit
-    return kit
+        ring = _ring(
+            inverse(u, order), one, w2, mul=partial(mul, order=order), lin=_lin,
+            halve=partial(egf_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
+        )
+        _kit_cache[labeling, order] = ring
+    return ring
 
 
 def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
     """Exact counts with g galls (g in {1, 2}) through t^order, as integers
     (n! times the coefficient for the labeled families)."""
     if g not in (1, 2):
-        raise ValueError(f"integer fast path covers g in {{1, 2}}, got {g}")
+        raise ValueError(f"closed forms exist for g in {{1, 2}}, got {g}")
     if spec.network_class is NetworkClass.TIME_CONSISTENT:
-        raise ValueError("time-consistent large-order counts are not wired up")
-    kit = _kit(spec.labeling, order)
-    mul, shift, _ = _ring(spec.labeling, order)
-    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
-    e1 = kit.e1.get(spec.network_class)
-    if e1 is None:
-        if simplex:
-            e1 = _halve(shift(mul(kit.inv, _lin(kit.ww, kit.w2))))
-        else:
-            e1 = _halve(mul(kit.w, _lin(kit.ww, (2, kit.w), kit.w2)))
-        kit.e1[spec.network_class] = e1
-    if g == 1:
-        return list(e1)
-    if simplex:
-        inner = mul(e1, _lin(e1, (2, shift(kit.p))))
-    else:
-        inner = mul(e1, _lin(e1, kit.ww, kit.w2, (2, kit.w), (2, kit.p)))
-    if spec.labeling is Labeling.UNLABELED:
-        inner = _lin(inner, int_substitute_t_squared(e1, order))
-    return _halve(mul(kit.inv, inner))
-
-
-# ---------------------------------------------------------------------------
-# Exact closed-form coefficients for the labeled families.  The labeled base
-# series is 1 - sqrt(1 - 2t), so the g = 1, 2 closed forms are Laurent
-# polynomials in v = sqrt(1 - 2t); a coefficient at any single n follows from
-# n! [t^n] (1 - 2t)^(k/2) = prod_{j=0}^{n-1} (2j - k) without building the
-# whole series.
-# ---------------------------------------------------------------------------
+        raise ValueError("no closed small-g form is wired up for the time-consistent class")
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
+    ring = _array_ring(spec.labeling, order)
+    return list(_closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g))
 
 
 def _lv_mul(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fraction]:
@@ -426,20 +363,14 @@ def _lv_mul(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fractio
     return {k: v for k, v in out.items() if v}
 
 
-def _lv_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
+def _lv_lin(*terms) -> Dict[int, Fraction]:
+    """`_lin` for Laurent polynomials held as {exponent of v: coefficient}."""
+    out: Dict[int, Fraction] = {}
+    for term in terms:
+        c, a = term if isinstance(term, tuple) else (1, term)
+        for k, x in a.items():
+            out[k] = out.get(k, Fraction(0)) + c * x
     return {k: v for k, v in out.items() if v}
-
-
-def _lv_scale(a, c):
-    c = Fraction(c)
-    return {k: v * c for k, v in a.items()}
-
-
-_LV_U = {0: Fraction(1), 1: Fraction(-1)}  # labeled base series, 1 - v
-_LV_T = {0: Fraction(1, 2), 2: Fraction(-1, 2)}  # t = (1 - v^2) / 2
 
 
 def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
@@ -447,23 +378,11 @@ def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
         raise ValueError("laurent closed forms cover labeled general/simplex families")
     if g not in (1, 2):
         raise ValueError(f"need g in {{1, 2}}, got {g}")
-    u, t = _LV_U, _LV_T
-    uu = _lv_mul(u, u)
-    inv = lambda k: {-k: Fraction(1)}  # 1 / (1 - base)^k = v^(-k)
-    if spec.network_class is NetworkClass.GENERAL:
-        e1 = _lv_add(_lv_scale(_lv_mul(_lv_mul(uu, u), inv(3)), HALF), _lv_mul(uu, inv(2)))
-        if g == 1:
-            return e1
-        out = _lv_scale(_lv_mul(_lv_mul(e1, e1), inv(1)), HALF)
-        out = _lv_add(out, _lv_mul(_lv_mul(uu, e1), inv(4)))
-        out = _lv_add(out, _lv_scale(_lv_mul(_lv_mul(uu, e1), inv(3)), HALF))
-        out = _lv_add(out, _lv_mul(_lv_mul(u, e1), inv(3)))
-        return _lv_add(out, _lv_mul(_lv_mul(u, e1), inv(2)))
-    e1 = _lv_scale(_lv_mul(t, _lv_mul(uu, inv(3))), HALF)
-    if g == 1:
-        return e1
-    out = _lv_scale(_lv_mul(_lv_mul(e1, e1), inv(1)), HALF)
-    return _lv_add(out, _lv_mul(t, _lv_mul(_lv_mul(e1, u), inv(4))))
+    ring = _ring(
+        {-1: Fraction(1)}, {0: Fraction(1)}, {}, mul=_lv_mul, lin=_lv_lin,
+        halve=lambda a: _lv_lin((HALF, a)), shift=partial(_lv_mul, {0: HALF, 2: -HALF}), sq=None,
+    )
+    return _closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g)
 
 
 def _binom_pow_count(k: int, n: int) -> int:

@@ -227,6 +227,8 @@ def fixed_point_solve(
     at full order verifies stationarity and raises SeriesDivergenceError
     otherwise.
     """
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
     nums, den = (), 1
     for k in range(order + 1):
         f = update(TruncatedSeries._make(nums + (0,), den)).truncate(k)

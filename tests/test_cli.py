@@ -230,3 +230,39 @@ def test_golden_loader_shape():
     assert gold["simplex-unlabeled"][(25, "total")] == 4911122651176
     assert gold["general-labeled"][(12, "total")] == 43626178967384475
     assert gold["simplex-labeled"][(15, 7)] == 4382752374000
+
+
+def test_asym_order_below_one_is_a_usage_error(capsys):
+    tasks = (
+        ("constants",),
+        ("charsys", "--family", "general-unlabeled"),
+        ("estimate", "-g", "1", "-n", "100"),
+        ("ratio", "-g", "1", "-n", "50"),
+    )
+    for task in tasks:
+        for order in ("0", "-3"):
+            code, out, err = run(capsys, "asym", *task, "--order", order)
+            assert code == 2 and out == "" and "--order" in err, (task, order)
+
+
+def test_asym_order_is_honoured(capsys):
+    from galledtrees import asym
+
+    # the default stdout is that of the documented default orders
+    for task, default in ((("constants",), "60"),
+                          (("charsys", "--family", "simplex-labeled"), "25"),
+                          (("estimate", "-g", "2", "-n", "100"), "60"),
+                          (("ratio", "-g", "1", "-n", "50"), "50")):
+        _, plain, _ = run(capsys, "asym", *task)
+        _, explicit, _ = run(capsys, "asym", *task, "--order", default)
+        assert plain == explicit, task
+    # estimate reads --order: the unlabeled constants refuse orders below 40
+    code, out, err = run(capsys, "asym", "estimate", "-g", "1", "-n", "100", "--order", "39")
+    assert code == 4 and out == "" and "order >= 40" in err
+    code, out, _ = run(capsys, "asym", "estimate", "-g", "1", "-n", "100", "--order", "45")
+    assert code == 0
+    log_est = asym.estimate_log(GENERAL_UNLABELED, 1, 100, order=45)
+    assert out.splitlines()[0] == f"log-estimate {log_est:.6f}"
+    # ratio reads it too: an order below n cannot give the count at n
+    code, _, err = run(capsys, "asym", "ratio", "-g", "1", "-n", "50", "--order", "49")
+    assert code == 4 and "below requested n" in err

@@ -151,9 +151,10 @@ def test_integer_fast_paths_match_ladder(spec, g):
 
 def test_fast_paths_match_closed_forms_in_any_call_order():
     # g = 2 first (it builds the shared kit and the g = 1 array on the way),
-    # then g = 1 from the kit; and the same again after the caches are cleared
+    # then g = 1 from the kit; and the same again after the caches are
+    # cleared.  The reference is the fixed-g ladder, derived separately.
     want = {
-        (spec, g): genfunc.closed_small_g(spec, g, 60).integer_coefficients(
+        (spec, g): genfunc.fixed_g_series(spec, g, 60).integer_coefficients(
             scale_factorials=spec.is_labeled
         )
         for spec in CLOSED_FORM_SPECS
@@ -171,6 +172,40 @@ def test_fast_path_guards():
         genfunc.fixed_g_counts(GENERAL_UNLABELED, 3, 10)
     with pytest.raises(ValueError):
         genfunc.fixed_g_counts(TC_UNLABELED, 1, 10)
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_negative_orders_are_refused_and_order_zero_is_empty(spec):
+    refused = (
+        lambda order: genfunc.base_tree_series(spec.labeling, order),
+        lambda order: genfunc.fixed_g_series(spec, 1, order),
+        lambda order: genfunc.closed_small_g(spec, 1, order),
+        lambda order: genfunc.fixed_g_counts(spec, 1, order),
+        lambda order: genfunc.fixed_g_counts(spec, 2, order),
+    )
+    for call in refused:
+        with pytest.raises(ValueError):
+            call(-1)
+    assert genfunc.base_tree_series(spec.labeling, 0).coeffs == (0,)
+    for g in (1, 2):
+        assert genfunc.fixed_g_counts(spec, g, 0) == [0]
+        assert genfunc.closed_small_g(spec, g, 0).coeffs == (0,)
+        assert genfunc.fixed_g_series(spec, g, 0).coeffs == (0,)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_shared_equation_and_ladder_match_recursion_past_the_golden_rows(spec):
+    # the bivariate equation through n = 16 in every gall number, and the
+    # fixed-g ladder through n = 30 for g <= 3, time-consistent columns too
+    nf = math.factorial if spec.is_labeled else (lambda n: 1)
+    bv = genfunc.solve_bivariate(spec, 16, 15)
+    for n in range(1, 17):
+        for g in range(16):
+            assert bv.coefficient(n, g) * nf(n) == count(spec, n, g), (n, g)
+    for g in (1, 2, 3):
+        column = genfunc.fixed_g_series(spec, g, 30)
+        for n in range(1, 31):
+            assert column[n] * nf(n) == count(spec, n, g), (n, g)
 
 
 @pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED])
