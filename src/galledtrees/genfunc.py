@@ -25,8 +25,9 @@ Laurent polynomials in v = sqrt(1 - 2t) by ``labeled_fixed_g_count_at``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
@@ -50,7 +51,7 @@ from .series import (
 HALF = Fraction(1, 2)
 
 _base_cache: Dict[Tuple[Labeling, int], TruncatedSeries] = {}
-_ladder_cache: Dict[Tuple[NetworkClass, Labeling, int], List[TruncatedSeries]] = {}
+_ladder_cache: Dict[Tuple[NetworkClass, Labeling, int], "_Ladder"] = {}
 
 
 def base_tree_series(labeling: Labeling, order: int) -> TruncatedSeries:
@@ -151,45 +152,72 @@ def _dxk_seq(k: int, inv_pows) -> TruncatedSeries:
     return out
 
 
-def _inverse_powers(base: TruncatedSeries, top: int) -> List[TruncatedSeries]:
-    inv = base.geom_inverse()  # 1 / (1 - base)
-    pows = [TruncatedSeries.one(base.order), inv]
-    for _ in range(top - 1):
-        pows.append(pows[-1] * inv)
-    return pows
+class _Ladder(list):
+    """Rungs 0..g of one family's fixed-g ladder at one order, rung 0 being
+    the base tree series.  Every rung reads powers of 1 / (1 - base) (and,
+    unlabeled, of 1 / (1 - base(t^2))) and powers of lower rungs; those are
+    kept here, each power one product from the one below it, and grown as
+    later rungs need more of them."""
+
+    __slots__ = ("inv_pows", "inv2_pows", "rung_pows")
+
+    def __init__(self, base: TruncatedSeries) -> None:
+        super().__init__([base])
+        self.inv_pows = [TruncatedSeries.one(base.order)]
+        self.inv2_pows = self.inv_pows[:]
+        self.rung_pows: Dict[int, List[TruncatedSeries]] = {}
+
+    def inverse_powers(self, top: int, squared: bool = False) -> List[TruncatedSeries]:
+        """(1 / (1 - b))^k for k = 0..top at least, b the base series or,
+        squared, base(t^2)."""
+        pows = self.inv2_pows if squared else self.inv_pows
+        if len(pows) == 1:
+            b = self[0].substitute_t_squared() if squared else self[0]
+            pows.append(b.geom_inverse())
+        while len(pows) <= top:
+            pows.append(pows[-1] * pows[1])
+        return pows
+
+    def rung_pow(self, m: int, k: int) -> TruncatedSeries:
+        pows = self.rung_pows.setdefault(m, [self[m]])  # pows[i] = rung m ^ (i + 1)
+        while len(pows) < k:
+            pows.append(pows[-1] * self[m])
+        return pows[k - 1]
 
 
-def _wp_product(ladder, wp, squared=False) -> TruncatedSeries:
-    order = ladder[0].order
-    out = TruncatedSeries.one(order)
-    for m, mult in wp.items():
-        e = ladder[m].substitute_t_squared() if squared else ladder[m]
-        out = out * e.pow(mult)
-    return out
+def _wp_product(ladder: _Ladder, wp, squared=False) -> TruncatedSeries:
+    """Product of rung m to the power k over the items (m, k) of wp, taken at
+    t^2 when squared ((f^k)(t^2) = f(t^2)^k); 1 for an empty wp."""
+    factors = [ladder.rung_pow(m, k) for m, k in wp.items()]
+    if squared:
+        factors = [f.substitute_t_squared() for f in factors]
+    return reduce(operator.mul, factors) if factors else TruncatedSeries.one(ladder[0].order)
 
 
 def fixed_g_series(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
     """Series counting networks with exactly g galls, from the explicit
-    fixed-g formula; the whole ladder 1..g is computed and memoized."""
+    fixed-g formula; the whole ladder 1..g is computed and memoized, with the
+    inverse and rung powers its rungs share (`_Ladder`)."""
     if g < 1:
         raise ValueError("fixed_g_series needs g >= 1; g = 0 is the base tree series")
     key = (spec.network_class, spec.labeling, order)
-    ladder = _ladder_cache.setdefault(key, [base_tree_series(spec.labeling, order)])
+    ladder = _ladder_cache.get(key)
+    if ladder is None:
+        ladder = _ladder_cache[key] = _Ladder(base_tree_series(spec.labeling, order))
     while len(ladder) <= g:
         ladder.append(_next_rung(spec, ladder, order))
     return ladder[g]
 
 
-def _next_rung(spec: TreeClassSpec, ladder, order: int) -> TruncatedSeries:
+def _next_rung(spec: TreeClassSpec, ladder: _Ladder, order: int) -> TruncatedSeries:
     g = len(ladder)
     base = ladder[0]
     unlabeled = spec.labeling is Labeling.UNLABELED
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
     general = spec.network_class is NetworkClass.GENERAL
-    inv_pows = _inverse_powers(base, g + 2)
+    inv_pows = ladder.inverse_powers(g + 2)
     if unlabeled:
-        base2 = base.substitute_t_squared()
-        inv2_pows = _inverse_powers(base2, g + 1)
+        inv2_pows = ladder.inverse_powers(g + 1, squared=True)
 
     bracket = TruncatedSeries.zero(order)
     for l in range(1, g):

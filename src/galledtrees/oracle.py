@@ -216,62 +216,64 @@ class ValidationReport:
         return not self.violations
 
 
-def _build_dag(s):
-    """Explicit (nodes, edges) expansion; nodes are ints, edges directed."""
-    edges: List[Tuple[int, int]] = []
-    counter = [0]
+def _build_dag(s) -> Tuple[List[List[int]], List[List[int]]]:
+    """Explicit DAG expansion as adjacency lists (parents, children).  Nodes
+    are numbered 1, 2, ... in preorder, the root being node 1; index 0 is an
+    unused empty entry.  Each list holds the other ends of a node's edges in
+    the order the edges are made."""
+    parents: List[List[int]] = [[]]
+    children: List[List[int]] = [[]]
 
-    def new_node():
-        counter[0] += 1
-        return counter[0]
+    def new_node() -> int:
+        parents.append([])
+        children.append([])
+        return len(parents) - 1
+
+    def edge(a: int, b: int) -> None:
+        children[a].append(b)
+        parents[b].append(a)
 
     def build(sub) -> int:
         v = new_node()
         if isinstance(sub, Leaf):
             return v
         if isinstance(sub, Internal):
-            edges.append((v, build(sub.left)))
-            edges.append((v, build(sub.right)))
+            edge(v, build(sub.left))
+            edge(v, build(sub.right))
             return v
         ret = new_node()
         for seq in (sub.left_seq, sub.right_seq):
             prev = v
             for piece in seq:
                 w = new_node()
-                edges.append((prev, w))
-                edges.append((w, build(piece)))
+                edge(prev, w)
+                edge(w, build(piece))
                 prev = w
-            edges.append((prev, ret))
-        edges.append((ret, build(sub.ret_child)))
+            edge(prev, ret)
+        edge(ret, build(sub.ret_child))
         return v
 
-    root = build(s)
-    return root, counter[0], edges
+    build(s)
+    return parents, children
 
 
 def validate(s, network_class: NetworkClass) -> ValidationReport:
     """Expand to a DAG and check the definition of the class directly."""
-    root, n_nodes, edges = _build_dag(s)
+    parents, children = _build_dag(s)
+    n_nodes = len(parents) - 1
     report = ValidationReport(n_leaves=leaves(s), n_galls=galls(s))
     bad = report.violations.append
 
-    if len(edges) != len(set(edges)):
+    if any(len(c) > 1 and len(set(c)) < len(c) for c in children):
         bad("parallel edges (not a simple graph)")
-    indeg = {v: 0 for v in range(1, n_nodes + 1)}
-    outdeg = {v: 0 for v in range(1, n_nodes + 1)}
-    parents: Dict[int, List[int]] = {v: [] for v in range(1, n_nodes + 1)}
-    for a, b in edges:
-        outdeg[a] += 1
-        indeg[b] += 1
-        parents[b].append(a)
 
     leaf_nodes, ret_nodes = [], []
     if n_nodes == 1:
         pass  # the trivial one-leaf network
     else:
         for v in range(1, n_nodes + 1):
-            deg = (indeg[v], outdeg[v])
-            if v == root:
+            deg = (len(parents[v]), len(children[v]))
+            if v == 1:
                 if deg != (0, 2):
                     bad(f"root degree {deg}")
             elif deg == (1, 0):
@@ -328,12 +330,8 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
             if min(la, lb) < 2:
                 bad(f"reticulation {r}: a gall path has fewer than 2 edges")
     if network_class is NetworkClass.SIMPLEX_TC:
-        children = {a: [] for a in range(1, n_nodes + 1)}
-        for a, b in edges:
-            children[a].append(b)
         for r in ret_nodes:
-            child = children[r][0]
-            if outdeg[child] != 0:
+            if children[children[r][0]]:
                 bad(f"reticulation {r}: subtree below it is not a single leaf")
     return report
 

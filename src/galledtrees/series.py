@@ -15,6 +15,14 @@ padded to order k, and fixes coefficient k.  Products cost about the square of
 the order, so the N + 1 passes together cost about as much as N / 3 passes at
 full order.  One last full-order pass verifies stationarity.
 
+`int_mul` convolves only the nonzero span of each operand, from its first to
+its last nonzero coefficient, and writes the product from t^(va + vb) on, va
+and vb being the operands' valuations.  The series these engines multiply are
+mostly zero at both ends: the bivariate rows hold gall counts only for g below
+the row's leaf count, and rung g of the fixed-g ladder has valuation above g.
+A bivariate product finds each row's span once and adds each row product over
+its own span only.
+
 `egf_mul` and friends work on "count form" arrays A with A[n] = n! * [t^n] f,
 so exponential series can be convolved in pure integer arithmetic.
 """
@@ -239,11 +247,15 @@ def fixed_point_solve(
 
 
 def _row_products(pairs, order: int) -> List[int]:
-    """Sum of int_mul(a, b, order) over the pairs of rows, zero rows skipped."""
+    """Sum of the row products through u^order over pairs of row spans (from
+    `_nonzero_span`), each product added over its nonzero span only."""
     out = [0] * (order + 1)
-    for a, b in pairs:
-        if any(a) and any(b):
-            out = list(map(operator.add, out, int_mul(a, b, order)))
+    for sa, sb in pairs:
+        got = _span_mul(sa, sb, order)
+        if got is not None:
+            v, c = got
+            for i, x in enumerate(c, v):
+                out[i] += x
     return out
 
 
@@ -317,7 +329,8 @@ class BivariateSeries:
 
     def __mul__(self, other) -> "BivariateSeries":
         N, G = min(self.t_order, other.t_order), self.u_order
-        a, b = self.rows, other.rows
+        a = [_nonzero_span(row, G) for row in self.rows[: N + 1]]
+        b = [_nonzero_span(row, G) for row in other.rows[: N + 1]]
         out = [_row_products(zip(a[: n + 1], b[n::-1]), G) for n in range(N + 1)]
         return BivariateSeries._make(out, self.den * other.den)
 
@@ -345,8 +358,10 @@ class BivariateSeries:
         c = _grading_scale(terms, d, N + G)
         s = [[x * c ** (i + j) // d for j, x in enumerate(row)] for i, row in enumerate(self.rows)]
         h = [int_geom_inverse(s[0], G)]
+        spans_s, spans_h = [_nonzero_span(row, G) for row in s], [_nonzero_span(h[0], G)]
         for n in range(1, N + 1):
-            h.append(int_mul(h[0], _row_products(zip(s[1 : n + 1], h[::-1]), G), G))
+            h.append(int_mul(h[0], _row_products(zip(spans_s[1 : n + 1], spans_h[::-1]), G), G))
+            spans_h.append(_nonzero_span(h[-1], G))
         top = N + G
         rows = [[x * c ** (top - n - m) for m, x in enumerate(row)] for n, row in enumerate(h)]
         return BivariateSeries._make(rows, c**top)
@@ -385,14 +400,45 @@ def bivariate_fixed_point(
 # ---------------------------------------------------------------------------
 
 
-def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
-    """Product of OGF arrays through t^order, one dot product per coefficient."""
-    la, lb = min(len(a), order + 1), min(len(b), order + 1)
-    out = [0] * (order + 1)
-    rb = b[:lb][::-1]  # rb[lb - 1 - j] = b[j]
-    for n in range(min(order, la + lb - 2) + 1):
+def _nonzero_span(a: Sequence[int], order: int):
+    """(v, a[v:e + 1]) for the first and last nonzero indices v <= e of
+    a[:order + 1], or None when that prefix is all zero."""
+    e = min(len(a), order + 1)
+    v = 0
+    while v < e and not a[v]:
+        v += 1
+    if v == e:
+        return None
+    while not a[e - 1]:
+        e -= 1
+    return v, a[v:e]
+
+
+def _span_mul(sa, sb, order: int):
+    """(v, c) with a * b through t^order zero except c[i] at t^(v + i), or
+    None when that product is zero, from the spans sa and sb of a and b."""
+    if sa is None or sb is None or sa[0] + sb[0] > order:
+        return None
+    (va, a), (vb, b) = sa, sb
+    la, lb = len(a), len(b)
+    rb = b[::-1]  # rb[lb - 1 - j] = b[j]
+    c = []
+    for n in range(min(order - va - vb, la + lb - 2) + 1):
         lo, hi = max(0, n - lb + 1), min(n, la - 1)
-        out[n] = sum(map(operator.mul, a[lo : hi + 1], rb[lb - 1 - n + lo : lb - n + hi]))
+        c.append(sum(map(operator.mul, a[lo : hi + 1], rb[lb - 1 - n + lo : lb - n + hi])))
+    return va + vb, c
+
+
+def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
+    """Product of OGF arrays through t^order.  Only the nonzero spans of
+    a[:order + 1] and b[:order + 1] are convolved, one dot product per
+    coefficient, written from t^(va + vb) on for the operands' valuations
+    va and vb; a zero operand, or va + vb past order, gives the zero array."""
+    out = [0] * (order + 1)
+    got = _span_mul(_nonzero_span(a, order), _nonzero_span(b, order), order)
+    if got is not None:
+        v, c = got
+        out[v : v + len(c)] = c
     return out
 
 

@@ -1,6 +1,8 @@
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galledtrees import genfunc
 from galledtrees.counts import (
@@ -206,6 +208,26 @@ def test_shared_equation_and_ladder_match_recursion_past_the_golden_rows(spec):
         column = genfunc.fixed_g_series(spec, g, 30)
         for n in range(1, 31):
             assert column[n] * nf(n) == count(spec, n, g), (n, g)
+
+
+@lru_cache(maxsize=None)
+def _engine_series(spec):
+    """Each family's all-gall series, bivariate solution and g <= 3 ladder,
+    built once for the property test below."""
+    ladder = {g: genfunc.fixed_g_series(spec, g, 30) for g in (1, 2, 3)}
+    return genfunc.arbitrary_galls_series(spec, 30), genfunc.solve_bivariate(spec, 16, 15), ladder
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(ALL_SPECS), n=st.integers(1, 30), g=st.integers(0, 29))
+def test_engines_agree_with_the_recursion_at_random_points(spec, n, g):
+    all_galls, bv, ladder = _engine_series(spec)
+    nf = math.factorial(n) if spec.is_labeled else 1
+    assert all_galls[n] * nf == total(spec, n)
+    if n <= 16:
+        assert bv.coefficient(n, g) * nf == count(spec, n, g)
+    if g in ladder:
+        assert ladder[g][n] * nf == count(spec, n, g)
 
 
 @pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED])

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -111,6 +110,17 @@ def test_validate_class_boundaries():
         assert rep.ok and rep.n_galls == 0
 
 
+def test_validate_decides_class_membership_exactly():
+    # every structure of every class, validated against every class, is
+    # accepted exactly when the class's own generator produces its key
+    for n in range(1, 7):
+        members = {c: {s.key for s in generate_all(c, n)} for c in NetworkClass}
+        for source in NetworkClass:
+            for s in generate_all(source, n):
+                for c in NetworkClass:
+                    assert validate(s, c).ok == (s.key in members[c]), (dump_text(s), c)
+
+
 def test_validate_flags_parallel_edges():
     rep = validate(GallTop((), (), LEAF), NetworkClass.GENERAL)
     assert not rep.ok
@@ -191,9 +201,9 @@ def test_canonical_key_merges_every_isomorphism_class():
         for n in range(1, 7):
             buckets = {}
             for s in generate_all(cls, n):
-                _, n_nodes, edges = _build_dag(s)
-                g = nx.DiGraph(edges)
-                g.add_nodes_from(range(1, n_nodes + 1))
+                _, children = _build_dag(s)
+                g = nx.DiGraph((a, b) for a, cs in enumerate(children) for b in cs)
+                g.add_nodes_from(range(1, len(children)))
                 buckets.setdefault(nx.weisfeiler_lehman_graph_hash(g), []).append(g)
             for graphs in buckets.values():
                 for i, g in enumerate(graphs):
@@ -226,11 +236,9 @@ def _ref_blob(b: bytes) -> bytes:
 
 def _dag_tallies(s):
     """(leaves, reticulations) counted on the explicit DAG."""
-    _, n_nodes, edges = _build_dag(s)
-    indeg = Counter(b for _, b in edges)
-    outdeg = Counter(a for a, _ in edges)
-    nodes = range(1, n_nodes + 1)
-    return sum(outdeg[v] == 0 for v in nodes), sum(indeg[v] == 2 for v in nodes)
+    parents, children = _build_dag(s)
+    nodes = range(1, len(children))
+    return sum(not children[v] for v in nodes), sum(len(parents[v]) == 2 for v in nodes)
 
 
 def _mirror_text(s) -> str:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galledtrees.counts import Labeling
 from galledtrees.genfunc import base_tree_series
@@ -232,6 +232,29 @@ def test_int_kernels_match_fraction_kernel_on_random_arrays(a, b, extra):
     assert int_substitute_t_squared(a, low) == _ref_substitute_t_squared(a, low)
 
 
+@st.composite
+def zero_runs(draw):
+    """An int array: a leading and a trailing run of zeros around a core that
+    may itself hold zeros or be empty."""
+    core = draw(st.lists(st.one_of(st.just(0), st.integers(-50, 50)), max_size=8))
+    arr = [0] * draw(st.integers(0, 8)) + core + [0] * draw(st.integers(0, 8))
+    return arr or [0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=zero_runs(), b=zero_runs(), order=st.integers(0, 30), as_tuples=st.booleans())
+@example(a=[0, 0, 0], b=[1, 2, 3], order=4, as_tuples=False)  # an all-zero operand
+@example(a=[0, 0, 0, 5], b=[0, 0, 7], order=4, as_tuples=True)  # valuations 3 + 2 past 4
+@example(a=[0, 0, 0, 5], b=[0, 7], order=4, as_tuples=False)  # valuations 3 + 1 reach 4
+@example(a=[0, 1, 2, 0, 0, 9], b=[3, 0, 4, 5, 0], order=2, as_tuples=True)  # order below both
+def test_int_mul_convolves_only_the_nonzero_spans(a, b, order, as_tuples):
+    want = _ref_mul(_padded(a, order), _padded(b, order))
+    x, y = (tuple(a), tuple(b)) if as_tuples else (list(a), list(b))
+    got = int_mul(x, y, order)
+    assert type(got) is list and got == want
+    assert list(x) == a and list(y) == b  # operands untouched
+
+
 def test_egf_paths_match_fraction_kernel():
     import math
 
@@ -365,6 +388,33 @@ def test_bivariate_ops_match_schoolbook_reference(ab, factor):
         assert all(type(s.coefficient(n, m)) is Fraction
                    for n in range(N + 2) for m in range(G + 2))
         assert all(type(c) is Fraction for n in range(N + 1) for c in s.u_slice(n))
+
+
+@st.composite
+def zero_tailed_grids(draw):
+    """Two grids whose rows are nonzero only on a band lo <= m <= hi, as in
+    the gall-marked rows of `solve_bivariate`; a row may be all zero."""
+    N, G = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+    def grid():
+        rows = []
+        for _ in range(N + 1):
+            lo, hi = draw(st.integers(0, G)), draw(st.integers(-1, G))
+            rows.append([draw(rationals) if lo <= m <= hi else Fraction(0) for m in range(G + 1)])
+        return rows
+
+    return grid(), grid()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ab=zero_tailed_grids())
+def test_bivariate_product_and_inverse_with_zero_tailed_rows(ab):
+    a, b = ab
+    as_lists = lambda s: [list(r) for r in s.coeffs]
+    assert as_lists(BivariateSeries(a) * BivariateSeries(b)) == _ref_mul2(a, b)
+    f = [list(r) for r in a]
+    f[0][0] = Fraction(0)
+    assert as_lists(BivariateSeries(f).geom_inverse()) == _ref_geom_inverse2(f)
 
 
 def test_equal_values_built_two_ways_are_equal_series():
