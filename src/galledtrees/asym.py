@@ -290,6 +290,9 @@ def _family_phi(family: CharFamily, order: int, mode: DerivativeMode = Derivativ
         data = _totals_data(family, order)
         general = family is CharFamily.GENERAL_UNLABELED
 
+        # solve_charsys bisects phi_w over w at one t at a time; the last
+        # value kept spares that loop the series sum at each step.
+        @lru_cache(maxsize=1)
         def B(t):
             return series_value(data, t * t)
 
@@ -455,7 +458,8 @@ def solve_charsys(
             return _bisect(lambda w: phi_w(r, w) - 1.0, 1e-9, 1.0 - 1e-9)
 
         def resid(r):
-            return phi(r, s_of_r(r)) - s_of_r(r)
+            w = s_of_r(r)
+            return phi(r, w) - w
 
         has_data = family in (
             CharFamily.GENERAL_UNLABELED,

@@ -210,6 +210,8 @@ def cmd_asym(args, parser) -> int:
         if args.g not in (1, 2):
             parser.error("ratio supports -g in {1, 2}")
         ratio = asym.ratio_exact_to_estimate(spec, args.g, args.n, **order)
+        if args.terms == 2:  # the estimate times 1 + a / sqrt(n)
+            ratio /= 1.0 + asym.second_term_coefficient(spec, args.g) / math.sqrt(args.n)
         print(f"ratio {ratio:.6f}")
         return EXIT_OK
     except (ArithmeticError, ValueError) as exc:
@@ -382,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", type=int, default=None)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--order", type=int, default=None, help="series truncation order")
+    p.add_argument("--terms", type=int, choices=(1, 2), default=1,
+                   help="ratio: terms of the singular expansion in the estimate")
     p.add_argument("--replicate-reported", action="store_true",
                    help="simplex-unlabeled charsys: reproduce the quoted "
                    "(phi_t, delta) evaluation")

@@ -210,12 +210,14 @@ def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
     gmax = spec.max_galls(n)
     row = []
     for g in range(width):
-        assert sym[g] % 2 == 0, f"odd symmetric sum at n={n}, g={g}"
+        if sym[g] % 2:
+            raise ArithmeticError(f"odd symmetric sum at n={n}, g={g}")
         value = sym[g] // 2 + extra[g]
         if g <= gmax:
             row.append(value)
         else:
-            assert value == 0, f"nonzero count outside gall range at n={n}, g={g}"
+            if value:
+                raise ArithmeticError(f"nonzero count outside gall range at n={n}, g={g}")
     return tuple(row)
 
 
@@ -270,7 +272,8 @@ def wedderburn_sequence(max_n: int) -> List[int]:
         s = 2 * sum(map(operator.mul, u[1 : (n + 1) // 2], u[n - 1 : n // 2 : -1]))
         if n % 2 == 0:
             s += u[n // 2] * (u[n // 2] + 1)
-        assert s % 2 == 0
+        if s % 2:
+            raise ArithmeticError(f"odd doubled sum at n={n}")
         u[n] = s // 2
     return u
 
@@ -315,7 +318,8 @@ def simplex_total_sequence(max_n: int) -> List[int]:
         if n % 2 == 1:
             half = (n - 1) // 2
             s += sum(comp_power(q, half) for q in range(1, half + 1))
-        assert s % 2 == 0
+        if s % 2:
+            raise ArithmeticError(f"odd doubled sum at n={n}")
         a[n] = s // 2
     return a
 

@@ -11,6 +11,14 @@ node/edge DAG and checked against the degree and reticulation-cycle
 conditions directly, so the halving factors and palindromic corrections of
 the counting recursions are exercised against something that knows nothing
 about them.
+
+The DAG is a flat list of per-node records in preorder, each the node's
+parent and child offsets relative to itself.  Relative offsets make a
+subtree's records the same wherever it sits, so each node used as a child
+keeps its expansion and a parent's expansion is its own records joined with
+its children's.  Expansions belong to node objects, which fix the plane
+orientation, and are never shared by canonical key: a mirror image has the
+same key but other node numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .counts import NetworkClass
 
@@ -31,6 +39,7 @@ class Leaf:
     key = b"L"
     n_leaves = 1
     n_galls = 0
+    expansion = (((), ()),)
 
     def __repr__(self):
         return "Leaf()"
@@ -39,8 +48,9 @@ class Leaf:
 LEAF = Leaf()
 
 
-# The stored key and tallies stay out of ==, hash and repr, which compare and
-# show the structure alone.
+# The stored key, tallies and DAG expansion stay out of ==, hash and repr,
+# which compare and show the structure alone.  The expansion is filled lazily,
+# the first time the node is expanded as a child.
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +60,7 @@ class Internal:
     key: bytes = field(init=False, repr=False, compare=False)
     n_leaves: int = field(init=False, repr=False, compare=False)
     n_galls: int = field(init=False, repr=False, compare=False)
+    expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = sorted((self.left.key, self.right.key))
@@ -66,6 +77,7 @@ class GallTop:
     key: bytes = field(init=False, repr=False, compare=False)
     n_leaves: int = field(init=False, repr=False, compare=False)
     n_galls: int = field(init=False, repr=False, compare=False)
+    expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ls, rs = _keys(self.left_seq), _keys(self.right_seq)
@@ -166,7 +178,7 @@ def _generate(cls: NetworkClass, n: int) -> Tuple:
         tc = cls is not NetworkClass.GENERAL
         for s in _root_galls(cls, n, simplex, tc):
             out[s.key] = s
-    result = tuple(v for _, v in sorted(out.items()))
+    result = tuple(out[k] for k in sorted(out))
     _gen_cache[key] = result
     return result
 
@@ -203,6 +215,22 @@ def _sequences_index(cls: NetworkClass, total: int) -> Tuple[Tuple, ...]:
 
 
 # -- DAG expansion and validation ---------------------------------------------
+#
+# A structure's DAG is a list of node records in preorder: the root is node 1,
+# a gall's reticulation is numbered right after its top node, each path node
+# comes before its piece, and the reticulation's child comes last.  Node v's
+# record is the pair (parent offsets, child offsets), each offset relative to
+# v: its parents are v - o and its children v + o, in the order the edges are
+# made.  Relative offsets make a subtree's records the same wherever it sits,
+# so a node's expansion is its own records joined with its children's, each
+# child's root record gaining its one parent offset.  A node used as a child
+# keeps its expansion in its `expansion` slot, as a tuple; a top-level
+# structure's expansion is built for the call and dropped.  The records, and
+# with them their offset tuples, are interned: few distinct ones occur (307
+# records over 83 offset tuples for every structure with n <= 7).
+
+_Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
+_RECORDS: Dict[_Record, _Record] = {}
 
 
 @dataclass
@@ -216,76 +244,117 @@ class ValidationReport:
         return not self.violations
 
 
+def _expansion(s) -> Sequence[_Record]:
+    """The DAG records of s: its kept expansion, or a fresh one left unkept."""
+    e = s.expansion
+    return _expand(s) if e is None else e
+
+
+def _child_expansion(s) -> Tuple[_Record, ...]:
+    """The expansion of a node used as a child, built once and kept on it."""
+    e = s.expansion
+    if e is None:
+        e = tuple(_expand(s))
+        object.__setattr__(s, "expansion", e)
+    return e
+
+
+def _record(parents: Tuple[int, ...], children: Tuple[int, ...]) -> _Record:
+    rec = (parents, children)
+    return _RECORDS.setdefault(rec, rec)
+
+
+def _join(out: List[_Record], child: Tuple[_Record, ...], offset: int) -> None:
+    """Append a child's records, its root gaining the parent offset."""
+    out.append(_record((offset,), child[0][1]))
+    out += child[1:]
+
+
+def _expand(s) -> List[_Record]:
+    if isinstance(s, Internal):
+        a, b = _child_expansion(s.left), _child_expansion(s.right)
+        out = [_record((), (1, 1 + len(a)))]
+        _join(out, a, 1)
+        _join(out, b, 1 + len(a))
+        return out
+    # The top node is record 0 and its reticulation record 1, both filled in
+    # once the paths are laid out; each path node's piece hangs one below it.
+    out: List = [None, None]
+    heads, tails = [], []
+    for seq in (s.left_seq, s.right_seq):
+        heads.append(len(out) if seq else 1)
+        prev = 0
+        for i, piece in enumerate(seq):
+            w = len(out)
+            e = _child_expansion(piece)
+            nxt = w + 1 + len(e) if i + 1 < len(seq) else 1
+            out.append(_record((w - prev,), (1, nxt - w)))
+            _join(out, e, 1)
+            prev = w
+        tails.append(prev)
+    k = len(out) - 1
+    out[0] = _record((), tuple(heads))
+    out[1] = _record((1 - tails[0], 1 - tails[1]), (k,))
+    _join(out, _child_expansion(s.ret_child), k)
+    return out
+
+
 def _build_dag(s) -> Tuple[List[List[int]], List[List[int]]]:
-    """Explicit DAG expansion as adjacency lists (parents, children).  Nodes
-    are numbered 1, 2, ... in preorder, the root being node 1; index 0 is an
-    unused empty entry.  Each list holds the other ends of a node's edges in
-    the order the edges are made."""
-    parents: List[List[int]] = [[]]
-    children: List[List[int]] = [[]]
-
-    def new_node() -> int:
-        parents.append([])
-        children.append([])
-        return len(parents) - 1
-
-    def edge(a: int, b: int) -> None:
-        children[a].append(b)
-        parents[b].append(a)
-
-    def build(sub) -> int:
-        v = new_node()
-        if isinstance(sub, Leaf):
-            return v
-        if isinstance(sub, Internal):
-            edge(v, build(sub.left))
-            edge(v, build(sub.right))
-            return v
-        ret = new_node()
-        for seq in (sub.left_seq, sub.right_seq):
-            prev = v
-            for piece in seq:
-                w = new_node()
-                edge(prev, w)
-                edge(w, build(piece))
-                prev = w
-            edge(prev, ret)
-        edge(ret, build(sub.ret_child))
-        return v
-
-    build(s)
+    """The expansion as adjacency lists (parents, children), index 0 an unused
+    empty entry.  Each list holds the other ends of a node's edges in the order
+    the edges are made."""
+    recs = _expansion(s)
+    parents = [[]] + [[v - o for o in p] for v, (p, _) in enumerate(recs, 1)]
+    children = [[]] + [[v + o for o in c] for v, (_, c) in enumerate(recs, 1)]
     return parents, children
 
 
 def validate(s, network_class: NetworkClass) -> ValidationReport:
-    """Expand to a DAG and check the definition of the class directly."""
-    parents, children = _build_dag(s)
-    n_nodes = len(parents) - 1
+    """Expand to a DAG and check the definition of the class directly.
+
+    Node v (root 1, preorder) is record v - 1 of the expansion: its parents
+    are v - o for o in the record's parent offsets and its children v + o for
+    o in its child offsets, so degrees are the lengths of the two tuples.
+    Violation texts quote node numbers, and these follow the structure's own
+    orientation: a mirror image has the same canonical key but numbers its
+    nodes differently, which is why expansions are kept per node object and
+    never per key."""
+    recs = _expansion(s)
+    n_nodes = len(recs)
     report = ValidationReport(n_leaves=leaves(s), n_galls=galls(s))
     bad = report.violations.append
 
-    if any(len(c) > 1 and len(set(c)) < len(c) for c in children):
-        bad("parallel edges (not a simple graph)")
-
-    leaf_nodes, ret_nodes = [], []
-    if n_nodes == 1:
-        pass  # the trivial one-leaf network
-    else:
-        for v in range(1, n_nodes + 1):
-            deg = (len(parents[v]), len(children[v]))
-            if v == 1:
-                if deg != (0, 2):
-                    bad(f"root degree {deg}")
-            elif deg == (1, 0):
-                leaf_nodes.append(v)
-            elif deg == (1, 2):
-                pass  # tree node
-            elif deg == (2, 1):
+    # A repeated edge repeats a parent of its head, so only nodes with two or
+    # more parents -- reticulations and illegal nodes -- can carry one.
+    parallel = False
+    degree_faults: List[str] = []
+    n_leaf_nodes, ret_nodes = 0, []
+    if n_nodes > 1:  # else the trivial one-leaf network
+        p, c = recs[0]
+        if p or len(c) != 2:
+            degree_faults.append(f"root degree {(len(p), len(c))}")
+            parallel = len(set(p)) < len(p)
+        for v in range(2, n_nodes + 1):
+            p, c = recs[v - 1]
+            if len(p) == 1:
+                if not c:
+                    n_leaf_nodes += 1
+                    continue
+                if len(c) == 2:
+                    continue  # tree node
+            elif len(p) == 2 and len(c) == 1:
                 ret_nodes.append(v)
-            else:
-                bad(f"node {v} has illegal degree {deg}")
+                if p[0] == p[1]:
+                    parallel = True
+                continue
+            degree_faults.append(f"node {v} has illegal degree {(len(p), len(c))}")
+            if len(set(p)) < len(p):
+                parallel = True
+    if parallel:
+        bad("parallel edges (not a simple graph)")
+    report.violations += degree_faults
 
-    expected_leaves = 1 if n_nodes == 1 else len(leaf_nodes)
+    expected_leaves = 1 if n_nodes == 1 else n_leaf_nodes
     if expected_leaves != report.n_leaves:
         bad(f"leaf tally {expected_leaves} != structural {report.n_leaves}")
     if len(ret_nodes) != report.n_galls:
@@ -293,30 +362,27 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
 
     # Each reticulation's two parent paths, walked up only to the first node
     # the two chains share (the gall's top node); the reticulation cycle is
-    # everything at or below that meeting point.
-    def up_chain(v):
-        chain = [v]
-        while len(parents[chain[-1]]) == 1:
-            chain.append(parents[chain[-1]][0])
-        return chain
-
+    # everything at or below that meeting point.  A chain climbs while its
+    # node has exactly one parent.
     cycles: List[set] = []
     path_lengths: List[Tuple[int, int]] = []
     for r in ret_nodes:
-        if len(parents[r]) != 2:
-            continue
-        chain_a = up_chain(parents[r][0])
-        chain_b = up_chain(parents[r][1])
+        pa, pb = recs[r - 1][0]
+        chain_b = [r - pb]
+        while len(p := recs[chain_b[-1] - 1][0]) == 1:
+            chain_b.append(chain_b[-1] - p[0])
         pos_b = {v: i for i, v in enumerate(chain_b)}
-        top_idx = next(
-            ((ia, pos_b[v]) for ia, v in enumerate(chain_a) if v in pos_b), None
-        )
-        if top_idx is None:
+        u = r - pa
+        chain_a = [u]
+        while u not in pos_b and len(p := recs[u - 1][0]) == 1:
+            u -= p[0]
+            chain_a.append(u)
+        if u not in pos_b:
             bad(f"reticulation {r}: parent paths never meet")
             continue
-        ia, ib = top_idx
-        cycles.append({r} | set(chain_a[: ia + 1]) | set(chain_b[: ib + 1]))
-        path_lengths.append((ia + 1, ib + 1))
+        ib = pos_b[u]
+        cycles.append({r} | set(chain_a) | set(chain_b[: ib + 1]))
+        path_lengths.append((len(chain_a), ib + 1))
 
     seen: Dict[int, int] = {}
     for i, cyc in enumerate(cycles):
@@ -331,7 +397,8 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
                 bad(f"reticulation {r}: a gall path has fewer than 2 edges")
     if network_class is NetworkClass.SIMPLEX_TC:
         for r in ret_nodes:
-            if children[children[r][0]]:
+            below = r + recs[r - 1][1][0]
+            if recs[below - 1][1]:
                 bad(f"reticulation {r}: subtree below it is not a single leaf")
     return report
 
@@ -373,7 +440,8 @@ def labeled_count(network_class: NetworkClass, n: int) -> Dict[int, int]:
     hist: Dict[int, int] = {}
     for s in generate_all(network_class, n):
         a = aut_order(s)
-        assert nf % a == 0
+        if nf % a:
+            raise ArithmeticError(f"automorphism order {a} does not divide {n}!")
         hist[galls(s)] = hist.get(galls(s), 0) + nf // a
     return dict(sorted(hist.items()))
 
@@ -479,4 +547,5 @@ def _parse_seq(text, pos, terminator):
 
 def clear_cache() -> None:
     _gen_cache.clear()
+    _RECORDS.clear()
     _sequences_index.cache_clear()

@@ -195,6 +195,27 @@ def test_asym_ratio(capsys):
     assert abs(ratio - 1) < 0.1
 
 
+def test_asym_ratio_two_terms(capsys):
+    argv = ("asym", "ratio", "--class", "general", "--labeling", "labeled", "-g", "1", "-n", "200")
+    _, plain, _ = run(capsys, *argv)
+    code, one, _ = run(capsys, *argv, "--terms", "1")
+    assert code == 0 and one == plain
+    code, two, _ = run(capsys, *argv, "--terms", "2")
+    assert code == 0 and two.startswith("ratio ")
+    # the second term of the singular expansion brings the estimate closer
+    assert abs(float(two.split()[1]) - 1) < abs(float(one.split()[1]) - 1)
+
+
+def test_asym_ratio_terms_refusals(capsys):
+    for terms in ("0", "3"):
+        code, out, err = run(capsys, "asym", "ratio", "-g", "1", "-n", "50", "--terms", terms)
+        assert code == 2 and out == "" and "--terms" in err
+    for labeling in ("unlabeled", "labeled"):
+        code, out, err = run(capsys, "asym", "ratio", "--class", "time-consistent",
+                             "--labeling", labeling, "-g", "1", "-n", "50", "--terms", "2")
+        assert code == 4 and out == "" and "asymptotics solver failed" in err
+
+
 def test_asym_estimate(capsys):
     code, out, _ = run(capsys, "asym", "estimate", "--class", "general", "--labeling",
                        "unlabeled", "-g", "1", "-n", "100")

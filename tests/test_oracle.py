@@ -70,6 +70,15 @@ def test_oracle_matches_recursion_labeled(ncls):
             assert hist.get(g, 0) == count(spec, n, g), (ncls, n, g)
 
 
+def test_labeled_count_refuses_an_automorphism_order_not_dividing_n_factorial(monkeypatch):
+    # an explicit error, not an assert that python -O would strip
+    import galledtrees.oracle as oracle_module
+
+    monkeypatch.setattr(oracle_module, "aut_order", lambda s: 4)
+    with pytest.raises(ArithmeticError, match="does not divide 3!"):
+        labeled_count(NetworkClass.GENERAL, 3)
+
+
 def test_labeled_count_published_rows():
     assert labeled_count(NetworkClass.GENERAL, 3) == {0: 3, 1: 21, 2: 12}
     assert labeled_count(NetworkClass.SIMPLEX_TC, 5) == {0: 105, 1: 705, 2: 60}
@@ -298,7 +307,7 @@ def test_stored_key_and_tallies_match_reference(source):
 def test_stored_fields_stay_out_of_eq_hash_and_repr():
     for cls in (Internal, GallTop):
         stored = [f.name for f in fields(cls) if not f.compare or not f.repr]
-        assert stored == ["key", "n_leaves", "n_galls"]
+        assert stored == ["key", "n_leaves", "n_galls", "expansion"]
     cherry = Internal(LEAF, LEAF)
     assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
     assert not hasattr(cherry, "__dict__")
@@ -315,3 +324,165 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     # the mirror image shares the key but is a different plane structure
     m = parse_text(_mirror_text(b))
     assert canonical_key(m) == canonical_key(b) and m != b
+    # a kept expansion changes none of that
+    validate(b, NetworkClass.GENERAL)
+    assert b.ret_child.expansion is not None
+    assert a == b and hash(a) == hash(b) and "expansion" not in repr(b)
+
+
+# -- the flat expansion against the recursive one -----------------------------
+
+
+def _reference_build_dag(s):
+    # the recursive expansion: every subtree rebuilt node by node
+    parents, children = [[]], [[]]
+
+    def new_node():
+        parents.append([])
+        children.append([])
+        return len(parents) - 1
+
+    def edge(a, b):
+        children[a].append(b)
+        parents[b].append(a)
+
+    def build(sub):
+        v = new_node()
+        if isinstance(sub, Leaf):
+            return v
+        if isinstance(sub, Internal):
+            edge(v, build(sub.left))
+            edge(v, build(sub.right))
+            return v
+        ret = new_node()
+        for seq in (sub.left_seq, sub.right_seq):
+            prev = v
+            for piece in seq:
+                w = new_node()
+                edge(prev, w)
+                edge(w, build(piece))
+                prev = w
+            edge(prev, ret)
+        edge(ret, build(sub.ret_child))
+        return v
+
+    build(s)
+    return parents, children
+
+
+def _reference_validate(s, network_class):
+    # the adjacency-list validator over the recursive expansion
+    parents, children = _reference_build_dag(s)
+    n_nodes = len(parents) - 1
+    violations = []
+    bad = violations.append
+
+    if any(len(c) > 1 and len(set(c)) < len(c) for c in children):
+        bad("parallel edges (not a simple graph)")
+
+    leaf_nodes, ret_nodes = [], []
+    if n_nodes > 1:
+        for v in range(1, n_nodes + 1):
+            deg = (len(parents[v]), len(children[v]))
+            if v == 1:
+                if deg != (0, 2):
+                    bad(f"root degree {deg}")
+            elif deg == (1, 0):
+                leaf_nodes.append(v)
+            elif deg == (1, 2):
+                pass
+            elif deg == (2, 1):
+                ret_nodes.append(v)
+            else:
+                bad(f"node {v} has illegal degree {deg}")
+
+    expected_leaves = 1 if n_nodes == 1 else len(leaf_nodes)
+    if expected_leaves != leaves(s):
+        bad(f"leaf tally {expected_leaves} != structural {leaves(s)}")
+    if len(ret_nodes) != galls(s):
+        bad(f"reticulation tally {len(ret_nodes)} != structural {galls(s)}")
+
+    def up_chain(v):
+        chain = [v]
+        while len(parents[chain[-1]]) == 1:
+            chain.append(parents[chain[-1]][0])
+        return chain
+
+    cycles, path_lengths = [], []
+    for r in ret_nodes:
+        chain_a = up_chain(parents[r][0])
+        chain_b = up_chain(parents[r][1])
+        pos_b = {v: i for i, v in enumerate(chain_b)}
+        top_idx = next(((ia, pos_b[v]) for ia, v in enumerate(chain_a) if v in pos_b), None)
+        if top_idx is None:
+            bad(f"reticulation {r}: parent paths never meet")
+            continue
+        ia, ib = top_idx
+        cycles.append({r} | set(chain_a[: ia + 1]) | set(chain_b[: ib + 1]))
+        path_lengths.append((ia + 1, ib + 1))
+
+    seen = {}
+    for i, cyc in enumerate(cycles):
+        for v in cyc:
+            if v in seen:
+                bad(f"node {v} lies in two reticulation cycles")
+            seen[v] = i
+
+    if network_class is not NetworkClass.GENERAL:
+        for (la, lb), r in zip(path_lengths, ret_nodes):
+            if min(la, lb) < 2:
+                bad(f"reticulation {r}: a gall path has fewer than 2 edges")
+    if network_class is NetworkClass.SIMPLEX_TC:
+        for r in ret_nodes:
+            if children[children[r][0]]:
+                bad(f"reticulation {r}: subtree below it is not a single leaf")
+    return leaves(s), galls(s), violations
+
+
+def _assert_matches_reference(s):
+    assert _build_dag(s) == _reference_build_dag(s), dump_text(s)
+    for c in NetworkClass:
+        rep = validate(s, c)
+        assert (rep.n_leaves, rep.n_galls, rep.violations) == _reference_validate(s, c), (
+            dump_text(s), c)
+
+
+def test_flat_expansion_matches_the_recursive_one():
+    # every n <= 6 structure and its mirror image, against every class: the
+    # mirror shares each subtree's canonical key but not its node numbering
+    checked = 0
+    for s in _generated():
+        for x in (s, parse_text(_mirror_text(s))):
+            _assert_matches_reference(x)
+            checked += len(NetworkClass)
+    assert checked == 12714
+
+
+def test_flat_expansion_reports_invalid_structures_like_the_recursive_one():
+    cases = {
+        # both gall paths empty: a doubled top-reticulation edge
+        GallTop((), (), LEAF): {
+            NetworkClass.GENERAL: ["parallel edges (not a simple graph)"],
+        },
+        # one-edge gall paths, on either side and nested below a path node
+        GallTop((LEAF,), (), LEAF): {
+            NetworkClass.TIME_CONSISTENT: ["reticulation 2: a gall path has fewer than 2 edges"],
+        },
+        GallTop((), (Internal(LEAF, LEAF),), LEAF): {
+            NetworkClass.TIME_CONSISTENT: ["reticulation 2: a gall path has fewer than 2 edges"],
+        },
+        GallTop((LEAF,), (LEAF,), GallTop((), (LEAF, LEAF), LEAF)): {
+            NetworkClass.GENERAL: [],
+            NetworkClass.TIME_CONSISTENT: ["reticulation 8: a gall path has fewer than 2 edges"],
+        },
+        # a non-leaf below a simplex reticulation
+        GallTop((LEAF,), (LEAF,), Internal(LEAF, LEAF)): {
+            NetworkClass.TIME_CONSISTENT: [],
+            NetworkClass.SIMPLEX_TC: ["reticulation 2: subtree below it is not a single leaf"],
+        },
+    }
+    for s, want in cases.items():
+        _assert_matches_reference(s)
+        _assert_matches_reference(parse_text(_mirror_text(s)))
+        for c, violations in want.items():
+            assert validate(s, c).violations == violations, (dump_text(s), c)
