@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -262,7 +261,7 @@ def _verify_engines(failures):
 
 
 def _verify_oracle(failures):
-    max_n = min(6, int(os.environ.get("GALLED_MAX_N", 6)))
+    max_n = min(6, oracle._max_leaves_guard())
     checked = 0
     for ncls in NetworkClass:
         for n in range(1, max_n + 1):
@@ -298,7 +297,9 @@ def _verify_bijections(failures):
     rep = bijections.check_labeled_corollaries(12)
     for f in rep.failures:
         failures.append(f"bijections: labeled {f}")
-    for n in range(2, 8):
+    # the constructive maps are checked against the oracle, so its cap holds here too
+    max_n = min(7, oracle._max_leaves_guard())
+    for n in range(2, max_n + 1):
         img = set(bijections.saturated_general_slice(n))
         want = {
             oracle.canonical_key(s)
@@ -307,7 +308,7 @@ def _verify_bijections(failures):
         }
         if img != want:
             failures.append(f"bijections: general image mismatch at n={n}")
-    for m in range(1, 5):
+    for m in range(1, (max_n + 1) // 2 + 1):
         img = set(bijections.saturated_simplex_slice(m))
         want = {
             oracle.canonical_key(s)
@@ -316,7 +317,8 @@ def _verify_bijections(failures):
         }
         if img != want:
             failures.append(f"bijections: simplex image mismatch at m={m}")
-    print(f"bijections: identities to n=12 and constructive maps to n=7, "
+    capped = " (capped by GALLED_MAX_N)" if max_n < 7 else ""
+    print(f"bijections: identities to n=12 and constructive maps to n={max_n}{capped}, "
           f"{sum(1 for f in failures if f.startswith('bijections'))} mismatches")
 
 
@@ -326,6 +328,12 @@ def cmd_verify(args, parser) -> int:
         if args.scope == "all"
         else [args.scope]
     )
+    if {"oracle", "bijections"} & set(scopes):
+        try:
+            oracle._max_leaves_guard()
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_USAGE
     failures: list[str] = []
     for scope in scopes:
         {

@@ -4,13 +4,13 @@ small n, validate against the graph-theoretic definitions, and count.
 Structures are built from a three-case grammar -- a leaf, an unordered root
 split, or a root gall carrying two node sequences and a reticulation subtree
 -- with canonical forms deduplicating isomorphic shapes.  Each node carries
-its canonical key and its leaf and gall tallies, computed once when it is
-built from its children's stored fields.  Validation is deliberately
-independent of that algebra: a structure is expanded to an explicit
-node/edge DAG and checked against the degree and reticulation-cycle
-conditions directly, so the halving factors and palindromic corrections of
-the counting recursions are exercised against something that knows nothing
-about them.
+its canonical key, its leaf and gall tallies and its automorphism order,
+computed once when it is built from its children's stored fields.
+Validation is deliberately independent of that algebra: a structure is
+expanded to an explicit node/edge DAG and checked against the degree and
+reticulation-cycle conditions directly, so the halving factors and
+palindromic corrections of the counting recursions are exercised against
+something that knows nothing about them.
 
 The DAG is a flat list of per-node records in preorder, each the node's
 parent and child offsets relative to itself.  Relative offsets make a
@@ -19,13 +19,20 @@ keeps its expansion and a parent's expansion is its own records joined with
 its children's.  Expansions belong to node objects, which fix the plane
 orientation, and are never shared by canonical key: a mirror image has the
 same key but other node numbers.
+
+Preorder numbering gives every node with exactly one parent a parent with a
+smaller number; only a reticulation's parents (the ends of its two paths)
+can come after it.  Parent chains therefore strictly decrease, and
+validation finds a gall's top node by a merge walk: it climbs both of a
+reticulation's parent chains at once, always stepping the one at the higher
+node number, until they meet.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -39,6 +46,7 @@ class Leaf:
     key = b"L"
     n_leaves = 1
     n_galls = 0
+    aut = 1
     expansion = (((), ()),)
 
     def __repr__(self):
@@ -48,9 +56,9 @@ class Leaf:
 LEAF = Leaf()
 
 
-# The stored key, tallies and DAG expansion stay out of ==, hash and repr,
-# which compare and show the structure alone.  The expansion is filled lazily,
-# the first time the node is expanded as a child.
+# The stored key, tallies, automorphism order and DAG expansion stay out of
+# ==, hash and repr, which compare and show the structure alone.  The
+# expansion is filled lazily, the first time the node is expanded as a child.
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,13 +68,16 @@ class Internal:
     key: bytes = field(init=False, repr=False, compare=False)
     n_leaves: int = field(init=False, repr=False, compare=False)
     n_galls: int = field(init=False, repr=False, compare=False)
+    aut: int = field(init=False, repr=False, compare=False)
     expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = sorted((self.left.key, self.right.key))
+        left, right = self.left, self.right
+        a, b = sorted((left.key, right.key))
         object.__setattr__(self, "key", b"I" + _blob(a) + _blob(b))
-        object.__setattr__(self, "n_leaves", self.left.n_leaves + self.right.n_leaves)
-        object.__setattr__(self, "n_galls", self.left.n_galls + self.right.n_galls)
+        object.__setattr__(self, "n_leaves", left.n_leaves + right.n_leaves)
+        object.__setattr__(self, "n_galls", left.n_galls + right.n_galls)
+        object.__setattr__(self, "aut", left.aut * right.aut * (2 if a == b else 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,19 +88,45 @@ class GallTop:
     key: bytes = field(init=False, repr=False, compare=False)
     n_leaves: int = field(init=False, repr=False, compare=False)
     n_galls: int = field(init=False, repr=False, compare=False)
+    aut: int = field(init=False, repr=False, compare=False)
     expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # The two paths' encoding, from _encode_paths; generation passes it in
+    # once for every reticulation subtree that shares the pair.
+    paths: InitVar[Optional[_Paths]] = None
 
-    def __post_init__(self):
-        ls, rs = _keys(self.left_seq), _keys(self.right_seq)
-        if rs < ls:
-            ls, rs = rs, ls
-        body = _blob(bytes([len(ls)]) + b"".join(map(_blob, ls)))
-        body += _blob(bytes([len(rs)]) + b"".join(map(_blob, rs)))
-        body += _blob(self.ret_child.key)
-        pieces = (*self.left_seq, *self.right_seq, self.ret_child)
-        object.__setattr__(self, "key", b"G" + body)
-        object.__setattr__(self, "n_leaves", sum(x.n_leaves for x in pieces))
-        object.__setattr__(self, "n_galls", 1 + sum(x.n_galls for x in pieces))
+    def __post_init__(self, paths):
+        if paths is None:
+            paths = _encode_paths(self.left_seq, self.right_seq)
+        body, n_leaves, n_galls, aut = paths
+        rc = self.ret_child
+        object.__setattr__(self, "key", b"G" + body + _blob(rc.key))
+        object.__setattr__(self, "n_leaves", n_leaves + rc.n_leaves)
+        object.__setattr__(self, "n_galls", 1 + n_galls + rc.n_galls)
+        object.__setattr__(self, "aut", aut * rc.aut)
+
+
+_Paths = Tuple[bytes, int, int, int]
+
+
+def _encode_paths(left_seq, right_seq, kls=None, krs=None) -> _Paths:
+    """A gall's share of its key and tallies that comes from its two paths:
+    the two key sequences in the lexicographically smaller orientation, each
+    length-prefixed, and the paths' leaf, gall and automorphism tallies, the
+    last doubled when swapping the paths is an automorphism.  kls and krs are
+    the paths' key tuples, when the caller has them."""
+    if kls is None:
+        kls, krs = _keys(left_seq), _keys(right_seq)
+    aut = 2 if kls == krs else 1
+    if krs < kls:
+        kls, krs = krs, kls
+    body = _blob(bytes([len(kls)]) + b"".join(map(_blob, kls)))
+    body += _blob(bytes([len(krs)]) + b"".join(map(_blob, krs)))
+    n_leaves = n_galls = 0
+    for x in left_seq + right_seq:
+        n_leaves += x.n_leaves
+        n_galls += x.n_galls
+        aut *= x.aut
+    return body, n_leaves, n_galls, aut
 
 
 def leaves(s) -> int:
@@ -139,7 +176,17 @@ _gen_cache: Dict[Tuple[NetworkClass, int], Tuple] = {}
 
 
 def _max_leaves_guard() -> int:
-    return int(os.environ.get("GALLED_MAX_N", DEFAULT_MAX_LEAVES))
+    """The brute-force leaf cap: GALLED_MAX_N, else DEFAULT_MAX_LEAVES."""
+    raw = os.environ.get("GALLED_MAX_N")
+    if raw is None:
+        return DEFAULT_MAX_LEAVES
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"GALLED_MAX_N must be a positive integer, got {raw!r}")
 
 
 def generate_all(network_class: NetworkClass, n: int) -> Tuple:
@@ -147,10 +194,10 @@ def generate_all(network_class: NetworkClass, n: int) -> Tuple:
     canonical, deterministically ordered."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > _max_leaves_guard():
+    cap = _max_leaves_guard()
+    if n > cap:
         raise ValueError(
-            f"n = {n} exceeds the brute-force guard ({_max_leaves_guard()}); "
-            "set GALLED_MAX_N to override"
+            f"n = {n} exceeds the brute-force guard ({cap}); set GALLED_MAX_N to override"
         )
     return _generate(network_class, n)
 
@@ -192,25 +239,26 @@ def _root_galls(cls, n, simplex, tc) -> Iterable[GallTop]:
             right_total = rest - left_total
             if left_total == 0 and right_total == 0:
                 continue  # both paths empty would double the top-ret edge
-            rights = [(rs, _keys(rs)) for rs in _sequences_index(cls, right_total)]
-            for ls in _sequences_index(cls, left_total):
-                kls = _keys(ls)
+            rights = _sequences_index(cls, right_total)
+            for ls, kls in _sequences_index(cls, left_total):
                 for rs, krs in rights:
                     if krs < kls:
                         continue  # keep one orientation of the two paths
+                    paths = _encode_paths(ls, rs, kls, krs)
                     for rc in ret_opts:
-                        yield GallTop(ls, rs, rc)
+                        yield GallTop(ls, rs, rc, paths)
 
 
 @lru_cache(maxsize=None)
-def _sequences_index(cls: NetworkClass, total: int) -> Tuple[Tuple, ...]:
+def _sequences_index(cls: NetworkClass, total: int) -> Tuple[Tuple[Tuple, Tuple], ...]:
+    """Every path sequence with `total` leaves, paired with its key tuple."""
     if total == 0:
-        return ((),)
+        return (((), ()),)
     out = []
     for first_leaves in range(1, total + 1):
         for first in _generate(cls, first_leaves):
-            for rest in _sequences_index(cls, total - first_leaves):
-                out.append((first,) + rest)
+            for rest, krest in _sequences_index(cls, total - first_leaves):
+                out.append(((first,) + rest, (first.key,) + krest))
     return tuple(out)
 
 
@@ -315,6 +363,10 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     Node v (root 1, preorder) is record v - 1 of the expansion: its parents
     are v - o for o in the record's parent offsets and its children v + o for
     o in its child offsets, so degrees are the lengths of the two tuples.
+    In preorder every node with exactly one parent has a positive parent
+    offset, so parent chains strictly decrease, and a gall's top is found by
+    a merge walk up the reticulation's two chains that steps the one at the
+    higher node number until they meet; no chain is climbed past the top.
     Violation texts quote node numbers, and these follow the structure's own
     orientation: a mirror image has the same canonical key but numbers its
     nodes differently, which is why expansions are kept per node object and
@@ -360,36 +412,46 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     if len(ret_nodes) != report.n_galls:
         bad(f"reticulation tally {len(ret_nodes)} != structural {report.n_galls}")
 
-    # Each reticulation's two parent paths, walked up only to the first node
-    # the two chains share (the gall's top node); the reticulation cycle is
-    # everything at or below that meeting point.  A chain climbs while its
-    # node has exactly one parent.
-    cycles: List[set] = []
+    # The merge walk up each reticulation's two parent chains.  A chain climbs
+    # while its node has exactly one parent; once the chain at the higher
+    # node cannot step, the two never meet.  The reticulation cycle is the
+    # reticulation and both chains up to the top they meet at.
+    cycles: List[Tuple[int, List[int], List[int]]] = []
+    cycle_nodes: List[int] = []
     path_lengths: List[Tuple[int, int]] = []
     for r in ret_nodes:
         pa, pb = recs[r - 1][0]
-        chain_b = [r - pb]
-        while len(p := recs[chain_b[-1] - 1][0]) == 1:
-            chain_b.append(chain_b[-1] - p[0])
-        pos_b = {v: i for i, v in enumerate(chain_b)}
-        u = r - pa
-        chain_a = [u]
-        while u not in pos_b and len(p := recs[u - 1][0]) == 1:
-            u -= p[0]
-            chain_a.append(u)
-        if u not in pos_b:
+        a, b = r - pa, r - pb
+        chain_a, chain_b = [a], [b]
+        while a != b:
+            if a > b:
+                if len(p := recs[a - 1][0]) != 1:
+                    break
+                a -= p[0]
+                chain_a.append(a)
+            else:
+                if len(p := recs[b - 1][0]) != 1:
+                    break
+                b -= p[0]
+                chain_b.append(b)
+        if a != b:
             bad(f"reticulation {r}: parent paths never meet")
             continue
-        ib = pos_b[u]
-        cycles.append({r} | set(chain_a) | set(chain_b[: ib + 1]))
-        path_lengths.append((len(chain_a), ib + 1))
+        cycles.append((r, chain_a, chain_b))
+        cycle_nodes.append(r)
+        cycle_nodes += chain_a
+        cycle_nodes += chain_b[:-1]  # the top, already in chain_a
+        path_lengths.append((len(chain_a), len(chain_b)))
 
-    seen: Dict[int, int] = {}
-    for i, cyc in enumerate(cycles):
-        for v in cyc:
-            if v in seen:
-                bad(f"node {v} lies in two reticulation cycles")
-            seen[v] = i
+    # Only a node in two cycles repeats in cycle_nodes; the per-cycle sets,
+    # whose order the messages follow, are built only then.
+    if len(set(cycle_nodes)) < len(cycle_nodes):
+        seen: Dict[int, int] = {}
+        for i, (r, chain_a, chain_b) in enumerate(cycles):
+            for v in {r} | set(chain_a) | set(chain_b):
+                if v in seen:
+                    bad(f"node {v} lies in two reticulation cycles")
+                seen[v] = i
 
     if network_class is not NetworkClass.GENERAL:
         for (la, lb), r in zip(path_lengths, ret_nodes):
@@ -416,22 +478,10 @@ def count_by_galls(network_class: NetworkClass, n: int) -> Dict[int, int]:
 
 
 def aut_order(s) -> int:
-    """Order of the automorphism group of a canonical structure."""
-    if isinstance(s, Leaf):
-        return 1
-    if isinstance(s, Internal):
-        out = aut_order(s.left) * aut_order(s.right)
-        if s.left.key == s.right.key:
-            out *= 2
-        return out
-    out = aut_order(s.ret_child)
-    for x in s.left_seq:
-        out *= aut_order(x)
-    for x in s.right_seq:
-        out *= aut_order(x)
-    if _keys(s.left_seq) == _keys(s.right_seq):
-        out *= 2
-    return out
+    """Order of the automorphism group of a structure, stored per node at
+    construction: the product of the children's orders, doubled where two
+    split children, or a gall's two paths, have equal keys."""
+    return s.aut
 
 
 def labeled_count(network_class: NetworkClass, n: int) -> Dict[int, int]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from galledtrees.cli import main
 from galledtrees import genfunc, golden
 from galledtrees.counts import GENERAL_UNLABELED
@@ -236,6 +238,31 @@ def test_verify_scopes(capsys):
     assert "4 tables, 0 mismatches" in out
     code, out, _ = run(capsys, "verify", "--scope", "bijections")
     assert code == 0
+
+
+def test_verify_caps_the_bijection_slices_at_galled_max_n(capsys, monkeypatch):
+    # the slices are checked against the oracle, which refuses n past its cap
+    _, out, _ = run(capsys, "verify", "--scope", "bijections")
+    assert "constructive maps to n=7, 0 mismatches" in out
+    monkeypatch.setenv("GALLED_MAX_N", "6")
+    code, out, err = run(capsys, "verify", "--scope", "bijections")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "bijections: identities to n=12 and constructive maps to n=6 "
+        "(capped by GALLED_MAX_N), 0 mismatches",
+        "PASS",
+    ]
+    code, out, _ = run(capsys, "verify", "--scope", "oracle")
+    assert code == 0 and "(n <= 6), 0 mismatches" in out
+
+
+@pytest.mark.parametrize("raw", ["x", "0"])
+@pytest.mark.parametrize("scope", ["oracle", "bijections", "all"])
+def test_verify_refuses_a_malformed_galled_max_n(capsys, monkeypatch, raw, scope):
+    monkeypatch.setenv("GALLED_MAX_N", raw)
+    code, out, err = run(capsys, "verify", "--scope", scope)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"GALLED_MAX_N must be a positive integer, got {raw!r}"]
 
 
 def test_verify_deterministic(capsys):

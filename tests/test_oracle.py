@@ -19,6 +19,7 @@ from galledtrees.counts import (
 from galledtrees.oracle import (
     GallTop,
     _build_dag,
+    _expansion,
     Internal,
     LEAF,
     Leaf,
@@ -143,6 +144,13 @@ def test_generation_guard():
         generate_all(NetworkClass.GENERAL, 0)
 
 
+@pytest.mark.parametrize("raw", ["x", "2.5", "", "0", "-3"])
+def test_generation_guard_refuses_a_malformed_cap(monkeypatch, raw):
+    monkeypatch.setenv("GALLED_MAX_N", raw)
+    with pytest.raises(ValueError, match="GALLED_MAX_N must be a positive integer"):
+        generate_all(NetworkClass.GENERAL, 3)
+
+
 def test_canonicalization_idempotent_and_key_stable():
     for n in range(1, 7):
         for s in generate_all(NetworkClass.GENERAL, n):
@@ -239,6 +247,23 @@ def _reference_key(s) -> bytes:
     return b"G" + body
 
 
+def _reference_aut(s) -> int:
+    # the recursive automorphism order: every subtree's order and key rebuilt
+    if isinstance(s, Leaf):
+        return 1
+    if isinstance(s, Internal):
+        out = _reference_aut(s.left) * _reference_aut(s.right)
+        if _reference_key(s.left) == _reference_key(s.right):
+            out *= 2
+        return out
+    out = _reference_aut(s.ret_child)
+    for x in s.left_seq + s.right_seq:
+        out *= _reference_aut(x)
+    if [_reference_key(x) for x in s.left_seq] == [_reference_key(x) for x in s.right_seq]:
+        out *= 2
+    return out
+
+
 def _ref_blob(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
@@ -299,15 +324,16 @@ def test_stored_key_and_tallies_match_reference(source):
     for s in source():
         assert canonical_key(s) == _reference_key(s), dump_text(s)
         assert (leaves(s), galls(s)) == _dag_tallies(s), dump_text(s)
+        assert aut_order(s) == _reference_aut(s), dump_text(s)
         checked += 1
     assert checked > 0
-    assert (canonical_key(LEAF), leaves(LEAF), galls(LEAF)) == (b"L", 1, 0)
+    assert (canonical_key(LEAF), leaves(LEAF), galls(LEAF), aut_order(LEAF)) == (b"L", 1, 0, 1)
 
 
 def test_stored_fields_stay_out_of_eq_hash_and_repr():
     for cls in (Internal, GallTop):
         stored = [f.name for f in fields(cls) if not f.compare or not f.repr]
-        assert stored == ["key", "n_leaves", "n_galls", "expansion"]
+        assert stored == ["key", "n_leaves", "n_galls", "aut", "expansion"]
     cherry = Internal(LEAF, LEAF)
     assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
     assert not hasattr(cherry, "__dict__")
@@ -437,6 +463,20 @@ def _reference_validate(s, network_class):
             if children[children[r][0]]:
                 bad(f"reticulation {r}: subtree below it is not a single leaf")
     return leaves(s), galls(s), violations
+
+
+def test_single_parents_come_first_in_preorder():
+    # the merge walk in validate relies on it: every node with exactly one
+    # parent comes after that parent, so parent chains strictly decrease
+    checked = 0
+    for cls in NetworkClass:
+        for n in range(1, 8):
+            for s in generate_all(cls, n):
+                for x in (s, parse_text(_mirror_text(s))):
+                    recs = _expansion(x)
+                    assert all(p[0] > 0 for p, _ in recs if len(p) == 1), dump_text(x)
+                    checked += 1
+    assert checked == 2 * 13553
 
 
 def _assert_matches_reference(s):
