@@ -521,15 +521,21 @@ def exact_fixed_g_count(spec: TreeClassSpec, g: int, n: int, order: Optional[int
 def ratio_exact_to_estimate(
     spec: TreeClassSpec, g: int, n: int, order: Optional[int] = None
 ) -> float:
-    """exact(n) / estimate(n), computed in log space."""
+    """exact(n) / estimate(n), computed in log space; exactly 0.0 when no
+    network with g galls has n leaves."""
     exact = exact_fixed_g_count(spec, g, n, order)
+    if exact == 0:
+        return 0.0
     return math.exp(math.log(exact) - estimate_log(spec, g, n))
 
 
 def simplex_to_general_ratio(g: int, n: int, order: Optional[int] = None) -> float:
-    """Exact simplex/general unlabeled count ratio at one n (compares to rho^g)."""
+    """Exact simplex/general unlabeled count ratio at one n (compares to rho^g).
+    Raises ValueError when there is no general network to divide by."""
     spec_s = TreeClassSpec(NetworkClass.SIMPLEX_TC, Labeling.UNLABELED)
     spec_g = TreeClassSpec(NetworkClass.GENERAL, Labeling.UNLABELED)
-    a = exact_fixed_g_count(spec_s, g, n, order)
     b = exact_fixed_g_count(spec_g, g, n, order)
-    return math.exp(math.log(a) - math.log(b))
+    if b == 0:
+        raise ValueError(f"no general unlabeled network has g = {g} galls and n = {n} leaves")
+    a = exact_fixed_g_count(spec_s, g, n, order)
+    return math.exp(math.log(a) - math.log(b)) if a else 0.0

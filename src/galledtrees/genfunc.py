@@ -288,21 +288,28 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # The g = 1, 2 closed forms, written once.  Every u^k inv^k in them, with u
 # the base tree series and inv = 1 / (1 - u), is w^k for w = inv - 1 =
-# u / (1 - u), and likewise u(t^2) inv(t^2) = w2 = inv(t^2) - 1, so
+# u / (1 - u), and likewise u(t^2) inv(t^2) = w2 = inv(t^2) - 1 = w(t^2), so
 #   general  e1 = 1/2 w (w^2 + 2w + w2)
 #            e2 = 1/2 inv (e1 (e1 + w^2 + w2 + 2w + 2p) + e1(t^2))
 #   simplex  e1 = 1/2 t inv (w^2 + w2)
 #            e2 = 1/2 inv (e1 (e1 + 2t p) + e1(t^2))
 # with p = inv (w^2 + w) = w inv^2; w2 and the e1(t^2) terms drop out for
-# the labeled families.  `_closed_form` evaluates this over a ring: a
-# namespace with mul, lin (a sum of terms, (c, x) adding c times x), halve,
-# shift (multiply by t) and sq (the t^2 substitution, None when labeled),
-# holding inv, w2 and the derived w, w^2, p and g = 1 results.  Two kinds:
+# the labeled families.  Since inv = 1 + w, the products w^3 = w w^2 and
+# ww2 = w w2 give p and both g = 1 forms as plain sums:
+#   p = w^3 + 2w^2 + w
+#   general  e1 = 1/2 (w^3 + 2w^2 + ww2)
+#   simplex  e1 = 1/2 t (w^2 + w2 + w^3 + ww2)
+# `_ring` evaluates these, and each family's g = 2 cofactor (the factor
+# after e1 in e2), over a ring: a namespace with mul, lin (a sum of terms,
+# (c, x) adding c times x), halve, shift (multiply by t) and sq (the t^2
+# substitution, None when labeled).  `_closed_form` finishes g = 2 with two
+# products.  Two kinds of ring:
 # * integer arrays through t^order: OGF arrays unlabeled, count form
 #   (A[n] = n! [t^n] f) labeled.  One ring per (labeling, order) is shared
-#   by the families, so the four unlabeled arrays cost 8 products and 2
-#   geometric inverses in all.  The 1/2 is applied by computing twice the
-#   series and halving, so everything stays in exact integer arithmetic.
+#   by the families, so the four unlabeled arrays cost 7 products and 1
+#   geometric inverse in all (the labeled ones 6 and 1: no ww2).  The 1/2 is
+#   applied by computing twice the series and halving, so everything stays
+#   in exact integer arithmetic.
 # * Laurent polynomials in v = sqrt(1 - 2t) for the labeled families, whose
 #   base series is 1 - v: inv = 1/v, w2 = 0 and t = (1 - v^2) / 2.  A
 #   coefficient at any single n follows from n! [t^n] (1 - 2t)^(k/2) =
@@ -310,28 +317,35 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _ring(inv, one, w2, **ops) -> SimpleNamespace:
-    ring = SimpleNamespace(inv=inv, w2=w2, e1={}, **ops)
-    ring.w = ring.lin(inv, (-1, one))
-    ring.ww = ring.mul(ring.w, ring.w)
-    ring.p = ring.mul(inv, ring.lin(ring.ww, ring.w))
+def _ring(inv, one, **ops) -> SimpleNamespace:
+    ring = SimpleNamespace(inv=inv, **ops)
+    w = ring.lin(inv, (-1, one))
+    ww = ring.mul(w, w)
+    www = ring.mul(w, ww)
+    if ring.sq is None:
+        w2 = ww2 = ring.lin((0, w))
+    else:
+        w2 = ring.sq(w)
+        ww2 = ring.mul(w, w2)
+    e1g = ring.halve(ring.lin(www, (2, ww), ww2))
+    e1s = ring.halve(ring.shift(ring.lin(ww, w2, www, ww2)))
+    del ww2  # at large orders these arrays are most of the live memory
+    p = ring.lin(www, (2, ww), w)
+    del www
+    # keyed by simplex: the g = 1 form and the g = 2 cofactor of e1
+    ring.e1 = {False: e1g, True: e1s}
+    ring.cof = {
+        False: ring.lin(e1g, ww, w2, (2, w), (2, p)),
+        True: ring.lin(e1s, (2, ring.shift(p))),
+    }
     return ring
 
 
 def _closed_form(ring: SimpleNamespace, simplex: bool, g: int):
-    e1 = ring.e1.get(simplex)
-    if e1 is None:
-        if simplex:
-            e1 = ring.halve(ring.shift(ring.mul(ring.inv, ring.lin(ring.ww, ring.w2))))
-        else:
-            e1 = ring.halve(ring.mul(ring.w, ring.lin(ring.ww, (2, ring.w), ring.w2)))
-        ring.e1[simplex] = e1
+    e1 = ring.e1[simplex]
     if g == 1:
         return e1
-    if simplex:
-        inner = ring.mul(e1, ring.lin(e1, (2, ring.shift(ring.p))))
-    else:
-        inner = ring.mul(e1, ring.lin(e1, ring.ww, ring.w2, (2, ring.w), (2, ring.p)))
+    inner = ring.mul(e1, ring.cof[simplex])
     if ring.sq is not None:
         inner = ring.lin(inner, ring.sq(e1))
     return ring.halve(ring.mul(ring.inv, inner))
@@ -357,13 +371,11 @@ def _array_ring(labeling: Labeling, order: int) -> SimpleNamespace:
             mul, shift, inverse = int_mul, int_shift_t, int_geom_inverse
             sq = partial(int_substitute_t_squared, order=order)
             u = wedderburn_sequence(order)
-            w2 = _lin(inverse(sq(u), order), (-1, one))
         else:
             mul, shift, inverse, sq = egf_mul, egf_shift_t, egf_geom_inverse, None
             u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
-            w2 = [0] * (order + 1)
         ring = _ring(
-            inverse(u, order), one, w2, mul=partial(mul, order=order), lin=_lin,
+            inverse(u, order), one, mul=partial(mul, order=order), lin=_lin,
             halve=partial(egf_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
         )
         _kit_cache[labeling, order] = ring
@@ -407,7 +419,7 @@ def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
     if g not in (1, 2):
         raise ValueError(f"need g in {{1, 2}}, got {g}")
     ring = _ring(
-        {-1: Fraction(1)}, {0: Fraction(1)}, {}, mul=_lv_mul, lin=_lv_lin,
+        {-1: Fraction(1)}, {0: Fraction(1)}, mul=_lv_mul, lin=_lv_lin,
         halve=lambda a: _lv_lin((HALF, a)), shift=partial(_lv_mul, {0: HALF, 2: -HALF}), sq=None,
     )
     return _closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g)

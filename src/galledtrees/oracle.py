@@ -165,9 +165,10 @@ def canonicalize(s):
         return Internal(a, b)
     ls = tuple(canonicalize(x) for x in s.left_seq)
     rs = tuple(canonicalize(x) for x in s.right_seq)
-    if _keys(rs) < _keys(ls):
-        ls, rs = rs, ls
-    return GallTop(ls, rs, canonicalize(s.ret_child))
+    kls, krs = _keys(ls), _keys(rs)
+    if krs < kls:
+        ls, rs, kls, krs = rs, ls, krs, kls
+    return GallTop(ls, rs, canonicalize(s.ret_child), _encode_paths(ls, rs, kls, krs))
 
 
 # -- generation ---------------------------------------------------------------

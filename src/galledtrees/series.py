@@ -23,17 +23,45 @@ the row's leaf count, and rung g of the fixed-g ladder has valuation above g.
 A bivariate product finds each row's span once and adds each row product over
 its own span only.
 
+Two spans of at least KRONECKER_MIN coefficients, none negative, are
+multiplied by Kronecker substitution: each is packed into one `Decimal` with
+a fixed-width slot of d decimal digits per coefficient, libmpdec multiplies
+the two with its number-theoretic transform in an exact context, and the low
+slots are read back from the digits.  Only slots below the truncation order
+must fit, since overflow carries upward; their bound comes from a line of
+slope p / q laid over the operands' bit lengths, and was within three digits
+of the widest slot in every product of the order-700 closed forms.  The
+operands are split once into halves, a0 b0 + t^h (a1 b0 + a0 b1): three
+half-size products skip a1 b1, which lies past the order, and hold the
+transform's scratch memory to that of a half-size product.  Short spans stay
+on the schoolbook loop, which was as fast or faster below about 256
+coefficients, and so do signed spans (only the fixed-g ladder forms those),
+which the slots cannot hold.  A slot wider than the interpreter's int/str
+digit limit also falls back to schoolbook.
+
 `egf_mul` and friends work on "count form" arrays A with A[n] = n! * [t^n] f,
 so exponential series can be convolved in pure integer arithmetic.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
+
+
+# Both nonzero spans at least this long: multiply by Kronecker substitution.
+KRONECKER_MIN = 256
+# Slots read back per string when unpacking a Kronecker product.
+_READ_SLOTS = 64
+# Exact integer arithmetic: no product this module forms is ever rounded.
+_DECIMAL_INTEGERS = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
 
 
 class SeriesDivergenceError(ArithmeticError):
@@ -421,12 +449,77 @@ def _span_mul(sa, sb, order: int):
         return None
     (va, a), (vb, b) = sa, sb
     la, lb = len(a), len(b)
+    n = min(order - va - vb, la + lb - 2) + 1  # coefficients c[0..n - 1]
+    if min(la, lb, n) >= KRONECKER_MIN and min(a) >= 0 and min(b) >= 0:
+        c = _kronecker_mul(a[:n], b[:n], n)
+        if c is not None:
+            return va + vb, c
     rb = b[::-1]  # rb[lb - 1 - j] = b[j]
     c = []
-    for n in range(min(order - va - vb, la + lb - 2) + 1):
-        lo, hi = max(0, n - lb + 1), min(n, la - 1)
-        c.append(sum(map(operator.mul, a[lo : hi + 1], rb[lb - 1 - n + lo : lb - n + hi])))
+    for k in range(n):
+        lo, hi = max(0, k - lb + 1), min(k, la - 1)
+        c.append(sum(map(operator.mul, a[lo : hi + 1], rb[lb - 1 - k + lo : lb - k + hi])))
     return va + vb, c
+
+
+def _slot_digits(a: Sequence[int], b: Sequence[int], n: int) -> int:
+    """A d with 10^d above every a[i], b[j] and every c_k, k < n, of c = a * b,
+    for nonnegative a and b with a[0] and b[0] nonzero.  Bit lengths grow
+    about linearly along these series, so they are bounded by lines of one
+    slope p / q, the operands' joint rise in bit length from first to last
+    coefficient over their joint run: q bitlen(a_i) <= A + p i with
+    A = max(q bitlen(a_i) - p i), likewise B for b, so each of the at most
+    min(len a, len b) terms of c_k is below 2^((A + B + p k) / q)."""
+    ea, eb = [x.bit_length() for x in a], [x.bit_length() for x in b]
+    p = max(0, ea[-1] - ea[0] + eb[-1] - eb[0])
+    q = max(1, len(a) + len(b) - 2)
+    top = (max(q * e - p * i for i, e in enumerate(ea))
+           + max(q * e - p * i for i, e in enumerate(eb)) + p * (n - 1))
+    bits = max(min(len(a), len(b)).bit_length() - (-top // q), max(ea), max(eb))
+    return bits * 30103 // 100000 + 1  # 0.30103 > log10(2), so 10^d > 2^bits
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int):
+    """c[0..n - 1] of c = a * b for nonnegative a, b of length at most n with
+    a[0], b[0] nonzero, or None when a slot's digits exceed the interpreter's
+    int/str conversion limit.  Each operand is packed into one Decimal with a
+    d-digit slot per coefficient (its value at t = 10^d), and libmpdec's
+    number-theoretic transform multiplies them.  The operands are split once
+    at h: a0 b0 + t^h (a1 b0 + a0 b1) leaves out only a1 b1, which starts at
+    t^(2h) >= t^n.  Every slot below n of each of the three products is at
+    most the c_k it adds to, so it fits in d digits, and overflow past the
+    needed slots only carries upward."""
+    d = _slot_digits(a, b, n)
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < d:
+        return None
+    h = (n + 1) // 2
+    a0 = _pack(a[:h], d)
+    b0 = a0 if a == b else _pack(b[:h], d)
+    c = [0] * n
+    _add_slots(c, 0, _DECIMAL_INTEGERS.multiply(a0, b0), d)
+    for hi, lo in ((a[h:], b0), (b[h:], a0)):
+        if hi:
+            _add_slots(c, h, _DECIMAL_INTEGERS.multiply(_pack(hi, d), lo), d)
+    return c
+
+
+def _pack(xs: Sequence[int], d: int) -> decimal.Decimal:
+    """sum_i xs[i] 10^(d i), each xs[i] below 10^d, as a Decimal."""
+    return decimal.Decimal((f"%0{d}d" * len(xs)) % tuple(reversed(xs)))
+
+
+def _add_slots(c: List[int], start: int, x: decimal.Decimal, d: int) -> None:
+    """Add the d-digit slots of the integer x to c[start:], lowest first,
+    dropping those past the end of c.  The digits are read _READ_SLOTS slots
+    at a time: shift in a context of that many slots' precision keeps only
+    the lowest digits, and a shift right drops them, so no string holds more
+    than one chunk."""
+    low = decimal.Context(prec=d * _READ_SLOTS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    for lo in range(start, len(c), _READ_SLOTS):
+        digits = str(low.shift(x, 0))
+        for i, j in zip(range(lo, len(c)), range(len(digits), 0, -d)):
+            c[i] += int(digits[max(0, j - d) : j])
+        x = _DECIMAL_INTEGERS.shift(x, -d * _READ_SLOTS)
 
 
 def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:

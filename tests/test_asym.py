@@ -218,6 +218,22 @@ def test_cross_family_ratio_small():
     assert abs(r / sc.rho - 1) < 0.15
 
 
+def test_ratio_of_a_zero_count_is_zero():
+    # two galls need at least three leaves (general) or four (simplex)
+    assert asym.exact_fixed_g_count(GENERAL_UNLABELED, 2, 2) == 0
+    assert asym.ratio_exact_to_estimate(GENERAL_UNLABELED, 2, 2) == 0.0
+    assert asym.exact_fixed_g_count(SIMPLEX_UNLABELED, 2, 3) == 0
+    assert asym.ratio_exact_to_estimate(SIMPLEX_UNLABELED, 2, 3) == 0.0
+    assert asym.ratio_exact_to_estimate(GENERAL_UNLABELED, 2, 3) > 0
+    # a zero simplex count over a nonzero general one is a ratio of 0
+    assert asym.simplex_to_general_ratio(2, 3) == 0.0
+
+
+def test_cross_family_ratio_refuses_a_zero_general_count():
+    with pytest.raises(ValueError, match=r"g = 2 galls and n = 2 leaves"):
+        asym.simplex_to_general_ratio(2, 2)
+
+
 def test_second_term_coefficient_shrinks_the_residual():
     # exact/estimate = 1 + a/sqrt(n) + O(1/n): once the a/sqrt(n) term is
     # divided out, the residual must fall like 1/n, so doubling n should about

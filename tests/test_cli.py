@@ -218,6 +218,13 @@ def test_asym_ratio_terms_refusals(capsys):
         assert code == 4 and out == "" and "asymptotics solver failed" in err
 
 
+def test_asym_ratio_of_a_zero_count(capsys):
+    for cls, n in (("general", "2"), ("simplex-tc", "3")):
+        code, out, err = run(capsys, "asym", "ratio", "--class", cls, "--labeling",
+                             "unlabeled", "-g", "2", "-n", n)
+        assert (code, out, err) == (0, "ratio 0.000000\n", "")
+
+
 def test_asym_estimate(capsys):
     code, out, _ = run(capsys, "asym", "estimate", "--class", "general", "--labeling",
                        "unlabeled", "-g", "1", "-n", "100")

@@ -1,5 +1,8 @@
 import math
-from functools import lru_cache
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +17,19 @@ from galledtrees.counts import (
     TC_LABELED,
     TC_UNLABELED,
     Labeling,
+    NetworkClass,
     count,
+    labeled_tree_count,
     total,
+    wedderburn_sequence,
+)
+from galledtrees.series import (
+    egf_geom_inverse,
+    egf_scale,
+    egf_shift_t,
+    int_geom_inverse,
+    int_shift_t,
+    int_substitute_t_squared,
 )
 
 CLOSED_FORM_SPECS = (GENERAL_UNLABELED, GENERAL_LABELED, SIMPLEX_UNLABELED, SIMPLEX_LABELED)
@@ -167,6 +181,113 @@ def test_fast_paths_match_closed_forms_in_any_call_order():
         for spec in CLOSED_FORM_SPECS:
             for g in (2, 1):
                 assert genfunc.fixed_g_counts(spec, g, 60) == want[spec, g], (spec, g)
+
+
+# A copy of the earlier evaluation of the g = 1, 2 closed forms, with 8
+# products and 2 geometric inverses per ring: p = inv (w^2 + w), one product
+# for each e1, and w2 = 1 / (1 - u(t^2)) - 1 from its own inverse.  Its
+# products are plain schoolbook convolutions, so it shares no multiplication
+# kernel with the code under test.
+
+
+def _school_mul(a, b, order):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order + 1)]
+
+
+def _school_egf_mul(a, b, order):
+    return [sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
+            for k in range(order + 1)]
+
+
+def _ref_ring(inv, one, w2, **ops):
+    ring = SimpleNamespace(inv=inv, w2=w2, **ops)
+    ring.w = ring.lin(inv, (-1, one))
+    ring.ww = ring.mul(ring.w, ring.w)
+    ring.p = ring.mul(inv, ring.lin(ring.ww, ring.w))
+    return ring
+
+
+def _ref_closed_form(ring, simplex, g):
+    if simplex:
+        e1 = ring.halve(ring.shift(ring.mul(ring.inv, ring.lin(ring.ww, ring.w2))))
+    else:
+        e1 = ring.halve(ring.mul(ring.w, ring.lin(ring.ww, (2, ring.w), ring.w2)))
+    if g == 1:
+        return e1
+    if simplex:
+        inner = ring.mul(e1, ring.lin(e1, (2, ring.shift(ring.p))))
+    else:
+        inner = ring.mul(e1, ring.lin(e1, ring.ww, ring.w2, (2, ring.w), (2, ring.p)))
+    if ring.sq is not None:
+        inner = ring.lin(inner, ring.sq(e1))
+    return ring.halve(ring.mul(ring.inv, inner))
+
+
+def _ref_array_ring(labeling, order):
+    one = [1] + [0] * order
+    if labeling is Labeling.UNLABELED:
+        mul, shift, inverse = _school_mul, int_shift_t, int_geom_inverse
+        sq = partial(int_substitute_t_squared, order=order)
+        u = wedderburn_sequence(order)
+        w2 = genfunc._lin(inverse(sq(u), order), (-1, one))
+    else:
+        mul, shift, inverse, sq = _school_egf_mul, egf_shift_t, egf_geom_inverse, None
+        u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
+        w2 = [0] * (order + 1)
+    return _ref_ring(
+        inverse(u, order), one, w2, mul=partial(mul, order=order), lin=genfunc._lin,
+        halve=partial(egf_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
+    )
+
+
+@pytest.mark.parametrize("labeling, order",
+                         [(Labeling.UNLABELED, 300), (Labeling.LEAF_LABELED, 40)])
+def test_closed_forms_match_the_eight_product_evaluation(labeling, order):
+    genfunc.clear_caches()
+    ref = _ref_array_ring(labeling, order)
+    for spec in CLOSED_FORM_SPECS:
+        if spec.labeling is labeling:
+            simplex = spec.network_class is NetworkClass.SIMPLEX_TC
+            for g in (1, 2):
+                want = _ref_closed_form(ref, simplex, g)
+                assert genfunc.fixed_g_counts(spec, g, order) == want, (spec, g)
+
+
+@pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED])
+@pytest.mark.parametrize("g", [1, 2])
+def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
+    half = Fraction(1, 2)
+    ref = _ref_ring(
+        {-1: Fraction(1)}, {0: Fraction(1)}, {}, mul=genfunc._lv_mul, lin=genfunc._lv_lin,
+        halve=lambda a: genfunc._lv_lin((half, a)),
+        shift=partial(genfunc._lv_mul, {0: half, 2: -half}), sq=None,
+    )
+    simplex = spec is SIMPLEX_LABELED
+    assert genfunc._labeled_laurent(spec, g) == _ref_closed_form(ref, simplex, g)
+
+
+@pytest.mark.parametrize("labeling, mul, inverse, want", [
+    (Labeling.UNLABELED, "int_mul", "int_geom_inverse", 7),
+    (Labeling.LEAF_LABELED, "egf_mul", "egf_geom_inverse", 6),  # no t^2 term: no w w2
+])
+def test_closed_form_arrays_take_seven_products_and_one_inverse(
+    monkeypatch, labeling, mul, inverse, want
+):
+    calls = Counter()
+    for name in (mul, inverse):
+        kernel = getattr(genfunc, name)
+        monkeypatch.setattr(
+            genfunc, name, lambda *a, _k=kernel, _n=name, **kw: calls.update([_n]) or _k(*a, **kw)
+        )
+    genfunc.clear_caches()
+    try:
+        for spec in CLOSED_FORM_SPECS:
+            if spec.labeling is labeling:
+                for g in (1, 2):
+                    genfunc.fixed_g_counts(spec, g, 30)
+    finally:
+        genfunc.clear_caches()  # the cached ring holds the counting kernels
+    assert calls == {mul: want, inverse: 1}
 
 
 def test_fast_path_guards():

@@ -1,10 +1,13 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from galledtrees.counts import Labeling
+from galledtrees import series
+from galledtrees.counts import Labeling, wedderburn_sequence
 from galledtrees.genfunc import base_tree_series
 from galledtrees.series import (
     BivariateSeries,
@@ -451,3 +454,113 @@ def test_geom_inverse_keeps_labeled_integers_small():
     assert _grading_scale([(1, 1), (2, 1)], 97, 3) == 97  # a prime above top enters whole
     assert _grading_scale([(2, 2), (3, 1)], 8, 3) == 2  # 2^2 * 2/8 and 2^3 * 1/8
     assert _grading_scale([(1, 2), (3, 1)], 8, 3) == 4  # 2/8 at t^1 needs 4
+
+
+# -- Kronecker substitution in int_mul ----------------------------------------
+
+
+def _ref_int_mul(a, b):
+    """`_ref_mul` in plain ints, fast enough for long, wide operands."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
+
+
+def _spy_kronecker(mp, cutoff):
+    """Lower the Kronecker cutoff to `cutoff` and record, per call of the
+    kernel, whether it multiplied (True) or fell back to schoolbook (False)."""
+    calls = []
+    kernel = series._kronecker_mul
+
+    def spy(a, b, n):
+        got = kernel(a, b, n)
+        calls.append(got is not None)
+        return got
+
+    mp.setattr(series, "KRONECKER_MIN", cutoff)
+    mp.setattr(series, "_kronecker_mul", spy)
+    return calls
+
+
+@st.composite
+def kronecker_operands(draw):
+    """A nonnegative int array: a valuation's leading zeros, then a span that
+    may hold zero runs and grow geometrically like a counting series, and at
+    times one huge coefficient among small ones."""
+    ratio = draw(st.sampled_from([1, 3, 10**5]))
+    core = draw(st.lists(st.one_of(st.just(0), st.integers(1, 10**6)), min_size=1, max_size=40))
+    core = [x * ratio**k for k, x in enumerate(core)]
+    if draw(st.booleans()):
+        core[draw(st.integers(0, len(core) - 1))] = draw(st.integers(10**40, 10**80))
+    return [0] * draw(st.integers(0, 4)) + core + [0] * draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=kronecker_operands(), b=kronecker_operands(), order=st.integers(0, 90),
+       cutoff=st.integers(1, 6), signed=st.booleans())
+@example(a=[1] * 8, b=[2] * 8, order=14, cutoff=2, signed=False)  # n = 15, odd
+@example(a=[1] * 8, b=[2] * 8, order=13, cutoff=2, signed=False)  # n = 14, even
+@example(a=[0, 0, 5, 1, 7], b=[3] * 12, order=20, cutoff=2, signed=False)  # no a1
+@example(a=[9, 0, 0, 0, 0, 0, 4], b=[0, 1, 0, 0, 0, 0, 0, 2], order=9, cutoff=3,
+         signed=False)  # zero runs, the order cutting inside the upper half
+@example(a=[1, 10**80, 1, 1], b=[1, 1, 1, 1], order=6, cutoff=2, signed=False)  # outlier
+@example(a=[1] * 8, b=[2] * 8, order=14, cutoff=2, signed=True)
+def test_kronecker_mul_matches_schoolbook(a, b, order, cutoff, signed):
+    if signed:  # a negative coefficient at the start of b's span
+        b = list(b)
+        v = next((i for i, x in enumerate(b) if x), 0)
+        b[v] = -b[v]
+    want = _ref_int_mul(_padded(a, order), _padded(b, order))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_kronecker(mp, cutoff)
+        assert int_mul(a, b, order) == want
+        assert int_mul(b, a, order) == want
+    if signed:
+        assert calls == []  # signed spans stay on schoolbook
+
+
+def test_kronecker_mul_runs_at_the_split_boundaries():
+    rng = random.Random(12)
+    cases = [  # (valuation, length) of a and of b, then the order
+        ((0, 8), (0, 8), 14),  # n = 15: odd, a1 and b1 one shorter than the halves
+        ((0, 8), (0, 8), 13),  # n = 14: even, a1 cut inside
+        ((0, 3), (0, 12), 20),  # a no longer than h: no a1 b0 product
+        ((2, 9), (1, 9), 10),  # valuations, the order cutting inside the upper half
+        ((0, 40), (5, 3), 60),  # unequal lengths, b no longer than h
+    ]
+    for (va, la), (vb, lb), order in cases:
+        a = [0] * va + [rng.randrange(1, 10**6) * 7**k for k in range(la)]
+        b = [0] * vb + [rng.randrange(1, 10**6) * 5**k for k in range(lb)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_kronecker(mp, 2)
+            got = int_mul(a, b, order)
+        assert calls == [True], (va, la, vb, lb, order)
+        assert got == _ref_int_mul(_padded(a, order), _padded(b, order))
+
+
+def test_slot_width_is_a_tight_bound_on_a_counting_series():
+    # w = u / (1 - u) for the unlabeled tree series u, which the closed forms
+    # square at large orders; d may exceed the widest slot by two digits here
+    w = int_geom_inverse(wedderburn_sequence(300), 300)[1:]
+    d = series._slot_digits(w, w, len(w))
+    c = series._kronecker_mul(w, w, len(w))
+    assert c == int_mul(w, w, len(w) - 1)
+    assert 10 ** (d - 3) <= max(c) < 10**d
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_kronecker_mul_respects_the_int_str_digit_limit():
+    # products of 700-digit coefficients need slots of about 1,400 digits,
+    # wider than 640, the smallest limit the interpreter accepts
+    rng = random.Random(640)
+    n = series.KRONECKER_MIN + 2
+    a = [rng.randrange(10**699, 10**700) for _ in range(n)]
+    b = [rng.randrange(10**699, 10**700) for _ in range(n)]
+    want = _ref_int_mul(a, b)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert series._kronecker_mul(a, b, n) is None
+        assert int_mul(a, b, n - 1) == want  # falls back to schoolbook
+        sys.set_int_max_str_digits(0)  # no limit
+        assert series._kronecker_mul(a, b, n) == want
+    finally:
+        sys.set_int_max_str_digits(old)
