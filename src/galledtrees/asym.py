@@ -240,6 +240,12 @@ class CharFamily(Enum):
     TIME_CONSISTENT_LABELED = "time-consistent-labeled"
 
 
+# The families whose phi reads truncated totals series as data.
+_DATA_FAMILIES = frozenset({
+    CharFamily.GENERAL_UNLABELED, CharFamily.SIMPLEX_UNLABELED, CharFamily.TIME_CONSISTENT_UNLABELED,
+})
+
+
 @dataclass(frozen=True)
 class CharSysSolution:
     family: CharFamily
@@ -259,12 +265,17 @@ class CharSysSolution:
         return abs(phi(self.r, self.s) - self.s), abs(phi_w(self.r, self.s) - 1.0)
 
     def truncation_error(self) -> float:
-        """|delta(N) - delta(max(1, N // 2))| for truncation order N.
+        """|delta(N) - delta(N // 2)| for truncation order N.
 
         The residuals are taken against the same truncated data, so they
-        cannot see truncation error; halving the order exposes it."""
+        cannot see truncation error; halving the order exposes it.  Below
+        order 2 there is no lower order to compare with: the error is
+        unknown (inf) for the families that read totals data, and 0.0 for
+        the labeled ones, whose phi is closed."""
+        if self.truncation_n < 2:
+            return math.inf if self.family in _DATA_FAMILIES else 0.0
         half = solve_charsys(
-            self.family, max(1, self.truncation_n // 2), self.mode, self.replicate_reported
+            self.family, self.truncation_n // 2, self.mode, self.replicate_reported
         )
         return abs(self.delta - half.delta)
 
@@ -461,21 +472,13 @@ def solve_charsys(
             w = s_of_r(r)
             return phi(r, w) - w
 
-        has_data = family in (
-            CharFamily.GENERAL_UNLABELED,
-            CharFamily.TIME_CONSISTENT_UNLABELED,
-        )
+        has_data = family in _DATA_FAMILIES
         # Data-backed families must keep r^2 inside the totals series' disk.
         hi_scan = 0.30 if has_data else 0.45
         lo, hi = _scan_bracket(resid, 1e-4, hi_scan)
         r = _bisect(resid, lo, hi, tol=1e-12)
         s = s_of_r(r)
-        b = (
-            series_value(_totals_data(family, order), r * r)
-            if family
-            in (CharFamily.GENERAL_UNLABELED, CharFamily.TIME_CONSISTENT_UNLABELED)
-            else None
-        )
+        b = series_value(_totals_data(family, order), r * r) if has_data else None
 
     pt = phi_t(r, s)
     if replicate_reported:

@@ -210,7 +210,12 @@ def cmd_asym(args, parser) -> int:
             parser.error("ratio supports -g in {1, 2}")
         ratio = asym.ratio_exact_to_estimate(spec, args.g, args.n, **order)
         if args.terms == 2:  # the estimate times 1 + a / sqrt(n)
-            ratio /= 1.0 + asym.second_term_coefficient(spec, args.g) / math.sqrt(args.n)
+            a = asym.second_term_coefficient(spec, args.g)
+            factor = 1.0 + a / math.sqrt(args.n)
+            if factor <= 0.0:
+                raise ValueError(f"two-term estimate is not positive: 1 + a/sqrt(n) <= 0 "
+                                 f"for a = {a:.6f} at n = {args.n}")
+            ratio /= factor
         print(f"ratio {ratio:.6f}")
         return EXIT_OK
     except (ArithmeticError, ValueError) as exc:

@@ -17,9 +17,10 @@ Each family's functional equation is written once, in ``_equation``:
 ``arbitrary_galls_series`` over ``TruncatedSeries`` at u = 1, counting over
 all gall numbers at once.  The g = 1, 2 closed forms are written once too, in
 ``_closed_form``, and evaluated over integer OGF arrays (unlabeled) and
-count-form arrays (labeled) by ``fixed_g_counts``, the integer fast path for
-large truncation orders that ``closed_small_g`` wraps as a series, and over
-Laurent polynomials in v = sqrt(1 - 2t) by ``labeled_fixed_g_count_at``.
+Laurent polynomials in v = sqrt(1 - 2t) (labeled).  ``fixed_g_counts``, the
+integer fast path for large truncation orders that ``closed_small_g`` wraps as
+a series, reads the labeled arrays off the Laurent terms, as
+``labeled_fixed_g_count_at`` reads one labeled count at a single n.
 """
 
 from __future__ import annotations
@@ -32,18 +33,15 @@ from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from .comb import even_weighted_partitions, partition_multinomial, weighted_partitions
-from .counts import Labeling, NetworkClass, TreeClassSpec, labeled_tree_count, wedderburn_sequence
+from .counts import Labeling, NetworkClass, TreeClassSpec, wedderburn_sequence
 from .series import (
     BivariateSeries,
     TruncatedSeries,
     bivariate_fixed_point,
-    egf_geom_inverse,
-    egf_mul,
-    egf_scale,
-    egf_shift_t,
     fixed_point_solve,
     int_geom_inverse,
     int_mul,
+    int_scale,
     int_shift_t,
     int_substitute_t_squared,
 )
@@ -304,16 +302,15 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 # (c, x) adding c times x), halve, shift (multiply by t) and sq (the t^2
 # substitution, None when labeled).  `_closed_form` finishes g = 2 with two
 # products.  Two kinds of ring:
-# * integer arrays through t^order: OGF arrays unlabeled, count form
-#   (A[n] = n! [t^n] f) labeled.  One ring per (labeling, order) is shared
-#   by the families, so the four unlabeled arrays cost 7 products and 1
-#   geometric inverse in all (the labeled ones 6 and 1: no ww2).  The 1/2 is
-#   applied by computing twice the series and halving, so everything stays
-#   in exact integer arithmetic.
+# * integer OGF arrays through t^order for the unlabeled families.  One ring
+#   per order is shared by the families, so the four arrays cost 7 products
+#   and 1 geometric inverse in all.  The 1/2 is applied by computing twice
+#   the series and halving, so everything stays in exact integer arithmetic.
 # * Laurent polynomials in v = sqrt(1 - 2t) for the labeled families, whose
-#   base series is 1 - v: inv = 1/v, w2 = 0 and t = (1 - v^2) / 2.  A
-#   coefficient at any single n follows from n! [t^n] (1 - 2t)^(k/2) =
-#   prod_{j=0}^{n-1} (2j - k) without building the whole series.
+#   base series is 1 - v: inv = 1/v, w2 = 0 and t = (1 - v^2) / 2.  Each
+#   form is 4 to 8 terms c_k v^k, and n! [t^n] v^k = prod_{j<n} (2j - k) is
+#   a running product in n, so counts are read off the terms, one or all
+#   through t^order, without a series product.
 # ---------------------------------------------------------------------------
 
 
@@ -360,25 +357,18 @@ def _lin(*terms) -> List[int]:
     return out
 
 
-_kit_cache: Dict[Tuple[Labeling, int], SimpleNamespace] = {}
+_kit_cache: Dict[int, SimpleNamespace] = {}
 
 
-def _array_ring(labeling: Labeling, order: int) -> SimpleNamespace:
-    ring = _kit_cache.get((labeling, order))
+def _array_ring(order: int) -> SimpleNamespace:
+    ring = _kit_cache.get(order)
     if ring is None:
-        one = [1] + [0] * order
-        if labeling is Labeling.UNLABELED:
-            mul, shift, inverse = int_mul, int_shift_t, int_geom_inverse
-            sq = partial(int_substitute_t_squared, order=order)
-            u = wedderburn_sequence(order)
-        else:
-            mul, shift, inverse, sq = egf_mul, egf_shift_t, egf_geom_inverse, None
-            u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
-        ring = _ring(
-            inverse(u, order), one, mul=partial(mul, order=order), lin=_lin,
-            halve=partial(egf_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
+        ring = _kit_cache[order] = _ring(
+            int_geom_inverse(wedderburn_sequence(order), order), [1] + [0] * order,
+            mul=partial(int_mul, order=order), lin=_lin, halve=partial(int_scale, num=1, den=2),
+            shift=partial(int_shift_t, order=order),
+            sq=partial(int_substitute_t_squared, order=order),
         )
-        _kit_cache[labeling, order] = ring
     return ring
 
 
@@ -391,8 +381,15 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
         raise ValueError("no closed small-g form is wired up for the time-consistent class")
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
-    ring = _array_ring(spec.labeling, order)
-    return list(_closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g))
+    if spec.is_labeled:
+        den, terms = _laurent_terms(spec, g)
+        acc = [0] * (order + 1)
+        for k, c in terms:  # c n! [t^n] v^k, one factor per step in n
+            for n in range(order + 1):
+                acc[n] += c
+                c *= 2 * n - k
+        return [_exact_count(a, den, n) for n, a in enumerate(acc)]
+    return list(_closed_form(_array_ring(order), spec.network_class is NetworkClass.SIMPLEX_TC, g))
 
 
 def _lv_mul(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fraction]:
@@ -425,22 +422,30 @@ def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
     return _closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g)
 
 
-def _binom_pow_count(k: int, n: int) -> int:
-    # n! [t^n] (1 - 2t)^(k/2), exact for any integer k.
-    out = 1
-    for j in range(n):
-        out *= 2 * j - k
-    return out
+def _laurent_terms(spec: TreeClassSpec, g: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """(den, [(k, den c_k)]): the labeled Laurent form sum c_k v^k over the
+    lcm den of its denominators, so its counts accumulate as integers."""
+    laurent = _labeled_laurent(spec, g)
+    den = math.lcm(*(c.denominator for c in laurent.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in laurent.items()]
+
+
+def _exact_count(acc: int, den: int, n: int) -> int:
+    q, r = divmod(acc, den)
+    if r:
+        raise ValueError(f"non-integer count at n={n}: {Fraction(acc, den)}")
+    return q
 
 
 def labeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int) -> int:
     """Exact labeled count at a single n via the closed singular expansion."""
-    acc = Fraction(0)
-    for k, c in _labeled_laurent(spec, g).items():
-        acc += c * _binom_pow_count(k, n)
-    if acc.denominator != 1:
-        raise ValueError(f"non-integer count at n={n}: {acc}")
-    return acc.numerator
+    den, terms = _laurent_terms(spec, g)
+    acc = 0
+    for k, c in terms:
+        for j in range(n):  # n! [t^n] (1 - 2t)^(k/2)
+            c *= 2 * j - k
+        acc += c
+    return _exact_count(acc, den, n)
 
 
 def clear_caches() -> None:

@@ -38,9 +38,6 @@ on the schoolbook loop, which was as fast or faster below about 256
 coefficients, and so do signed spans (only the fixed-g ladder forms those),
 which the slots cannot hold.  A slot wider than the interpreter's int/str
 digit limit also falls back to schoolbook.
-
-`egf_mul` and friends work on "count form" arrays A with A[n] = n! * [t^n] f,
-so exponential series can be convolved in pure integer arithmetic.
 """
 
 from __future__ import annotations
@@ -423,8 +420,7 @@ def bivariate_fixed_point(
 
 
 # ---------------------------------------------------------------------------
-# Integer fast paths.  OGF arrays hold plain coefficients; EGF "count form"
-# arrays hold n! * [t^n] f, multiplied via binomial convolution.
+# Integer fast paths on OGF arrays of plain coefficients.
 # ---------------------------------------------------------------------------
 
 
@@ -560,50 +556,8 @@ def int_shift_t(f: Sequence[int], order: int) -> List[int]:
     return ([0] + list(f[:order]) + [0] * (order - len(f)))[: order + 1]
 
 
-def egf_mul(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
-    """Product of count-form arrays: C[n] = sum_i binom(n, i) A[i] B[n-i]."""
-    out = [0] * (order + 1)
-    row = [1]
-    for n in range(order + 1):
-        acc = 0
-        for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-            x = a[i]
-            if x:
-                y = b[n - i]
-                if y:
-                    acc += row[i] * x * y
-        out[n] = acc
-        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
-    return out
-
-
-def egf_geom_inverse(f: Sequence[int], order: int) -> List[int]:
-    """Count form of 1 / (1 - f) for an EGF f with zero constant term."""
-    if f[0] != 0:
-        raise ValueError("geom_inverse needs a zero constant term")
-    out = [0] * (order + 1)
-    out[0] = 1
-    row = [1]
-    for n in range(1, order + 1):
-        row = [1] + [row[i] + row[i + 1] for i in range(n - 1)] + [1]
-        out[n] = sum(
-            row[i] * f[i] * out[n - i]
-            for i in range(1, min(n, len(f) - 1) + 1)
-            if f[i]
-        )
-    return out
-
-
-def egf_shift_t(f: Sequence[int], order: int) -> List[int]:
-    """Count form of t * f: n! [t^n](t f) = n * F[n-1]."""
-    out = [0] * (order + 1)
-    for n in range(1, order + 1):
-        if n - 1 < len(f):
-            out[n] = n * f[n - 1]
-    return out
-
-
-def egf_scale(f: Sequence[int], num: int, den: int) -> List[int]:
+def int_scale(f: Sequence[int], num: int, den: int) -> List[int]:
+    """num / den times each entry, which must stay an integer."""
     out = []
     for v in f:
         q, r = divmod(v * num, den)

@@ -180,6 +180,10 @@ def test_asym_charsys_truncation_error(capsys):
     true_error = abs(asym.solve_charsys(fam, 3).delta - asym.solve_charsys(fam, 50).delta)
     assert float(value) >= true_error > 0
     assert max(float(v) for v in lines[-2].split()[1:]) < true_error
+    # at order 1 there is no lower order to compare with
+    code, out, _ = run(capsys, "asym", "charsys", "--family", "general-unlabeled",
+                       "--order", "1")
+    assert code == 0 and out.strip().splitlines()[-1] == "truncation-error inf"
 
 
 def test_asym_charsys_replicated(capsys):
@@ -216,6 +220,17 @@ def test_asym_ratio_terms_refusals(capsys):
         code, out, err = run(capsys, "asym", "ratio", "--class", "time-consistent",
                              "--labeling", labeling, "-g", "1", "-n", "50", "--terms", "2")
         assert code == 4 and out == "" and "asymptotics solver failed" in err
+    # a = -5.32 for labeled simplex at g = 2, so 1 + a / sqrt(n) <= 0 up to
+    # n = 28, also at n = 3, where no such network exists
+    argv = ("asym", "ratio", "--class", "simplex-tc", "--labeling", "labeled", "-g", "2")
+    for n in ("3", "10", "28"):
+        code, out, err = run(capsys, *argv, "-n", n, "--terms", "2")
+        assert code == 4 and out == "", n
+        assert "a = -5.317362" in err and f"n = {n}" in err
+    code, out, _ = run(capsys, *argv, "-n", "29", "--terms", "2")
+    assert code == 0 and float(out.split()[1]) > 0
+    code, out, _ = run(capsys, *argv, "-n", "10")  # the one-term ratio stays served
+    assert code == 0 and float(out.split()[1]) > 0
 
 
 def test_asym_ratio_of_a_zero_count(capsys):

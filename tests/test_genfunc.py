@@ -24,10 +24,8 @@ from galledtrees.counts import (
     wedderburn_sequence,
 )
 from galledtrees.series import (
-    egf_geom_inverse,
-    egf_scale,
-    egf_shift_t,
     int_geom_inverse,
+    int_scale,
     int_shift_t,
     int_substitute_t_squared,
 )
@@ -158,11 +156,14 @@ def test_general_minus_extra_is_time_consistent(gen_spec, tc_spec):
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
 @pytest.mark.parametrize("g", [1, 2])
 def test_integer_fast_paths_match_ladder(spec, g):
-    fast = genfunc.fixed_g_counts(spec, g, 24)
-    slow = genfunc.fixed_g_series(spec, g, 24).integer_coefficients(
+    fast = genfunc.fixed_g_counts(spec, g, 30)
+    slow = genfunc.fixed_g_series(spec, g, 30).integer_coefficients(
         scale_factorials=spec.is_labeled
     )
     assert fast == slow
+    assert fast[0] == 0
+    for n in range(1, 31):
+        assert fast[n] == count(spec, n, g), n
 
 
 def test_fast_paths_match_closed_forms_in_any_call_order():
@@ -187,7 +188,9 @@ def test_fast_paths_match_closed_forms_in_any_call_order():
 # products and 2 geometric inverses per ring: p = inv (w^2 + w), one product
 # for each e1, and w2 = 1 / (1 - u(t^2)) - 1 from its own inverse.  Its
 # products are plain schoolbook convolutions, so it shares no multiplication
-# kernel with the code under test.
+# kernel with the code under test.  The labeled ring runs on count-form
+# arrays A[n] = n! [t^n] f, with its own schoolbook product, shift and
+# inverse: the code under test reads labeled counts off the Laurent form.
 
 
 def _school_mul(a, b, order):
@@ -197,6 +200,17 @@ def _school_mul(a, b, order):
 def _school_egf_mul(a, b, order):
     return [sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
             for k in range(order + 1)]
+
+
+def _school_egf_shift(f, order):
+    return [k * f[k - 1] if k else 0 for k in range(order + 1)]
+
+
+def _school_egf_inverse(f, order):
+    out = [1]  # 1 / (1 - f) = 1 + f / (1 - f)
+    for k in range(1, order + 1):
+        out.append(sum(math.comb(k, i) * f[i] * out[k - i] for i in range(1, k + 1)))
+    return out
 
 
 def _ref_ring(inv, one, w2, **ops):
@@ -231,12 +245,12 @@ def _ref_array_ring(labeling, order):
         u = wedderburn_sequence(order)
         w2 = genfunc._lin(inverse(sq(u), order), (-1, one))
     else:
-        mul, shift, inverse, sq = _school_egf_mul, egf_shift_t, egf_geom_inverse, None
+        mul, shift, inverse, sq = _school_egf_mul, _school_egf_shift, _school_egf_inverse, None
         u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
         w2 = [0] * (order + 1)
     return _ref_ring(
         inverse(u, order), one, w2, mul=partial(mul, order=order), lin=genfunc._lin,
-        halve=partial(egf_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
+        halve=partial(int_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
     )
 
 
@@ -266,15 +280,13 @@ def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
     assert genfunc._labeled_laurent(spec, g) == _ref_closed_form(ref, simplex, g)
 
 
-@pytest.mark.parametrize("labeling, mul, inverse, want", [
-    (Labeling.UNLABELED, "int_mul", "int_geom_inverse", 7),
-    (Labeling.LEAF_LABELED, "egf_mul", "egf_geom_inverse", 6),  # no t^2 term: no w w2
-])
-def test_closed_form_arrays_take_seven_products_and_one_inverse(
-    monkeypatch, labeling, mul, inverse, want
-):
+@pytest.mark.parametrize("labeling, want", [
+    (Labeling.UNLABELED, {"int_mul": 7, "int_geom_inverse": 1}),
+    (Labeling.LEAF_LABELED, {}),  # read off the Laurent terms: no series product
+], ids=lambda v: "-".join(f"{k}-{n}" for k, n in v.items()) or "none" if type(v) is dict else None)
+def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, labeling, want):
     calls = Counter()
-    for name in (mul, inverse):
+    for name in ("int_mul", "int_geom_inverse"):
         kernel = getattr(genfunc, name)
         monkeypatch.setattr(
             genfunc, name, lambda *a, _k=kernel, _n=name, **kw: calls.update([_n]) or _k(*a, **kw)
@@ -287,7 +299,7 @@ def test_closed_form_arrays_take_seven_products_and_one_inverse(
                     genfunc.fixed_g_counts(spec, g, 30)
     finally:
         genfunc.clear_caches()  # the cached ring holds the counting kernels
-    assert calls == {mul: want, inverse: 1}
+    assert calls == want
 
 
 def test_fast_path_guards():
@@ -363,6 +375,10 @@ def test_labeled_singular_expansion_counts(spec, g):
             else 0
         )
         assert genfunc.labeled_fixed_g_count_at(spec, g, n) == want
+    # the whole array and the single-n extraction agree far out
+    counts = genfunc.fixed_g_counts(spec, g, 700)
+    for n in (350, 700):
+        assert counts[n] == genfunc.labeled_fixed_g_count_at(spec, g, n), n
 
 
 def test_labeled_expansion_guards():

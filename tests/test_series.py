@@ -15,13 +15,10 @@ from galledtrees.series import (
     TruncatedSeries,
     _grading_scale,
     bivariate_fixed_point,
-    egf_geom_inverse,
-    egf_mul,
-    egf_scale,
-    egf_shift_t,
     fixed_point_solve,
     int_geom_inverse,
     int_mul,
+    int_scale,
     int_shift_t,
     int_substitute_t_squared,
 )
@@ -258,24 +255,11 @@ def test_int_mul_convolves_only_the_nonzero_spans(a, b, order, as_tuples):
     assert list(x) == a and list(y) == b  # operands untouched
 
 
-def test_egf_paths_match_fraction_kernel():
-    import math
-
-    # count-form arrays F[n] = n! * coefficient
-    a = [0, 1, 3, 15, 105, 945]
-    b = [0, 2, 1, 7, 3, 4]
-    order = 5
-    fa = TruncatedSeries([Fraction(v, math.factorial(n)) for n, v in enumerate(a)])
-    fb = TruncatedSeries([Fraction(v, math.factorial(n)) for n, v in enumerate(b)])
-    want_mul = [(fa * fb)[n] * math.factorial(n) for n in range(order + 1)]
-    assert egf_mul(a, b, order) == [int(v) for v in want_mul]
-    want_inv = [fa.geom_inverse()[n] * math.factorial(n) for n in range(order + 1)]
-    assert egf_geom_inverse(a, order) == [int(v) for v in want_inv]
-    want_shift = [fa.shift_by_t()[n] * math.factorial(n) for n in range(order + 1)]
-    assert egf_shift_t(a, order) == [int(v) for v in want_shift]
-    assert egf_scale([2, 4, 6], 1, 2) == [1, 2, 3]
+def test_int_scale_keeps_counts_integral():
+    assert int_scale([2, 4, 6], 1, 2) == [1, 2, 3]
+    assert int_scale((0, 3), 4, 6) == [0, 2]
     with pytest.raises(ValueError):
-        egf_scale([1], 1, 2)
+        int_scale([1], 1, 2)
 
 
 # -- common-denominator representation vs a schoolbook Fraction reference -----
