@@ -38,7 +38,7 @@ def main():
         print(f"  plane {t} -> {dump_text(s)}")
     n = 5
     img = {dump_text(plane_to_saturated_general(t)) for t in all_plane_trees(n)}
-    slice_ = [s for s in generate_all(NetworkClass.GENERAL, n) if galls(s) == n - 1]
+    slice_ = generate_all(NetworkClass.GENERAL, n, n - 1)
     print(f"  n={n}: {len(img)} plane trees map onto all {len(slice_)} "
           f"structures with {n - 1} galls")
 

@@ -306,20 +306,14 @@ def _verify_bijections(failures):
     max_n = min(7, oracle._max_leaves_guard())
     for n in range(2, max_n + 1):
         img = set(bijections.saturated_general_slice(n))
-        want = {
-            oracle.canonical_key(s)
-            for s in oracle.generate_all(NetworkClass.GENERAL, n)
-            if oracle.galls(s) == n - 1
-        }
+        saturated = oracle.generate_all(NetworkClass.GENERAL, n, n - 1)
+        want = {oracle.canonical_key(s) for s in saturated}
         if img != want:
             failures.append(f"bijections: general image mismatch at n={n}")
     for m in range(1, (max_n + 1) // 2 + 1):
         img = set(bijections.saturated_simplex_slice(m))
-        want = {
-            oracle.canonical_key(s)
-            for s in oracle.generate_all(NetworkClass.SIMPLEX_TC, 2 * m - 1)
-            if oracle.galls(s) == m - 1
-        }
+        saturated = oracle.generate_all(NetworkClass.SIMPLEX_TC, 2 * m - 1, m - 1)
+        want = {oracle.canonical_key(s) for s in saturated}
         if img != want:
             failures.append(f"bijections: simplex image mismatch at m={m}")
     capped = " (capped by GALLED_MAX_N)" if max_n < 7 else ""

@@ -100,10 +100,11 @@ def solve_bivariate(spec: TreeClassSpec, t_order: int, u_order: int) -> Bivariat
         raise ValueError("need t_order >= 1 and u_order >= 0")
     t = BivariateSeries.t(t_order, u_order)
     unlabeled = spec.labeling is Labeling.UNLABELED
+    mark = operator.methodcaller("shift_by_u")  # on the solver's lazy series too
 
     def update(f):
         f2 = f.substitute_squared() if unlabeled else None
-        return _equation(spec, f, f2, t, BivariateSeries.shift_by_u)
+        return _equation(spec, f, f2, t, mark)
 
     return bivariate_fixed_point(update, t_order, u_order)
 
@@ -422,12 +423,21 @@ def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
     return _closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g)
 
 
-def _laurent_terms(spec: TreeClassSpec, g: int) -> Tuple[int, List[Tuple[int, int]]]:
-    """(den, [(k, den c_k)]): the labeled Laurent form sum c_k v^k over the
-    lcm den of its denominators, so its counts accumulate as integers."""
-    laurent = _labeled_laurent(spec, g)
-    den = math.lcm(*(c.denominator for c in laurent.values()))
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in laurent.items()]
+_laurent_cache: Dict[Tuple[TreeClassSpec, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+
+
+def _laurent_terms(spec: TreeClassSpec, g: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """(den, ((k, den c_k), ...)): the labeled Laurent form sum c_k v^k over
+    the lcm den of its denominators, so its counts accumulate as integers.
+    Built once per (family, g)."""
+    key = (spec, g)
+    got = _laurent_cache.get(key)
+    if got is None:
+        laurent = _labeled_laurent(spec, g)
+        den = math.lcm(*(c.denominator for c in laurent.values()))
+        terms = tuple((k, c.numerator * (den // c.denominator)) for k, c in laurent.items())
+        got = _laurent_cache[key] = (den, terms)
+    return got
 
 
 def _exact_count(acc: int, den: int, n: int) -> int:
@@ -452,3 +462,4 @@ def clear_caches() -> None:
     _base_cache.clear()
     _ladder_cache.clear()
     _kit_cache.clear()
+    _laurent_cache.clear()

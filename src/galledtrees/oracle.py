@@ -3,9 +3,15 @@ small n, validate against the graph-theoretic definitions, and count.
 
 Structures are built from a three-case grammar -- a leaf, an unordered root
 split, or a root gall carrying two node sequences and a reticulation subtree
--- with canonical forms deduplicating isomorphic shapes.  Each node carries
-its canonical key, its leaf and gall tallies and its automorphism order,
-computed once when it is built from its children's stored fields.
+-- with canonical forms deduplicating isomorphic shapes.  Generation is
+indexed by (n, g): each bucket holds the structures with n leaves and g
+galls, a split dividing g between its two subtrees and a root gall spending
+one gall and dividing the rest between its reticulation subtree and its two
+paths.  A caller that asks for one gall count builds only the buckets that
+count reaches, and `generate_all(cls, n)` merges the buckets of one n.  Each
+node carries its canonical key, its leaf and gall tallies and its
+automorphism order, computed once when it is built from its children's
+stored fields.
 Validation is deliberately independent of that algebra: a structure is
 expanded to an explicit node/edge DAG and checked against the degree and
 reticulation-cycle conditions directly, so the halving factors and
@@ -30,7 +36,9 @@ node number, until they meet.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
@@ -173,7 +181,9 @@ def canonicalize(s):
 
 # -- generation ---------------------------------------------------------------
 
-_gen_cache: Dict[Tuple[NetworkClass, int], Tuple] = {}
+# _gen_cache holds the (class, n, g) buckets, _all_cache their merges by n.
+_gen_cache: Dict[Tuple[NetworkClass, int, int], Tuple] = {}
+_all_cache: Dict[Tuple[NetworkClass, int], Tuple] = {}
 
 
 def _max_leaves_guard() -> int:
@@ -190,9 +200,9 @@ def _max_leaves_guard() -> int:
     raise ValueError(f"GALLED_MAX_N must be a positive integer, got {raw!r}")
 
 
-def generate_all(network_class: NetworkClass, n: int) -> Tuple:
-    """Every isomorphism class of the given network class with n leaves,
-    canonical, deterministically ordered."""
+def generate_all(network_class: NetworkClass, n: int, g: Optional[int] = None) -> Tuple:
+    """Every isomorphism class of the given network class with n leaves (and
+    exactly g galls, if g is given), canonical, ordered by canonical key."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     cap = _max_leaves_guard()
@@ -200,11 +210,19 @@ def generate_all(network_class: NetworkClass, n: int) -> Tuple:
         raise ValueError(
             f"n = {n} exceeds the brute-force guard ({cap}); set GALLED_MAX_N to override"
         )
-    return _generate(network_class, n)
+    if g is not None:
+        return _generate(network_class, n, g) if 0 <= g < n else ()
+    key = (network_class, n)
+    got = _all_cache.get(key)
+    if got is None:
+        merged = itertools.chain(*(_generate(network_class, n, g) for g in range(n)))
+        got = _all_cache[key] = tuple(sorted(merged, key=operator.attrgetter("key")))
+    return got
 
 
-def _generate(cls: NetworkClass, n: int) -> Tuple:
-    key = (cls, n)
+def _generate(cls: NetworkClass, n: int, g: int) -> Tuple:
+    """The structures with n leaves and g galls, 0 <= g < n, sorted by key."""
+    key = (cls, n, g)
     got = _gen_cache.get(key)
     if got is not None:
         return got
@@ -212,54 +230,64 @@ def _generate(cls: NetworkClass, n: int) -> Tuple:
     if n == 1:
         out[LEAF.key] = LEAF
     else:
-        # unordered root split
+        # unordered root split, its galls divided ga + gb
         for a in range(1, n // 2 + 1):
             b = n - a
-            for sa in _generate(cls, a):
-                for sb in _generate(cls, b):
-                    if a == b and sb.key < sa.key:
-                        continue
-                    s = Internal(sa, sb)
-                    out[s.key] = s
-        # root gall
-        simplex = cls is NetworkClass.SIMPLEX_TC
-        tc = cls is not NetworkClass.GENERAL
-        for s in _root_galls(cls, n, simplex, tc):
-            out[s.key] = s
+            for ga in range(max(0, g - b + 1), min(a - 1, g) + 1):
+                for sa in _generate(cls, a, ga):
+                    for sb in _generate(cls, b, g - ga):
+                        if a == b and sb.key < sa.key:
+                            continue
+                        s = Internal(sa, sb)
+                        out[s.key] = s
+        if g:
+            for s in _root_galls(cls, n, g):
+                out[s.key] = s
     result = tuple(out[k] for k in sorted(out))
     _gen_cache[key] = result
     return result
 
 
-def _root_galls(cls, n, simplex, tc) -> Iterable[GallTop]:
-    min_side = 1 if tc else 0
+def _root_galls(cls, n, g) -> Iterable[GallTop]:
+    """Root galls with n leaves and g galls: the root gall is one, and the
+    other g - 1 are divided between the reticulation subtree and the paths."""
+    simplex = cls is NetworkClass.SIMPLEX_TC
+    min_side = 1 if cls is not NetworkClass.GENERAL else 0
     for ret_leaves in (1,) if simplex else range(1, n):
         rest = n - ret_leaves
-        ret_opts = (LEAF,) if simplex else _generate(cls, ret_leaves)
-        for left_total in range(min_side, rest - min_side + 1):
-            right_total = rest - left_total
-            if left_total == 0 and right_total == 0:
-                continue  # both paths empty would double the top-ret edge
-            rights = _sequences_index(cls, right_total)
-            for ls, kls in _sequences_index(cls, left_total):
-                for rs, krs in rights:
-                    if krs < kls:
-                        continue  # keep one orientation of the two paths
-                    paths = _encode_paths(ls, rs, kls, krs)
-                    for rc in ret_opts:
-                        yield GallTop(ls, rs, rc, paths)
+        for ret_galls in range(min(ret_leaves - 1, g - 1) + 1):
+            ret_opts = (LEAF,) if simplex else _generate(cls, ret_leaves, ret_galls)
+            if not ret_opts:
+                continue
+            path_galls = g - 1 - ret_galls
+            for left_total in range(min_side, rest - min_side + 1):
+                right_total = rest - left_total
+                if left_total == 0 and right_total == 0:
+                    continue  # both paths empty would double the top-ret edge
+                for left_galls in range(path_galls + 1):
+                    rights = _sequences_index(cls, right_total, path_galls - left_galls)
+                    for ls, kls in _sequences_index(cls, left_total, left_galls):
+                        for rs, krs in rights:
+                            if krs < kls:
+                                continue  # keep one orientation of the two paths
+                            paths = _encode_paths(ls, rs, kls, krs)
+                            for rc in ret_opts:
+                                yield GallTop(ls, rs, rc, paths)
 
 
 @lru_cache(maxsize=None)
-def _sequences_index(cls: NetworkClass, total: int) -> Tuple[Tuple[Tuple, Tuple], ...]:
-    """Every path sequence with `total` leaves, paired with its key tuple."""
+def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple, Tuple], ...]:
+    """Every path sequence with `total` leaves and g galls, paired with its
+    key tuple; a piece with l leaves has at most l - 1 galls."""
     if total == 0:
-        return (((), ()),)
+        return (((), ()),) if g == 0 else ()
     out = []
     for first_leaves in range(1, total + 1):
-        for first in _generate(cls, first_leaves):
-            for rest, krest in _sequences_index(cls, total - first_leaves):
-                out.append(((first,) + rest, (first.key,) + krest))
+        for first_galls in range(min(first_leaves - 1, g) + 1):
+            rests = _sequences_index(cls, total - first_leaves, g - first_galls)
+            for first in _generate(cls, first_leaves, first_galls) if rests else ():
+                for rest, krest in rests:
+                    out.append(((first,) + rest, (first.key,) + krest))
     return tuple(out)
 
 
@@ -471,11 +499,8 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
 
 def count_by_galls(network_class: NetworkClass, n: int) -> Dict[int, int]:
     """Histogram of gall counts over all canonical structures with n leaves."""
-    hist: Dict[int, int] = {}
-    for s in generate_all(network_class, n):
-        g = galls(s)
-        hist[g] = hist.get(g, 0) + 1
-    return dict(sorted(hist.items()))
+    buckets = {g: generate_all(network_class, n, g) for g in range(n)}
+    return {g: len(b) for g, b in buckets.items() if b}
 
 
 def aut_order(s) -> int:
@@ -489,18 +514,18 @@ def labeled_count(network_class: NetworkClass, n: int) -> Dict[int, int]:
     """Distinct leaf-labelings per gall count, via n! / |Aut| per structure."""
     nf = math.factorial(n)
     hist: Dict[int, int] = {}
-    for s in generate_all(network_class, n):
-        a = aut_order(s)
-        if nf % a:
-            raise ArithmeticError(f"automorphism order {a} does not divide {n}!")
-        hist[galls(s)] = hist.get(galls(s), 0) + nf // a
-    return dict(sorted(hist.items()))
+    for g in range(n):
+        for s in generate_all(network_class, n, g):
+            a = aut_order(s)
+            if nf % a:
+                raise ArithmeticError(f"automorphism order {a} does not divide {n}!")
+            hist[g] = hist.get(g, 0) + nf // a
+    return hist
 
 
 def count_labelings_explicit(s, n: int) -> int:
     """Independent labeling count: try all n! leaf-label assignments and count
     distinct labeled canonical forms.  Exponential; cross-check for tiny n."""
-    import itertools
 
     def labeled_key(sub, labels, pos) -> Tuple[bytes, int]:
         if isinstance(sub, Leaf):
@@ -598,5 +623,6 @@ def _parse_seq(text, pos, terminator):
 
 def clear_cache() -> None:
     _gen_cache.clear()
+    _all_cache.clear()
     _RECORDS.clear()
     _sequences_index.cache_clear()

@@ -10,10 +10,17 @@ assumed.  Functional equations of the shape F = Phi(F) are solved by
 `fixed_point_solve` and `bivariate_fixed_point`.  Every equation fed to them
 is contractive: its right side carries an extra factor of t, or is quadratic
 in an F with zero constant term, so coefficient k of Phi(F) reads only
-coefficients below k of F.  Pass k therefore runs Phi on the solution so far,
-padded to order k, and fixes coefficient k.  Products cost about the square of
-the order, so the N + 1 passes together cost about as much as N / 3 passes at
-full order.  One last full-order pass verifies stationarity.
+coefficients below k of F.  The solvers evaluate Phi online (van der Hoeven,
+"Relax, but don't be too lazy", J. Symbolic Comput. 34(6), 2002): Phi runs
+once on a lazy series, and each t^k row of every intermediate series is
+computed once, from rows already known, the first time it is read; row k of
+Phi(F) is row k of F.  Row k of a product sums x_i y_(k-i) for i from val(x)
+to k - val(y), val a static lower bound on the valuation, skipping zero rows,
+and row k of 1 / (1 - f) is h_0 times the sum of f_i h_(k-i) over i >= 1.
+Reading a row of F that is not known yet means the equation is not
+contractive, and raises SeriesDivergenceError.  A solve so costs one
+computation of each row plus one full-order run of Phi, which verifies
+stationarity.
 
 `int_mul` convolves only the nonzero span of each operand, from its first to
 its last nonzero coefficient, and writes the product from t^(va + vb) on, va
@@ -62,7 +69,8 @@ _DECIMAL_INTEGERS = decimal.Context(
 
 
 class SeriesDivergenceError(ArithmeticError):
-    """A fixed-point pass changed a coefficient after its stabilization pass."""
+    """A fixed-point equation read a coefficient of F not yet known (it is not
+    contractive), or its solution failed the full-order check."""
 
 
 def _over_common_den(values) -> Tuple[List[int], int]:
@@ -160,6 +168,8 @@ class TruncatedSeries:
 
     def _linear(self, other, op) -> "TruncatedSeries":
         """op (add or sub) termwise over the lcm of the denominators."""
+        if isinstance(other, _Lazy):
+            return NotImplemented
         o = self._coerce(other)
         den = math.lcm(self.den, o.den)
         a, b = _rescale(self.nums, self.den, den), _rescale(o.nums, o.den, den)
@@ -177,6 +187,8 @@ class TruncatedSeries:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "TruncatedSeries":
+        if isinstance(other, _Lazy):
+            return NotImplemented
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         n = min(self.order, other.order)
@@ -250,27 +262,6 @@ class TruncatedSeries:
         return acc
 
 
-def fixed_point_solve(
-    update: Callable[[TruncatedSeries], TruncatedSeries], order: int
-) -> TruncatedSeries:
-    """Solve F = Phi(F) to the given order for equations contractive in the
-    coefficient filtration (coefficient n of Phi(F) uses only coefficients
-    < n of F).  Pass k, for k = 0..order, runs Phi on the solution so far
-    padded with a zero to order k, which fixes coefficient k.  A final pass
-    at full order verifies stationarity and raises SeriesDivergenceError
-    otherwise.
-    """
-    if order < 0:
-        raise ValueError(f"need order >= 0, got {order}")
-    nums, den = (), 1
-    for k in range(order + 1):
-        f = update(TruncatedSeries._make(nums + (0,), den)).truncate(k)
-        nums, den = f.nums, f.den
-    if update(f).truncate(order) != f:
-        raise SeriesDivergenceError("fixed-point iteration did not stabilize")
-    return f
-
-
 def _row_products(pairs, order: int) -> List[int]:
     """Sum of the row products through u^order over pairs of row spans (from
     `_nonzero_span`), each product added over its nonzero span only."""
@@ -341,6 +332,8 @@ class BivariateSeries:
 
     def _linear(self, other, op) -> "BivariateSeries":
         """op (add or sub) termwise over the lcm of the denominators."""
+        if not isinstance(other, BivariateSeries):
+            return NotImplemented
         den = math.lcm(self.den, other.den)
         rows = [list(map(op, _rescale(a, self.den, den), _rescale(b, other.den, den)))
                 for a, b in zip(self.rows, other.rows)]
@@ -353,6 +346,8 @@ class BivariateSeries:
         return self._linear(other, operator.sub)
 
     def __mul__(self, other) -> "BivariateSeries":
+        if not isinstance(other, BivariateSeries):
+            return NotImplemented
         N, G = min(self.t_order, other.t_order), self.u_order
         a = [_nonzero_span(row, G) for row in self.rows[: N + 1]]
         b = [_nonzero_span(row, G) for row in other.rows[: N + 1]]
@@ -403,17 +398,260 @@ class BivariateSeries:
         return tuple(Fraction(x, self.den) for x in self.rows[n])
 
 
+# ---------------------------------------------------------------------------
+# Online fixed points.  A row is the t^k coefficient of a series: its u-array
+# (one entry for a one-variable series) as (nums, den, span), integer
+# numerators over a positive gcd-reduced denominator and their
+# `_nonzero_span`, None for a zero row.
+# ---------------------------------------------------------------------------
+
+
+def _row(nums: Sequence[int], den: int):
+    """The row nums / den, gcd-reduced."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+    nums = tuple(nums)
+    return nums, den, _nonzero_span(nums, len(nums) - 1)
+
+
+def _combine(parts, width: int):
+    """The row of width entries summing c / d, placed from u^v on, over the
+    parts (v, c, d)."""
+    den = math.lcm(*[d for _, _, d in parts])
+    out = [0] * width
+    for v, c, d in parts:
+        m = den // d
+        for i, x in enumerate(c, v):
+            out[i] += x * m
+    return _row(out, den)
+
+
+def _conv_row(x: "_Lazy", y: "_Lazy", lo: int, k: int):
+    """Row k of the sum of x_i y_(k-i) over i = lo..k - val(y), skipping
+    zero rows of x."""
+    parts = []
+    for i in range(lo, k - y.val + 1):
+        a = x.row(i)
+        if a[2] is not None:
+            b = y.row(k - i)
+            got = _span_mul(a[2], b[2], len(a[0]) - 1)
+            if got is not None:
+                parts.append((got[0], got[1], a[1] * b[1]))
+    return _combine(parts, len(x.zero[0]))
+
+
+class _Lazy:
+    """A series under construction by an online solver.  Row k is computed
+    from its operands' rows the first time it is read, and kept.  kind names
+    the operation and args its operands (and factor); val is a lower bound
+    on the valuation in t, below which rows are zero and never computed.  A
+    'const' node holds a known series, and the 'fix' node holds the rows of
+    the fixed point that the solver has found so far."""
+
+    __slots__ = ("kind", "args", "zero", "rows", "val")
+
+    def __init__(self, kind: str, args: tuple, zero, rows=None, val=None) -> None:
+        self.kind, self.args, self.zero = kind, args, zero
+        self.rows = [] if rows is None else rows
+        self.val = self._bound() if val is None else val
+
+    def _bound(self) -> int:
+        kind, a = self.kind, self.args
+        if kind == "mul":
+            return a[0].val + a[1].val
+        if kind in ("add", "sub"):
+            return min(a[0].val, a[1].val)
+        if kind == "shift_t":
+            return a[0].val + 1
+        if kind == "sq":
+            return 2 * a[0].val
+        if kind == "inv":
+            return 0
+        return a[0].val  # scale, shift_u
+
+    def row(self, k: int):
+        rows = self.rows
+        if k < len(rows):
+            return rows[k]
+        if self.kind == "const":
+            return self.zero
+        if self.kind == "fix":
+            raise SeriesDivergenceError(
+                f"the equation is not contractive: row {k} of Phi(F) reads row {k} of F"
+            )
+        while len(rows) <= k:
+            j = len(rows)
+            rows.append(self.zero if j < self.val else self._compute(j))
+        return rows[k]
+
+    def _compute(self, k: int):
+        kind, a = self.kind, self.args
+        if kind == "mul":
+            return _conv_row(a[0], a[1], a[0].val, k)
+        if kind in ("add", "sub"):
+            x, y = a[0].row(k), a[1].row(k)
+            if y[2] is None:
+                return x
+            ny = y[0] if kind == "add" else [-v for v in y[0]]
+            return _combine([(0, x[0], x[1]), (0, ny, y[1])], len(x[0]))
+        if kind == "shift_t":
+            return a[0].row(k - 1)
+        if kind == "inv":
+            return self._inverse_row(k)
+        if kind == "sq" and k % 2:
+            return self.zero
+        nums, den, span = a[0].row(k // 2 if kind == "sq" else k)
+        if span is None:
+            return self.zero
+        if kind == "scale":
+            f = a[1]
+            return _row([x * f.numerator for x in nums], den * f.denominator)
+        if kind == "sq":
+            return _row(int_substitute_t_squared(nums, len(nums) - 1), den)
+        return _row((0,) + nums[:-1], den)  # shift_u
+
+    def _inverse_row(self, k: int):
+        """Row k of 1 / (1 - x): h_0 = 1 / (1 - x_0) in u, and h_k = h_0 times
+        the sum of x_i h_(k-i) over i >= 1."""
+        x = self.args[0]
+        if k == 0:
+            nums, den, span = x.row(0)
+            if nums[0]:
+                raise ValueError("geom_inverse needs a zero constant term")
+            if span is None:
+                return _row((1,) + self.zero[0][1:], 1)
+            h = TruncatedSeries._make(nums, den).geom_inverse()
+            return _row(h.nums, h.den)
+        s = _conv_row(x, self, max(1, x.val), k)
+        h0 = self.rows[0]
+        if h0[2] == (0, (1,)) and h0[1] == 1:
+            return s
+        got = _span_mul(h0[2], s[2], len(s[0]) - 1)
+        return self.zero if got is None else _combine([(got[0], got[1], h0[1] * s[1])], len(s[0]))
+
+    def _operand(self, other):
+        """other as a node of this node's width, or None if it is not a series
+        or a rational."""
+        if isinstance(other, _Lazy):
+            return other
+        if isinstance(other, BivariateSeries):
+            rows = [_row(r, other.den) for r in other.rows]
+        elif isinstance(other, TruncatedSeries):
+            rows = [_row((x,), other.den) for x in other.nums]
+        elif isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            rows = [_row((c.numerator,) + self.zero[0][1:], c.denominator)]
+        else:
+            return None
+        val = next((k for k, r in enumerate(rows) if r[2] is not None), len(rows))
+        return _Lazy("const", (), self.zero, rows, val)
+
+    def _binary(self, kind: str, other, swap: bool = False):
+        if kind == "mul" and isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return _Lazy(kind, (o, self) if swap else (self, o), self.zero)
+
+    def __add__(self, other):
+        return self._binary("add", other)
+
+    def __radd__(self, other):
+        return self._binary("add", other, swap=True)
+
+    def __sub__(self, other):
+        return self._binary("sub", other)
+
+    def __rsub__(self, other):
+        return self._binary("sub", other, swap=True)
+
+    def __mul__(self, other):
+        return self._binary("mul", other)
+
+    def __rmul__(self, other):
+        return self._binary("mul", other, swap=True)
+
+    def scale(self, factor) -> "_Lazy":
+        return _Lazy("scale", (self, Fraction(factor)), self.zero)
+
+    def shift_by_t(self) -> "_Lazy":
+        return _Lazy("shift_t", (self,), self.zero)
+
+    def shift_by_u(self) -> "_Lazy":
+        return _Lazy("shift_u", (self,), self.zero)
+
+    def substitute_squared(self) -> "_Lazy":
+        """f(t^2, u^2); for a one-variable series, f(t^2)."""
+        return _Lazy("sq", (self,), self.zero)
+
+    substitute_t_squared = substitute_squared
+
+    def geom_inverse(self) -> "_Lazy":
+        return _Lazy("inv", (self,), self.zero)
+
+
+def _reset(node: _Lazy, seen: set) -> None:
+    """Drop the rows kept by node and the nodes below it, and recompute their
+    valuation bounds, operands first."""
+    if id(node) in seen or node.kind in ("const", "fix"):
+        return
+    seen.add(id(node))
+    for x in node.args:
+        if isinstance(x, _Lazy):
+            _reset(x, seen)
+    node.rows, node.val = [], node._bound()
+
+
+def _online_rows(update: Callable, zero, order: int) -> list:
+    """Rows 0..order of the fixed point of F = update(F), rows of width
+    len(zero[0]).  update runs once, on the fixed-point node; row k of its
+    result then fixes row k of F, reading only rows below k of F, and raises
+    SeriesDivergenceError if it reads more.  F is first taken to vanish at
+    t = 0 (valuation 1), which row 0 of Phi(F) either confirms or refutes;
+    if it refutes it, the rows computed so far are dropped."""
+    f = _Lazy("fix", (), zero, [zero], 1)
+    phi = f._operand(update(f))
+    first = phi.row(0)
+    if first[2] is not None:
+        f.rows, f.val = [first], 0
+        _reset(phi, set())
+    for k in range(1, order + 1):
+        f.rows.append(phi.row(k))
+    return f.rows
+
+
+def fixed_point_solve(
+    update: Callable[[TruncatedSeries], TruncatedSeries], order: int
+) -> TruncatedSeries:
+    """Solve F = Phi(F) to the given order for equations contractive in the
+    coefficient filtration (coefficient n of Phi(F) uses only coefficients
+    < n of F).  update runs once on a lazy series, whose coefficients are
+    each computed once (`_online_rows`), and once more at full order on the
+    result, which must be stationary; SeriesDivergenceError otherwise.
+    """
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
+    rows = _online_rows(update, ((0,), 1, None), order)
+    den = math.lcm(*[d for _, d, _ in rows])
+    f = TruncatedSeries._make([nums[0] * (den // d) for nums, d, _ in rows], den)
+    if update(f).truncate(order) != f:
+        raise SeriesDivergenceError("fixed-point iteration did not stabilize")
+    return f
+
+
 def bivariate_fixed_point(
     update: Callable[[BivariateSeries], BivariateSeries], t_order: int, u_order: int
 ) -> BivariateSeries:
     """Fixed point of F = Phi(F) for bivariate equations contractive in the
-    t-filtration: pass k runs Phi at t-order k and fixes the t^k row, and a
-    final full-order pass verifies stationarity."""
-    zero_row = (0,) * (u_order + 1)
-    rows, den = (), 1
-    for k in range(t_order + 1):
-        f = update(BivariateSeries._make(rows + (zero_row,), den))
-        rows, den = f.rows[: k + 1], f.den
+    t-filtration: update runs once on a lazy series, whose t^k rows are each
+    computed once (`_online_rows`), and a final full-order run verifies
+    stationarity."""
+    rows = _online_rows(update, ((0,) * (u_order + 1), 1, None), t_order)
+    den = math.lcm(*[d for _, d, _ in rows])
+    f = BivariateSeries._make([_rescale(nums, d, den) for nums, d, _ in rows], den)
     if update(f) != f:
         raise SeriesDivergenceError("bivariate fixed point did not stabilize")
     return f

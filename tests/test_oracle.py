@@ -526,3 +526,92 @@ def test_flat_expansion_reports_invalid_structures_like_the_recursive_one():
         _assert_matches_reference(parse_text(_mirror_text(s)))
         for c, violations in want.items():
             assert validate(s, c).violations == violations, (dump_text(s), c)
+
+
+# -- generation by (n, g) ------------------------------------------------------
+# The reference builds each n in one piece, without gall buckets: every root
+# split of two smaller structures, and every root gall over every pair of
+# path sequences and every reticulation subtree.
+
+
+class _WholeGeneration:
+    def __init__(self, cls):
+        self.cls, self.memo, self.seqs = cls, {}, {}
+
+    def generate(self, n):
+        if n not in self.memo:
+            out = {LEAF.key: LEAF} if n == 1 else {}
+            for a in range(1, n // 2 + 1):
+                for sa in self.generate(a):
+                    for sb in self.generate(n - a):
+                        if a == n - a and sb.key < sa.key:
+                            continue
+                        s = Internal(sa, sb)
+                        out[s.key] = s
+            for s in self._root_galls(n) if n > 1 else ():
+                out[s.key] = s
+            self.memo[n] = tuple(out[k] for k in sorted(out))
+        return self.memo[n]
+
+    def _root_galls(self, n):
+        simplex = self.cls is NetworkClass.SIMPLEX_TC
+        min_side = 0 if self.cls is NetworkClass.GENERAL else 1
+        for ret_leaves in (1,) if simplex else range(1, n):
+            rest = n - ret_leaves
+            for left in range(min_side, rest - min_side + 1):
+                for ls in self.sequences(left):
+                    for rs in self.sequences(rest - left):
+                        if [x.key for x in rs] < [x.key for x in ls]:
+                            continue
+                        for rc in (LEAF,) if simplex else self.generate(ret_leaves):
+                            yield GallTop(ls, rs, rc)
+
+    def sequences(self, total):
+        if total not in self.seqs:
+            self.seqs[total] = [()] if total == 0 else [
+                (first,) + rest
+                for k in range(1, total + 1)
+                for first in self.generate(k)
+                for rest in self.sequences(total - k)
+            ]
+        return self.seqs[total]
+
+
+@pytest.mark.parametrize("cls", list(NetworkClass))
+def test_gall_buckets_partition_each_generation(cls):
+    spec = TreeClassSpec(cls, Labeling.UNLABELED)
+    whole = _WholeGeneration(cls)
+    for n in range(1, 8):
+        everything = generate_all(cls, n)
+        buckets = [generate_all(cls, n, g) for g in range(n)]
+        for g, bucket in enumerate(buckets):
+            assert all(galls(s) == g for s in bucket)
+            assert [s.key for s in bucket] == sorted(s.key for s in bucket)
+            assert len(bucket) == count(spec, n, g), (n, g)
+        merged = sorted((s for bucket in buckets for s in bucket), key=canonical_key)
+        assert [s.key for s in everything] == [s.key for s in merged]
+        assert len({s.key for s in everything}) == len(everything)
+        want = whole.generate(n)
+        assert [(s.key, dump_text(s)) for s in everything] == [(s.key, dump_text(s)) for s in want]
+        assert generate_all(cls, n, -1) == () == generate_all(cls, n, n)
+
+
+def test_oracle_at_eight_leaves_matches_the_recursion(monkeypatch):
+    # the general n = 8 row reaches g = 7, past every other brute-force check
+    import galledtrees.oracle as oracle_module
+
+    monkeypatch.delenv("GALLED_MAX_N", raising=False)
+    try:
+        for cls in NetworkClass:
+            unlabeled = count_by_galls(cls, 8)
+            labeled = labeled_count(cls, 8)
+            for g in range(8):
+                assert unlabeled.get(g, 0) == count(TreeClassSpec(cls, Labeling.UNLABELED), 8, g)
+                assert labeled.get(g, 0) == count(TreeClassSpec(cls, Labeling.LEAF_LABELED), 8, g)
+        assert max(count_by_galls(NetworkClass.GENERAL, 8)) == 7
+        for cls, size in ((NetworkClass.TIME_CONSISTENT, 1064), (NetworkClass.SIMPLEX_TC, 545)):
+            structures = generate_all(cls, 8)
+            assert len(structures) == size
+            assert all(validate(s, cls).ok for s in structures)
+    finally:
+        oracle_module.clear_cache()

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from galledtrees import series
-from galledtrees.counts import Labeling, wedderburn_sequence
+from galledtrees import genfunc, series
+from galledtrees.counts import ALL_SPECS, Labeling, wedderburn_sequence
 from galledtrees.genfunc import base_tree_series
 from galledtrees.series import (
     BivariateSeries,
@@ -130,17 +130,26 @@ def test_fixed_point_divergence():
         fixed_point_solve(lambda f: f.scale(2) + TruncatedSeries.t(4), 4)
 
 
-def test_fixed_point_passes_grow_with_the_order():
-    # pass k sees the solution padded to order k; one full-order pass verifies
+def test_fixed_point_runs_the_update_twice():
+    # once on the lazy series, once at full order to verify stationarity
     seen = []
 
     def update(f):
-        seen.append(f.order)
+        seen.append(f)
         return f * f + TruncatedSeries.t(6)
 
     c = fixed_point_solve(update, 6)
     assert c.integer_coefficients() == [0, 1, 1, 2, 5, 14, 42]
-    assert seen == [0, 1, 2, 3, 4, 5, 6, 6]
+    assert len(seen) == 2
+    assert not isinstance(seen[0], TruncatedSeries)
+    assert seen[1] == c and seen[1].order == 6
+
+    seen.clear()
+    t = BivariateSeries.t(5, 4)
+    f = bivariate_fixed_point(lambda F: seen.append(F) or t + (F * F).shift_by_u(), 5, 4)
+    assert len(seen) == 2
+    assert not isinstance(seen[0], BivariateSeries)
+    assert seen[1] == f and (f.t_order, f.u_order) == (5, 4)
 
 
 def test_bivariate_ops():
@@ -178,6 +187,157 @@ def test_bivariate_fixed_point_divergence():
     # the t^1 row of phi(F) depends on the t^1 row of F with gain 2
     with pytest.raises(SeriesDivergenceError):
         bivariate_fixed_point(lambda F: F.scale(2) + BivariateSeries.t(4, 2), 4, 2)
+
+
+def test_fixed_point_divergence_through_a_product():
+    # [t^k] F (1 + F) has the term F_k * 1, so row k of Phi(F) reads row k of F
+    with pytest.raises(SeriesDivergenceError):
+        fixed_point_solve(lambda f: TruncatedSeries.t(5) + f * (1 + f), 5)
+
+
+# -- the online solvers vs the order-growing pass solver ----------------------
+# Pass k runs the update on the solution so far, padded with a zero row to
+# order k, and keeps row k; one full-order pass verifies stationarity.
+
+
+def _pass_solve(update, order):
+    nums, den = (), 1
+    for k in range(order + 1):
+        f = update(TruncatedSeries._make(nums + (0,), den)).truncate(k)
+        nums, den = f.nums, f.den
+    assert update(f).truncate(order) == f
+    return f
+
+
+def _pass_solve_bivariate(update, t_order, u_order):
+    zero_row = (0,) * (u_order + 1)
+    rows, den = (), 1
+    for k in range(t_order + 1):
+        f = update(BivariateSeries._make(rows + (zero_row,), den))
+        rows, den = f.rows[: k + 1], f.den
+    assert update(f) == f
+    return f
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+@settings(max_examples=3, deadline=None)
+@given(t_order=st.integers(1, 16), u_order=st.integers(0, 15), order=st.integers(1, 40))
+@example(t_order=16, u_order=15, order=40)
+def test_family_equations_match_the_pass_solver(spec, t_order, u_order, order):
+    unlabeled = spec.labeling is Labeling.UNLABELED
+    t2 = BivariateSeries.t(t_order, u_order)
+
+    def bivariate(f):
+        f2 = f.substitute_squared() if unlabeled else None
+        return genfunc._equation(spec, f, f2, t2, BivariateSeries.shift_by_u)
+
+    got = genfunc.solve_bivariate(spec, t_order, u_order)
+    assert got == _pass_solve_bivariate(bivariate, t_order, u_order)
+    t1 = TruncatedSeries.t(order)
+
+    def univariate(f):
+        f2 = f.substitute_t_squared() if unlabeled else None
+        return genfunc._equation(spec, f, f2, t1, lambda x: x)
+
+    assert genfunc.arbitrary_galls_series(spec, order) == _pass_solve(univariate, order)
+
+
+_SCALAR_FORMS = ("v+E", "E+v", "v-E", "E-v", "v*E", "E*v")
+
+
+def _equations(bivariate: bool):
+    """Expression trees E over F and the constants c0..c2, with every
+    operation of the lazy series; the geometric inverse is taken of t E (or
+    u E) so that its constant term is zero."""
+    leaves = st.one_of(st.just(("F",)), st.tuples(st.just("c"), st.integers(0, 2)))
+
+    def extend(inner):
+        unary = ["shift_t", "sq", "inv_t"] + (["shift_u", "inv_u"] if bivariate else [])
+        ops = [
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), inner, inner),
+            st.tuples(st.just("scale"), inner,
+                      st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3), 0])),
+            st.tuples(st.sampled_from(unary), inner),
+        ]
+        if not bivariate:  # BivariateSeries takes no scalar operands
+            ops.append(st.tuples(st.just("scalar"), inner, st.sampled_from([-1, 2, Fraction(1, 3)]),
+                                 st.sampled_from(_SCALAR_FORMS)))
+        return st.one_of(ops)
+
+    return st.recursive(leaves, extend, max_leaves=7)
+
+
+def _evaluate(e, f, consts):
+    op = e[0]
+    if op == "F":
+        return f
+    if op == "c":
+        return consts[e[1]]
+    x = _evaluate(e[1], f, consts)
+    if op in ("add", "sub", "mul"):
+        y = _evaluate(e[2], f, consts)
+        return x + y if op == "add" else x - y if op == "sub" else x * y
+    if op == "scale":
+        return x.scale(e[2])
+    if op == "shift_t":
+        return x.shift_by_t()
+    if op == "shift_u":
+        return x.shift_by_u()
+    if op == "sq":
+        if isinstance(consts[0], TruncatedSeries):
+            return x.substitute_t_squared()
+        return x.substitute_squared()
+    if op == "inv_t":
+        return x.shift_by_t().geom_inverse()
+    if op == "inv_u":
+        return x.shift_by_u().geom_inverse()
+    v, form = e[2], e[3]
+    return {"v+E": lambda: v + x, "E+v": lambda: x + v, "v-E": lambda: v - x,
+            "E-v": lambda: x - v, "v*E": lambda: v * x, "E*v": lambda: x * v}[form]()
+
+
+def _phi(e, c0, consts, quadratic, c0_left):
+    """Phi(F) = c0 + t E(F), plus F F when c0 vanishes at t = 0."""
+    def update(f):
+        out = _evaluate(e, f, consts).shift_by_t()
+        out = c0 + out if c0_left else out + c0
+        return out + f * f if quadratic else out
+    return update
+
+
+small = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def constant_grids(draw, max_t, max_u):
+    """Four constant grids c0..c3 of one shape, (t-order + 1) x (u-order + 1)."""
+    t_order, u_order = draw(st.integers(0, max_t)), draw(st.integers(0, max_u))
+    row = st.lists(small, min_size=u_order + 1, max_size=u_order + 1)
+    return [draw(st.lists(row, min_size=t_order + 1, max_size=t_order + 1)) for _ in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=_equations(False), grids=constant_grids(8, 0), quadratic=st.booleans(),
+       c0_left=st.booleans())
+def test_random_contractive_equations_match_the_pass_solver(e, grids, quadratic, c0_left):
+    c0, *consts = (TruncatedSeries([row[0] for row in grid]) for grid in grids)
+    quadratic = quadratic and c0[0] == 0
+    update = _phi(e, c0, consts, quadratic, c0_left)
+    assert fixed_point_solve(update, c0.order) == _pass_solve(update, c0.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=_equations(True), grids=constant_grids(6, 4), quadratic=st.booleans(),
+       c0_left=st.booleans())
+# F(0) != 0, and an inverse whose t^0 row is a nonconstant u-series
+@example(e=("inv_u", ("F",)), grids=[[[1, 1, 0], [0, 1, 0], [1, 0, 0]]] * 4,
+         quadratic=False, c0_left=True)
+def test_random_bivariate_equations_match_the_pass_solver(e, grids, quadratic, c0_left):
+    c0, *consts = (BivariateSeries(grid) for grid in grids)
+    quadratic = quadratic and not any(c0.rows[0])
+    update = _phi(e, c0, consts, quadratic, c0_left)
+    got = bivariate_fixed_point(update, c0.t_order, c0.u_order)
+    assert got == _pass_solve_bivariate(update, c0.t_order, c0.u_order)
 
 
 # -- integer fast paths vs the schoolbook reference ---------------------------
