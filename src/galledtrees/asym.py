@@ -507,12 +507,12 @@ _unlabeled_counts_cache: Dict[Tuple[NetworkClass, int, int], List[int]] = {}
 
 
 def exact_fixed_g_count(spec: TreeClassSpec, g: int, n: int, order: Optional[int] = None) -> int:
-    """Exact count at one n through the large-order engines (g in {1, 2})."""
-    if spec.labeling is Labeling.LEAF_LABELED:
-        return genfunc.labeled_fixed_g_count_at(spec, g, n)
+    """Exact count at one n through the large-order engines (g in {1, 2}), order >= n."""
     order = n if order is None else order
     if order < n:
         raise ValueError("truncation order below requested n")
+    if spec.labeling is Labeling.LEAF_LABELED:
+        return genfunc.labeled_fixed_g_count_at(spec, g, n)
     key = (spec.network_class, g, order)
     arr = _unlabeled_counts_cache.get(key)
     if arr is None:

@@ -32,19 +32,22 @@ its own span only.
 
 Two spans of at least KRONECKER_MIN coefficients, none negative, are
 multiplied by Kronecker substitution: each is packed into one `Decimal` with
-a fixed-width slot of d decimal digits per coefficient, libmpdec multiplies
-the two with its number-theoretic transform in an exact context, and the low
-slots are read back from the digits.  Only slots below the truncation order
-must fit, since overflow carries upward; their bound comes from a line of
-slope p / q laid over the operands' bit lengths, and was within three digits
-of the widest slot in every product of the order-700 closed forms.  The
-operands are split once into halves, a0 b0 + t^h (a1 b0 + a0 b1): three
-half-size products skip a1 b1, which lies past the order, and hold the
-transform's scratch memory to that of a half-size product.  Short spans stay
-on the schoolbook loop, which was as fast or faster below about 256
-coefficients, and so do signed spans (only the fixed-g ladder forms those),
-which the slots cannot hold.  A slot wider than the interpreter's int/str
-digit limit also falls back to schoolbook.
+a fixed-width slot of d decimal digits per coefficient, one libmpdec multiply
+forms the whole product with its number-theoretic transform in an exact
+context, and the low slots are read back from the digits.  A square passes
+one `Decimal` as both operands, which takes libmpdec's squaring path (one
+forward transform).  Only slots below the truncation order must fit, since
+overflow carries upward; their bound comes from a line of slope p / q laid
+over the operands' bit lengths, and was within three digits of the widest
+slot in every product of the order-700 closed forms.  Splitting off the
+slots past the order (three half-size products) would halve the transform's
+scratch memory, but at order 700 one multiply took 0.55 (square) and 0.7
+(two operands) of their time, for 0.4 MB more peak memory.  Short spans stay
+on the schoolbook loop, which was as fast or faster below 112 coefficients,
+where the packed operands of a counting series fit libmpdec's basecase
+multiply (256 words of 19 digits), and so do signed spans (only the fixed-g
+ladder forms those), which the slots cannot hold.  A slot wider than the
+interpreter's int/str digit limit also falls back to schoolbook.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Callable, List, Sequence, Tuple
 
 
 # Both nonzero spans at least this long: multiply by Kronecker substitution.
-KRONECKER_MIN = 256
+KRONECKER_MIN = 112
 # Slots read back per string when unpacking a Kronecker product.
 _READ_SLOTS = 64
 # Exact integer arithmetic: no product this module forms is ever rounded.
@@ -717,24 +720,20 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int):
     """c[0..n - 1] of c = a * b for nonnegative a, b of length at most n with
     a[0], b[0] nonzero, or None when a slot's digits exceed the interpreter's
     int/str conversion limit.  Each operand is packed into one Decimal with a
-    d-digit slot per coefficient (its value at t = 10^d), and libmpdec's
-    number-theoretic transform multiplies them.  The operands are split once
-    at h: a0 b0 + t^h (a1 b0 + a0 b1) leaves out only a1 b1, which starts at
-    t^(2h) >= t^n.  Every slot below n of each of the three products is at
-    most the c_k it adds to, so it fits in d digits, and overflow past the
-    needed slots only carries upward."""
+    d-digit slot per coefficient (its value at t = 10^d), and one libmpdec
+    multiply forms the whole product with its number-theoretic transform; a
+    square passes one Decimal as both operands, which takes libmpdec's
+    one-transform squaring path.  Slots below n are the c_k, which fit in d
+    digits, and overflow from the slots past them only carries upward, so the
+    product is cut to its low n slots before they are read."""
     d = _slot_digits(a, b, n)
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < d:
         return None
-    h = (n + 1) // 2
-    a0 = _pack(a[:h], d)
-    b0 = a0 if a == b else _pack(b[:h], d)
-    c = [0] * n
-    _add_slots(c, 0, _DECIMAL_INTEGERS.multiply(a0, b0), d)
-    for hi, lo in ((a[h:], b0), (b[h:], a0)):
-        if hi:
-            _add_slots(c, h, _DECIMAL_INTEGERS.multiply(_pack(hi, d), lo), d)
-    return c
+    pa = _pack(a, d)
+    x = _DECIMAL_INTEGERS.multiply(pa, pa if a == b else _pack(b, d))
+    # keep the low n slots only: each read-back shift then copies half the digits
+    x = decimal.Context(prec=n * d, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN).shift(x, 0)
+    return _read_slots(x, n, d)
 
 
 def _pack(xs: Sequence[int], d: int) -> decimal.Decimal:
@@ -742,18 +741,19 @@ def _pack(xs: Sequence[int], d: int) -> decimal.Decimal:
     return decimal.Decimal((f"%0{d}d" * len(xs)) % tuple(reversed(xs)))
 
 
-def _add_slots(c: List[int], start: int, x: decimal.Decimal, d: int) -> None:
-    """Add the d-digit slots of the integer x to c[start:], lowest first,
-    dropping those past the end of c.  The digits are read _READ_SLOTS slots
-    at a time: shift in a context of that many slots' precision keeps only
-    the lowest digits, and a shift right drops them, so no string holds more
-    than one chunk."""
+def _read_slots(x: decimal.Decimal, n: int, d: int) -> List[int]:
+    """The n lowest d-digit slots of the integer x, lowest first.  The digits
+    are read _READ_SLOTS slots at a time: shift in a context of that many
+    slots' precision keeps only the lowest digits, and a shift right drops
+    them, so no string holds more than one chunk."""
     low = decimal.Context(prec=d * _READ_SLOTS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    for lo in range(start, len(c), _READ_SLOTS):
+    c = [0] * n
+    for lo in range(0, n, _READ_SLOTS):
         digits = str(low.shift(x, 0))
-        for i, j in zip(range(lo, len(c)), range(len(digits), 0, -d)):
-            c[i] += int(digits[max(0, j - d) : j])
+        for i, j in zip(range(lo, n), range(len(digits), 0, -d)):
+            c[i] = int(digits[max(0, j - d) : j])
         x = _DECIMAL_INTEGERS.shift(x, -d * _READ_SLOTS)
+    return c
 
 
 def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:

@@ -210,6 +210,14 @@ def test_ratio_engine_small_n_agrees_with_counts():
             assert got == count(spec, g=g, n=10)
 
 
+def test_exact_count_refuses_an_order_below_n():
+    for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED, GENERAL_LABELED, SIMPLEX_LABELED):
+        with pytest.raises(ValueError, match="truncation order below requested n"):
+            asym.exact_fixed_g_count(spec, 1, 50, order=10)
+        with pytest.raises(ValueError, match="truncation order below requested n"):
+            asym.ratio_exact_to_estimate(spec, 1, 50, order=49)
+
+
 def test_ratio_moves_toward_one():
     r60 = asym.ratio_exact_to_estimate(GENERAL_UNLABELED, 1, 60, order=120)
     r120 = asym.ratio_exact_to_estimate(GENERAL_UNLABELED, 1, 120, order=120)

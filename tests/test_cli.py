@@ -334,5 +334,7 @@ def test_asym_order_is_honoured(capsys):
     log_est = asym.estimate_log(GENERAL_UNLABELED, 1, 100, order=45)
     assert out.splitlines()[0] == f"log-estimate {log_est:.6f}"
     # ratio reads it too: an order below n cannot give the count at n
-    code, _, err = run(capsys, "asym", "ratio", "-g", "1", "-n", "50", "--order", "49")
-    assert code == 4 and "below requested n" in err
+    for labeling in ("unlabeled", "labeled"):
+        code, out, err = run(capsys, "asym", "ratio", "--labeling", labeling, "-g", "1", "-n", "50",
+                             "--order", "49")
+        assert code == 4 and out == "" and "below requested n" in err, labeling

@@ -642,9 +642,9 @@ def kronecker_operands(draw):
        cutoff=st.integers(1, 6), signed=st.booleans())
 @example(a=[1] * 8, b=[2] * 8, order=14, cutoff=2, signed=False)  # n = 15, odd
 @example(a=[1] * 8, b=[2] * 8, order=13, cutoff=2, signed=False)  # n = 14, even
-@example(a=[0, 0, 5, 1, 7], b=[3] * 12, order=20, cutoff=2, signed=False)  # no a1
+@example(a=[0, 0, 5, 1, 7], b=[3] * 12, order=20, cutoff=2, signed=False)  # a short, b long
 @example(a=[9, 0, 0, 0, 0, 0, 4], b=[0, 1, 0, 0, 0, 0, 0, 2], order=9, cutoff=3,
-         signed=False)  # zero runs, the order cutting inside the upper half
+         signed=False)  # zero runs, the order cutting inside both operands
 @example(a=[1, 10**80, 1, 1], b=[1, 1, 1, 1], order=6, cutoff=2, signed=False)  # outlier
 @example(a=[1] * 8, b=[2] * 8, order=14, cutoff=2, signed=True)
 def test_kronecker_mul_matches_schoolbook(a, b, order, cutoff, signed):
@@ -661,14 +661,14 @@ def test_kronecker_mul_matches_schoolbook(a, b, order, cutoff, signed):
         assert calls == []  # signed spans stay on schoolbook
 
 
-def test_kronecker_mul_runs_at_the_split_boundaries():
+def test_kronecker_mul_runs_on_valuations_parities_and_cut_operands():
     rng = random.Random(12)
     cases = [  # (valuation, length) of a and of b, then the order
-        ((0, 8), (0, 8), 14),  # n = 15: odd, a1 and b1 one shorter than the halves
-        ((0, 8), (0, 8), 13),  # n = 14: even, a1 cut inside
-        ((0, 3), (0, 12), 20),  # a no longer than h: no a1 b0 product
-        ((2, 9), (1, 9), 10),  # valuations, the order cutting inside the upper half
-        ((0, 40), (5, 3), 60),  # unequal lengths, b no longer than h
+        ((0, 8), (0, 8), 14),  # n = 15, odd: both operands whole
+        ((0, 8), (0, 8), 13),  # n = 14, even: the order cuts off the product's top slot
+        ((0, 3), (0, 12), 20),  # a much shorter than b
+        ((2, 9), (1, 9), 10),  # valuations; the order cuts inside both spans
+        ((0, 40), (5, 3), 60),  # unequal lengths, b a short span at valuation 5
     ]
     for (va, la), (vb, lb), order in cases:
         a = [0] * va + [rng.randrange(1, 10**6) * 7**k for k in range(la)]
@@ -678,6 +678,51 @@ def test_kronecker_mul_runs_at_the_split_boundaries():
             got = int_mul(a, b, order)
         assert calls == [True], (va, la, vb, lb, order)
         assert got == _ref_int_mul(_padded(a, order), _padded(b, order))
+
+
+class _CountingContext:
+    """The exact decimal context, recording the operands of each multiply."""
+
+    def __init__(self, ctx):
+        self.ctx, self.operands = ctx, []
+
+    def multiply(self, x, y):
+        self.operands.append((x, y))
+        return self.ctx.multiply(x, y)
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+
+def test_kronecker_product_is_one_multiply_and_a_square_passes_one_operand():
+    rng = random.Random(15)
+    a = [rng.randrange(1, 10**6) * 7**k for k in range(30)]
+    b = [rng.randrange(1, 10**6) * 5**k for k in range(30)]
+    for x, y, square in ((a, b, False), (a, list(a), True)):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_kronecker(mp, 2)
+            ctx = _CountingContext(series._DECIMAL_INTEGERS)
+            mp.setattr(series, "_DECIMAL_INTEGERS", ctx)
+            got = int_mul(x, y, 29)
+        assert calls == [True]
+        assert got == _ref_int_mul(x, y)
+        assert len(ctx.operands) == 1
+        assert (ctx.operands[0][0] is ctx.operands[0][1]) == square
+
+
+def test_kronecker_mul_drops_slots_past_n_wider_than_d():
+    # the slots from n on hold c_k up to a[n-1] b[n-1], far above 10^d: the
+    # low n slots stay exact only because their overflow carries upward
+    rng = random.Random(16)
+    n = 40
+    a = [rng.randrange(1, 10**6) * 11**k for k in range(n)]
+    b = [rng.randrange(1, 10**6) * 13**k for k in range(n)]
+    full = [sum(a[i] * b[k - i] for i in range(max(0, k - n + 1), min(k, n - 1) + 1))
+            for k in range(2 * n - 1)]
+    d = series._slot_digits(a, b, n)
+    assert max(full[:n]) < 10**d
+    assert all(x >= 10**d for x in full[n + 2 :])  # the last has d + 37 digits
+    assert series._kronecker_mul(a, b, n) == full[:n]
 
 
 def test_slot_width_is_a_tight_bound_on_a_counting_series():
