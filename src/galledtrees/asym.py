@@ -8,9 +8,14 @@ form r^2 sit well inside the disk of convergence, so modest truncation orders
 give full double precision.
 
 Arbitrary-gall families are handled through the smooth implicit-function
-schema: solve s = phi(r, s), 1 = phi_w(r, s), and report
-delta = sqrt(2 r phi_t / phi_ww), giving counts ~ (delta / (2 sqrt(pi)))
-n^(-3/2) r^(-n) (times n! in the labeled cases).
+schema (Flajolet & Sedgewick, Analytic Combinatorics, Thm VII.3): solve
+s = phi(r, s), 1 = phi_w(r, s), and report delta = sqrt(2 r phi_t / phi_ww),
+giving counts ~ (delta / (2 sqrt(pi))) n^(-3/2) r^(-n) (times n! in the
+labeled cases).  phi is the family's equation from `genfunc._equation`,
+evaluated over a float jet (`_Jet`) that carries the w, ww and t derivatives
+along, with F(t^2) read from the exact totals series as data.  rho and both
+characteristic equations are solved by one bracketed Newton iteration
+(`_newton`), each with its slope from the same evaluation.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .comb import partition_multinomial, weighted_partitions
 from .counts import (
+    GENERAL_LABELED,
+    GENERAL_UNLABELED,
+    SIMPLEX_LABELED,
+    SIMPLEX_UNLABELED,
+    TC_LABELED,
+    TC_UNLABELED,
     Labeling,
     NetworkClass,
     TreeClassSpec,
@@ -59,37 +70,33 @@ def derivative_at(
     return (series_value(coeffs, x) - series_value(coeffs, x - step)) / step
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:
-    flo, fhi = f(lo), f(hi)
+def _newton(f: Callable[[float], Tuple[float, float]], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi], where f(x) gives (value, slope) and the value
+    changes sign on the bracket.  Each step is Newton's when it lands inside
+    the bracket that the signs seen so far leave, and a bisection otherwise."""
+    flo, fhi = f(lo)[0], f(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if (flo < 0.0) == (fhi < 0.0):
         raise ArithmeticError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fm < 0:
-            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo = x
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _scan_bracket(f, lo, hi, steps=400):
-    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-    prev_x, prev_f = xs[0], f(xs[0])
-    for x in xs[1:]:
-        fx = f(x)
-        if prev_f == 0.0:
-            return prev_x, prev_x
-        if prev_f * fx < 0:
-            return prev_x, x
-        prev_x, prev_f = x, fx
-    raise ArithmeticError("no root bracket found on scan interval")
+            hi = x
+        step = fx / slope if slope else math.inf
+        if abs(step) <= 1e-15 * abs(x):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
 
 
 @dataclass(frozen=True)
@@ -112,22 +119,12 @@ def solve_rho_gamma(order: int = 60) -> SingularConstants:
         raise ValueError("need order >= 40 for a stable rho bracket")
     u = wedderburn_sequence(order)
 
-    def condition(r):
-        return r + 0.5 + 0.5 * series_value(u, r * r) - 1.0
+    def condition(r):  # and its slope, which gamma reads at the root
+        return r + 0.5 + 0.5 * series_value(u, r * r) - 1.0, 1.0 + r * derivative_at(u, r * r)
 
-    rho = _bisect(condition, 1e-9, 0.5 - 1e-9, tol=1e-14)
-    uprime = derivative_at(u, rho * rho)
-    gamma = math.sqrt(2.0 * rho * (1.0 + rho * uprime))
+    rho = _newton(condition, 1e-9, 0.5 - 1e-9)
+    gamma = math.sqrt(2.0 * rho * condition(rho)[1])
     return SingularConstants(rho=rho, gamma=gamma, truncation_n=order)
-
-
-def tree_series_value_at_singularity(order: int = 60) -> float:
-    """U(rho) computed through the quadratic branch 1 - sqrt(1 - 2r - U(r^2));
-    equals 1 up to the bisection residual."""
-    sc = solve_rho_gamma(order)
-    u = wedderburn_sequence(order)
-    disc = 1.0 - 2.0 * sc.rho - series_value(u, sc.rho * sc.rho)
-    return 1.0 - math.sqrt(max(0.0, disc))
 
 
 @lru_cache(maxsize=None)
@@ -240,12 +237,6 @@ class CharFamily(Enum):
     TIME_CONSISTENT_LABELED = "time-consistent-labeled"
 
 
-# The families whose phi reads truncated totals series as data.
-_DATA_FAMILIES = frozenset({
-    CharFamily.GENERAL_UNLABELED, CharFamily.SIMPLEX_UNLABELED, CharFamily.TIME_CONSISTENT_UNLABELED,
-})
-
-
 @dataclass(frozen=True)
 class CharSysSolution:
     family: CharFamily
@@ -261,8 +252,8 @@ class CharSysSolution:
 
     def residuals(self) -> Tuple[float, float]:
         """(|phi(r,s) - s|, |phi_w(r,s) - 1|) recomputed from scratch."""
-        phi, phi_w, _, _ = _family_phi(self.family, self.truncation_n)
-        return abs(phi(self.r, self.s) - self.s), abs(phi_w(self.r, self.s) - 1.0)
+        j = _family_phi(self.family, self.truncation_n)(self.r, self.s)
+        return abs(j.v - self.s), abs(j.w - 1.0)
 
     def truncation_error(self) -> float:
         """|delta(N) - delta(N // 2)| for truncation order N.
@@ -273,145 +264,94 @@ class CharSysSolution:
         unknown (inf) for the families that read totals data, and 0.0 for
         the labeled ones, whose phi is closed."""
         if self.truncation_n < 2:
-            return math.inf if self.family in _DATA_FAMILIES else 0.0
+            return 0.0 if _FAMILY_SPECS[self.family].is_labeled else math.inf
         half = solve_charsys(
             self.family, self.truncation_n // 2, self.mode, self.replicate_reported
         )
         return abs(self.delta - half.delta)
 
 
+_FAMILY_SPECS = {
+    CharFamily.GENERAL_UNLABELED: GENERAL_UNLABELED,
+    CharFamily.GENERAL_LABELED: GENERAL_LABELED,
+    CharFamily.SIMPLEX_UNLABELED: SIMPLEX_UNLABELED,
+    CharFamily.SIMPLEX_LABELED: SIMPLEX_LABELED,
+    CharFamily.TIME_CONSISTENT_UNLABELED: TC_UNLABELED,
+    CharFamily.TIME_CONSISTENT_LABELED: TC_LABELED,
+}
+
+
 @lru_cache(maxsize=None)
-def _totals_data(family: CharFamily, order: int) -> List[int]:
+def _totals_data(family: CharFamily, order: int) -> Optional[List[int]]:
+    """The totals series that phi reads at t^2, None for the labeled families."""
+    spec = _FAMILY_SPECS[family]
+    if spec.is_labeled:
+        return None
     if family is CharFamily.SIMPLEX_UNLABELED:
         return simplex_total_sequence(order)
-    spec = {
-        CharFamily.GENERAL_UNLABELED: TreeClassSpec(NetworkClass.GENERAL, Labeling.UNLABELED),
-        CharFamily.TIME_CONSISTENT_UNLABELED: TreeClassSpec(
-            NetworkClass.TIME_CONSISTENT, Labeling.UNLABELED
-        ),
-    }[family]
     return genfunc.arbitrary_galls_series(spec, order).integer_coefficients()
 
 
-def _family_phi(family: CharFamily, order: int, mode: DerivativeMode = DerivativeMode.EXACT_SERIES):
-    """phi, phi_w, phi_ww, phi_t for the family's functional equation
-    F(t) = phi(t, F(t)), with F(t^2) folded in as known data where it occurs."""
+class _Jet:
+    """A function of (t, w) at one point: its value v and its derivatives
+    w = d/dw, ww = d^2/dw^2 and dt = d/dt, carrying the point's t for
+    `shift_by_t`.  `genfunc._equation` runs over it unchanged."""
 
-    if family in (CharFamily.GENERAL_UNLABELED, CharFamily.TIME_CONSISTENT_UNLABELED):
-        data = _totals_data(family, order)
-        general = family is CharFamily.GENERAL_UNLABELED
+    __slots__ = ("v", "w", "ww", "dt", "t")
 
-        # solve_charsys bisects phi_w over w at one t at a time; the last
-        # value kept spares that loop the series sum at each step.
-        @lru_cache(maxsize=1)
-        def B(t):
-            return series_value(data, t * t)
+    def __init__(self, v: float, w: float, ww: float, dt: float, t: float) -> None:
+        self.v, self.w, self.ww, self.dt, self.t = v, w, ww, dt, t
 
-        def Bprime(t):  # derivative of F(t^2) in t
-            return 2.0 * t * derivative_at(data, t * t, mode)
+    def __add__(self, o: "_Jet") -> "_Jet":
+        return _Jet(self.v + o.v, self.w + o.w, self.ww + o.ww, self.dt + o.dt, self.t)
 
-        def phi(t, w):
-            y = 1.0 - w
-            b = B(t)
-            out = t + 0.5 * w * w + 0.5 * b + 0.5 * w * ((w / y) ** 2 + b / (1.0 - b))
-            if general:
-                out += w * w / y
-            return out
+    def __mul__(self, o: "_Jet") -> "_Jet":
+        return _Jet(
+            self.v * o.v,
+            self.w * o.v + self.v * o.w,
+            self.ww * o.v + 2.0 * self.w * o.w + self.v * o.ww,
+            self.dt * o.v + self.v * o.dt,
+            self.t,
+        )
 
-        def phi_w(t, w):
-            y = 1.0 - w
-            b = B(t)
-            out = w + 0.5 * (w / y) ** 2 + 0.5 * b / (1.0 - b) + w * w / y**3
-            if general:
-                out += (2.0 * w - w * w) / y**2
-            return out
+    def scale(self, c) -> "_Jet":
+        c = float(c)
+        return _Jet(c * self.v, c * self.w, c * self.ww, c * self.dt, self.t)
 
-        def phi_ww(t, w):
-            y = 1.0 - w
-            out = 1.0 + w / y**3 + (2.0 * w + w * w) / y**4
-            if general:
-                out += 2.0 / y**3
-            return out
+    def shift_by_t(self) -> "_Jet":
+        t = self.t
+        return _Jet(t * self.v, t * self.w, t * self.ww, t * self.dt + self.v, t)
 
-        def phi_t(t, w):
-            b = B(t)
-            return 1.0 + Bprime(t) * (0.5 + 0.5 * w / (1.0 - b) ** 2)
+    def geom_inverse(self) -> "_Jet":
+        h = 1.0 / (1.0 - self.v)
+        hh = h * h
+        ww = hh * self.ww + 2.0 * hh * h * self.w * self.w
+        return _Jet(h, hh * self.w, ww, hh * self.dt, self.t)
 
-        return phi, phi_w, phi_ww, phi_t
 
-    if family in (CharFamily.GENERAL_LABELED, CharFamily.TIME_CONSISTENT_LABELED):
-        general = family is CharFamily.GENERAL_LABELED
+def _family_phi(
+    family: CharFamily, order: int, mode: DerivativeMode = DerivativeMode.EXACT_SERIES
+) -> Callable[[float, float], _Jet]:
+    """phi(t, w) as a `_Jet`, for the family's functional equation
+    F(t) = phi(t, F(t)) from `genfunc._equation`, with F(t^2) folded in as
+    known data where it occurs."""
+    spec = _FAMILY_SPECS[family]
+    data = _totals_data(family, order)
 
-        def phi(t, w):
-            y = 1.0 - w
-            out = t + 0.5 * w * w + 0.5 * w**3 / y**2
-            if general:
-                out += w * w / y
-            return out
+    # solve_charsys tries many w at one t; keeping the last t's data spares
+    # each of them the two series sums.
+    @lru_cache(maxsize=1)
+    def f2(t):
+        if data is None:
+            return None
+        x = t * t
+        return _Jet(series_value(data, x), 0.0, 0.0, 2.0 * t * derivative_at(data, x, mode), t)
 
-        def phi_w(t, w):
-            y = 1.0 - w
-            out = w + (3.0 * w * w - w**3) / (2.0 * y**3)
-            if general:
-                out += (2.0 * w - w * w) / y**2
-            return out
-
-        def phi_ww(t, w):
-            y = 1.0 - w
-            out = 1.0 + 3.0 * w / y**4
-            if general:
-                out += 2.0 / y**3
-            return out
-
-        def phi_t(t, w):
-            return 1.0
-
-        return phi, phi_w, phi_ww, phi_t
-
-    if family is CharFamily.SIMPLEX_UNLABELED:
-        data = _totals_data(family, order)
-
-        def B(t):
-            return series_value(data, t * t)
-
-        def phi(t, w):
-            y = 1.0 - w
-            b = B(t)
-            return t + 0.5 * w * w + 0.5 * b + 0.5 * t * ((w / y) ** 2 + b / (1.0 - b))
-
-        def phi_w(t, w):
-            return w + t * w / (1.0 - w) ** 3
-
-        def phi_ww(t, w):
-            return 1.0 + t * (1.0 + 2.0 * w) / (1.0 - w) ** 4
-
-        def phi_t(t, w):
-            b = B(t)
-            aprime = derivative_at(data, t * t, mode)
-            return (
-                1.0
-                + t * aprime
-                + 0.5 * (w / (1.0 - w)) ** 2
-                + 0.5 * b / (1.0 - b)
-                + t * t * aprime / (1.0 - b) ** 2
-            )
-
-        return phi, phi_w, phi_ww, phi_t
-
-    # simplex labeled: no t^2 data, closed solution downstream
     def phi(t, w):
-        return t + 0.5 * w * w + 0.5 * t * (w / (1.0 - w)) ** 2
+        f = _Jet(w, 1.0, 0.0, 0.0, t)
+        return genfunc._equation(spec, f, f2(t), _Jet(t, 0.0, 0.0, 1.0, t), lambda x: x)
 
-    def phi_w(t, w):
-        return w + t * w / (1.0 - w) ** 3
-
-    def phi_ww(t, w):
-        return 1.0 + t * (1.0 + 2.0 * w) / (1.0 - w) ** 4
-
-    def phi_t(t, w):
-        return 1.0 + 0.5 * (w / (1.0 - w)) ** 2
-
-    return phi, phi_w, phi_ww, phi_t
+    return phi
 
 
 def solve_charsys(
@@ -420,14 +360,16 @@ def solve_charsys(
     mode: DerivativeMode | None = None,
     replicate_reported: bool = False,
 ) -> CharSysSolution:
-    """Solve the family's characteristic system.
+    """Solve the family's characteristic system s = phi(r, s), 1 = phi_w(r, s).
 
-    The simplex families use the elimination r = (1-s)^4 / s that their
-    phi_w admits; the rest locate r by bisection with s resolved from
-    1 = phi_w(r, s) at each step.  For simplex-unlabeled the reported phi_t
-    uses the finite-difference derivative of the totals series by default,
-    matching how the widely quoted constants were produced; pass mode
-    explicitly for the exact-series derivative.
+    For each r, s(r) solves 1 = phi_w(r, w) by bracketed Newton on w (slope
+    phi_ww); r then solves phi(r, s(r)) = s(r) by bracketed Newton too, whose
+    slope is phi_t(r, s(r)) since phi_w = 1 along s(r).  Families that read
+    totals data keep r <= 0.30, so r^2 stays inside that series' disk.  For
+    simplex-unlabeled the reported phi_t uses the finite-difference
+    derivative of the totals series by default, matching how the widely
+    quoted constants were produced; pass mode explicitly for the
+    exact-series derivative.
 
     replicate_reported (simplex-unlabeled only) re-evaluates phi_t the way
     the quoted (phi_t, delta) pair of approximately (1.6716, 0.3846) was
@@ -445,51 +387,33 @@ def solve_charsys(
         )
     if replicate_reported and family is not CharFamily.SIMPLEX_UNLABELED:
         raise ValueError("replicate_reported applies to the simplex-unlabeled family only")
-    phi, phi_w, phi_ww, phi_t = _family_phi(family, order, mode)
+    phi = _family_phi(family, order, mode)
+    data = _totals_data(family, order)
 
-    if family is CharFamily.SIMPLEX_LABELED:
-        s = (3.0 - math.sqrt(3.0)) / 3.0
-        r = (3.0 + math.sqrt(3.0)) / 18.0
-        b = None
-    elif family is CharFamily.SIMPLEX_UNLABELED:
-        # 1 = phi_w gives r = (1-s)^4 / s; bisect the remaining equation in s.
-        # Below s ~ 0.38 that r exceeds the plain-tree radius and the totals
-        # series leaves its disk of convergence, so the scan starts there.
-        def resid(s):
-            r = (1.0 - s) ** 4 / s
-            return phi(r, s) - s
+    def s_of(r):
+        def inner(w):
+            j = phi(r, w)
+            return j.w - 1.0, j.ww
 
-        lo, hi = _scan_bracket(resid, 0.38, 0.98)
-        s = _bisect(resid, lo, hi)
-        r = (1.0 - s) ** 4 / s
-        b = series_value(_totals_data(family, order), r * r)
-    else:
+        return _newton(inner, 1e-9, 1.0 - 1e-9)
 
-        def s_of_r(r):
-            return _bisect(lambda w: phi_w(r, w) - 1.0, 1e-9, 1.0 - 1e-9)
+    def outer(r):
+        s = s_of(r)
+        j = phi(r, s)
+        return j.v - s, j.dt
 
-        def resid(r):
-            w = s_of_r(r)
-            return phi(r, w) - w
-
-        has_data = family in _DATA_FAMILIES
-        # Data-backed families must keep r^2 inside the totals series' disk.
-        hi_scan = 0.30 if has_data else 0.45
-        lo, hi = _scan_bracket(resid, 1e-4, hi_scan)
-        r = _bisect(resid, lo, hi, tol=1e-12)
-        s = s_of_r(r)
-        b = series_value(_totals_data(family, order), r * r) if has_data else None
-
-    pt = phi_t(r, s)
+    r = _newton(outer, 1e-4, 0.45 if data is None else 0.30)
+    s = s_of(r)
+    j = phi(r, s)
+    b = None if data is None else series_value(data, r * r)
+    pt = j.dt
     if replicate_reported:
-        data = _totals_data(family, order)
         aprime = derivative_at(data, r * r, mode)
         correct_last = r * r * aprime / (1.0 - b) ** 2
         pt = pt - correct_last + correct_last * aprime
-    pww = phi_ww(r, s)
-    delta = math.sqrt(2.0 * r * pt / pww)
+    delta = math.sqrt(2.0 * r * pt / j.ww)
     return CharSysSolution(
-        family=family, r=r, s=s, b=b, phi_t=pt, phi_ww=pww, delta=delta, truncation_n=order,
+        family=family, r=r, s=s, b=b, phi_t=pt, phi_ww=j.ww, delta=delta, truncation_n=order,
         mode=mode, replicate_reported=replicate_reported,
     )
 

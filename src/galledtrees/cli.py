@@ -184,6 +184,8 @@ def cmd_asym(args, parser) -> int:
             if not args.family:
                 parser.error("charsys needs --family")
             fam = asym.CharFamily(args.family)
+            if args.replicate_reported and fam is not asym.CharFamily.SIMPLEX_UNLABELED:
+                parser.error("--replicate-reported applies to --family simplex-unlabeled only")
             sol = asym.solve_charsys(fam, **order, replicate_reported=args.replicate_reported)
             print(f"r {sol.r:.10f}")
             print(f"s {sol.s:.10f}")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from galledtrees import asym
+from galledtrees import asym, genfunc
 from galledtrees.asym import CharFamily, DerivativeMode
 from galledtrees.comb import catalan, double_factorial_odd
 from galledtrees.counts import (
@@ -11,8 +11,20 @@ from galledtrees.counts import (
     GENERAL_UNLABELED,
     SIMPLEX_LABELED,
     SIMPLEX_UNLABELED,
+    TC_LABELED,
+    TC_UNLABELED,
     simplex_total_sequence,
 )
+
+# Written out apart from asym's own map, so that a wrong entry there shows.
+FAMILY_SPECS = {
+    CharFamily.GENERAL_UNLABELED: GENERAL_UNLABELED,
+    CharFamily.GENERAL_LABELED: GENERAL_LABELED,
+    CharFamily.SIMPLEX_UNLABELED: SIMPLEX_UNLABELED,
+    CharFamily.SIMPLEX_LABELED: SIMPLEX_LABELED,
+    CharFamily.TIME_CONSISTENT_UNLABELED: TC_UNLABELED,
+    CharFamily.TIME_CONSISTENT_LABELED: TC_LABELED,
+}
 
 
 def test_rho_gamma():
@@ -20,7 +32,6 @@ def test_rho_gamma():
     assert abs(sc.rho - 0.40270) <= 5e-6
     assert abs(sc.gamma - 1.13003) <= 5e-6
     assert sc.residual() <= 1e-9
-    assert abs(asym.tree_series_value_at_singularity(60) - 1.0) <= 1e-9
 
 
 def test_rho_gamma_truncation_guard():
@@ -187,6 +198,39 @@ def test_charsys_truncation_error():
     assert exact.truncation_error() == abs(exact.delta - half.delta)
     # closed forms carry no truncation
     assert asym.solve_charsys(CharFamily.SIMPLEX_LABELED).truncation_error() == 0.0
+
+
+@pytest.mark.parametrize("family", list(CharFamily), ids=lambda f: f.value)
+def test_charsys_constants_match_exact_totals(family):
+    # The exact total over (delta / (2 sqrt(pi))) n^(-3/2) r^(-n) is 1 + c/n + O(n^-2),
+    # with c between 0.15 and 0.43; one Richardson step over n = 100, 200 removes c/n.
+    # For the labeled families the coefficient is the EGF one, so n! drops out.
+    series = genfunc.arbitrary_galls_series(FAMILY_SPECS[family], 200)
+    sol = asym.solve_charsys(family, 25, DerivativeMode.EXACT_SERIES)
+
+    def ratio(n):
+        c = Fraction(series[n])
+        log_estimate = (
+            math.log(sol.delta / (2 * math.sqrt(math.pi))) - 1.5 * math.log(n) - n * math.log(sol.r)
+        )
+        return math.exp(math.log(c.numerator) - math.log(c.denominator) - log_estimate)
+
+    assert abs(2 * ratio(200) - ratio(100) - 1) <= 5e-5
+
+
+@pytest.mark.parametrize("family", list(CharFamily), ids=lambda f: f.value)
+def test_jet_derivatives_match_central_differences(family):
+    phi = asym._family_phi(family, 25)
+    h = 1e-5
+    for t in (0.05, 0.1, 0.2):
+        for w in (0.1, 0.3, 0.5):
+            j = phi(t, w)
+            up, down = phi(t, w + h), phi(t, w - h)
+            dw = (up.v - down.v) / (2 * h)
+            dww = (up.w - down.w) / (2 * h)
+            dt = (phi(t + h, w).v - phi(t - h, w).v) / (2 * h)
+            for part, got, want in (("w", j.w, dw), ("ww", j.ww, dww), ("dt", j.dt, dt)):
+                assert abs(got - want) <= 1e-6 * abs(want), (t, w, part, got, want)
 
 
 def test_charsys_replicate_guard():

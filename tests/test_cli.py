@@ -193,6 +193,12 @@ def test_asym_charsys_replicated(capsys):
     assert code == 0 and abs(float(vals["delta"]) - 0.3846) < 5e-4
 
 
+def test_asym_charsys_replicated_refuses_other_families(capsys):
+    for fam in ("general-unlabeled", "simplex-labeled", "time-consistent-labeled"):
+        code, out, err = run(capsys, "asym", "charsys", "--family", fam, "--replicate-reported")
+        assert code == 2 and out == "" and "--replicate-reported" in err, fam
+
+
 def test_asym_ratio(capsys):
     code, out, _ = run(capsys, "asym", "ratio", "--class", "general", "--labeling",
                        "labeled", "-g", "1", "-n", "300")
