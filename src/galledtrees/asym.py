@@ -21,11 +21,10 @@ characteristic equations are solved by one bracketed Newton iteration
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .comb import partition_multinomial, weighted_partitions
 from .counts import (
@@ -99,8 +98,7 @@ def _newton(f: Callable[[float], Tuple[float, float]], lo: float, hi: float) -> 
     return x
 
 
-@dataclass(frozen=True)
-class SingularConstants:
+class SingularConstants(NamedTuple):
     rho: float
     gamma: float
     truncation_n: int
@@ -145,8 +143,7 @@ def beta(g: int) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Leading-order growth C * n^p * base^n (times n! when includes_factorial),
     held in log space so huge counts never overflow."""
 
@@ -237,8 +234,7 @@ class CharFamily(Enum):
     TIME_CONSISTENT_LABELED = "time-consistent-labeled"
 
 
-@dataclass(frozen=True)
-class CharSysSolution:
+class CharSysSolution(NamedTuple):
     family: CharFamily
     r: float
     s: float

@@ -11,9 +11,8 @@ structures, not just numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .comb import catalan, factorial
 from .counts import (
@@ -120,10 +119,9 @@ def saturated_simplex_slice(m: int) -> Dict[bytes, object]:
     return out
 
 
-@dataclass
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     max_n: int
-    failures: List[str] = field(default_factory=list)
+    failures: List[str]
 
     @property
     def ok(self) -> bool:
@@ -136,32 +134,32 @@ def check_labeled_corollaries(max_n: int) -> CorollaryReport:
     labeled_tree_count((n+1)/2) * n! / ((n+1)/2)!."""
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    report = CorollaryReport(max_n=max_n)
+    failures: List[str] = []
     gen = TreeClassSpec(NetworkClass.GENERAL, Labeling.LEAF_LABELED)
     sim = TreeClassSpec(NetworkClass.SIMPLEX_TC, Labeling.LEAF_LABELED)
     for n in range(2, max_n + 1):
         want = catalan(n - 1) * factorial(n)
         got = count(gen, n, n - 1)
         if got != want:
-            report.failures.append(f"general n={n}: {got} != {want}")
+            failures.append(f"general n={n}: {got} != {want}")
         if n % 2 == 1:
             m = (n + 1) // 2
             want = labeled_tree_count(m) * factorial(n) // factorial(m)
             got = count(sim, n, (n - 1) // 2)
             if got != want:
-                report.failures.append(f"simplex n={n}: {got} != {want}")
-    return report
+                failures.append(f"simplex n={n}: {got} != {want}")
+    return CorollaryReport(max_n, failures)
 
 
 def check_unlabeled_identities(max_n: int) -> CorollaryReport:
     """Unlabeled maximal-gall identities: general slice is Catalan, simplex
     slice (odd n) is Wedderburn."""
-    report = CorollaryReport(max_n=max_n)
+    failures: List[str] = []
     gen = TreeClassSpec(NetworkClass.GENERAL, Labeling.UNLABELED)
     sim = TreeClassSpec(NetworkClass.SIMPLEX_TC, Labeling.UNLABELED)
     for n in range(2, max_n + 1):
         if count(gen, n, n - 1) != catalan(n - 1):
-            report.failures.append(f"general n={n}")
+            failures.append(f"general n={n}")
         if n % 2 == 1 and count(sim, n, (n - 1) // 2) != wedderburn((n + 1) // 2):
-            report.failures.append(f"simplex n={n}")
-    return report
+            failures.append(f"simplex n={n}")
+    return CorollaryReport(max_n, failures)

@@ -365,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-g", type=int, default=None)
     p.add_argument("--pretty", action="store_true", help="thousands separators")
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_count, parser=p)
 
     p = sub.add_parser("table", help="emit the full (n, g) table with row totals")
     _spec_args(p)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=["csv", "tsv", "json"], default="csv")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("series", help="exact series coefficients from the "
                        "generating-function engine")
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", dest="order", type=int, required=True, help="truncation order")
     p.add_argument("-g", type=int, default=None, help="gall count for fixed-g mode")
     p.add_argument("--max-g", type=int, default=None, help="u-order cap for bivariate mode")
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func=cmd_series, parser=p)
 
     p = sub.add_parser("asym", help="singular constants, characteristic systems, "
                        "estimates, and exact/estimate ratios")
@@ -398,19 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicate-reported", action="store_true",
                    help="simplex-unlabeled charsys: reproduce the quoted "
                    "(phi_t, delta) evaluation")
-    p.set_defaults(func=cmd_asym)
+    p.set_defaults(func=cmd_asym, parser=p)
 
     p = sub.add_parser("verify", help="golden tables, engine agreement, oracle, bijections")
     p.add_argument("--scope", choices=["tables", "engines", "oracle", "bijections", "all"],
                    default="all")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.func(args, args.parser)  # usage errors name the subcommand
 
 
 if __name__ == "__main__":

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .comb import double_factorial_odd
 
@@ -35,8 +34,7 @@ class Labeling(Enum):
     LEAF_LABELED = "labeled"
 
 
-@dataclass(frozen=True)
-class TreeClassSpec:
+class TreeClassSpec(NamedTuple):
     network_class: NetworkClass
     labeling: Labeling
 
@@ -74,8 +72,8 @@ ALL_SPECS = (
 # a fraction of a second; larger n is served by the generating-function engine.
 EXACT_ENGINE_LIMIT = 30
 
-_row_cache: Dict[Tuple[NetworkClass, Labeling, int], Tuple[int, ...]] = {}
-_power_cache: Dict[Tuple[NetworkClass, Labeling, int], List[List[int]]] = {}
+_row_cache: Dict[Tuple[TreeClassSpec, int], Tuple[int, ...]] = {}
+_power_cache: Dict[Tuple[TreeClassSpec, int], List[List[int]]] = {}
 
 
 def _conv(a, b) -> List[int]:
@@ -113,14 +111,15 @@ def _powers(spec: TreeClassSpec, v: int) -> List[List[int]]:
     with w = comb(v, f) labeled and 1 unlabeled, so only rows below v are
     read.  Entries 0 and 1 (the row of v itself) are left empty; use _power.
     """
-    key = (spec.network_class, spec.labeling, v)
+    key = (spec, v)
     column = _power_cache.get(key)
     if column is None:
+        labeled = spec.is_labeled
         column = [[], []]
         for k in range(2, v + 1):
             acc = [0] * (v - k + 1)  # a composition into k parts has <= v - k galls
             for f in range(1, v - k + 2):
-                w = math.comb(v, f) if spec.is_labeled else 1
+                w = math.comb(v, f) if labeled else 1
                 for h, x in enumerate(_conv(_get_row(spec, f), _power(spec, k - 1, v - f))):
                     acc[h] += w * x
             while not acc[-1]:  # classes narrower than general leave a zero tail
@@ -222,12 +221,12 @@ def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
 
 
 def _get_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
-    key = (spec.network_class, spec.labeling, n)
+    key = (spec, n)
     row = _row_cache.get(key)
     if row is None:
         for m in range(1, n):  # build bottom-up so recursion depth stays O(1)
-            if (spec.network_class, spec.labeling, m) not in _row_cache:
-                _row_cache[(spec.network_class, spec.labeling, m)] = _compute_row(spec, m)
+            if (spec, m) not in _row_cache:
+                _row_cache[(spec, m)] = _compute_row(spec, m)
         row = _compute_row(spec, n)
         _row_cache[key] = row
     return row
@@ -332,12 +331,11 @@ def simplex_total_direct(n: int) -> int:
     return simplex_total_sequence(n)[n]
 
 
-@dataclass
-class CountTable:
+class CountTable(NamedTuple):
     spec: TreeClassSpec
     max_n: int
-    entries: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    row_totals: Dict[int, int] = field(default_factory=dict)
+    entries: Dict[Tuple[int, int], int]
+    row_totals: Dict[int, int]
 
     def row(self, n: int) -> Tuple[int, ...]:
         return tuple(self.entries[(n, g)] for g in range(self.spec.max_galls(n) + 1))
@@ -347,13 +345,14 @@ def build_table(spec: TreeClassSpec, max_n: int) -> CountTable:
     """Fill all legal (n, g) cells and row totals for n = 1 .. max_n."""
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {max_n}")
-    table = CountTable(spec=spec, max_n=max_n)
+    entries: Dict[Tuple[int, int], int] = {}
+    row_totals: Dict[int, int] = {}
     for n in range(1, max_n + 1):
         row = _get_row(spec, n)
         for g, v in enumerate(row):
-            table.entries[(n, g)] = v
-        table.row_totals[n] = sum(row)
-    return table
+            entries[(n, g)] = v
+        row_totals[n] = sum(row)
+    return CountTable(spec, max_n, entries, row_totals)
 
 
 def clear_cache() -> None:

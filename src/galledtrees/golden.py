@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .counts import (
     GENERAL_LABELED,
@@ -29,6 +27,8 @@ SIMPLEX_EXTRA_TOTALS_MAX_N = 25
 
 def load_golden() -> Dict[str, Dict[Cell, int]]:
     """The checked-in golden data, keyed by family name then (n, g)."""
+    from importlib import resources  # on first use: it pulls in pathlib, tempfile, ...
+
     out: Dict[str, Dict[Cell, int]] = {}
     text = resources.files("galledtrees").joinpath("data/golden_tables.csv").read_text()
     for line in text.splitlines():
@@ -40,10 +40,9 @@ def load_golden() -> Dict[str, Dict[Cell, int]]:
     return out
 
 
-@dataclass
-class TableCheck:
-    cells_checked: int = 0
-    mismatches: List[str] = field(default_factory=list)
+class TableCheck(NamedTuple):
+    cells_checked: int
+    mismatches: List[str]
 
     @property
     def ok(self) -> bool:
@@ -53,21 +52,22 @@ class TableCheck:
 def verify_against_golden() -> TableCheck:
     """Recompute every golden cell with the recursion engine and diff."""
     golden = load_golden()
-    check = TableCheck()
+    cells_checked = 0
+    mismatches: List[str] = []
     for name, (spec, max_n) in TABLE_SPECS.items():
         table = build_table(spec, max_n)
         for (n, g), want in golden[name].items():
             if n > max_n:
                 continue  # the simplex totals beyond the table, handled below
             got = table.row_totals[n] if g == "total" else table.entries[(n, g)]
-            check.cells_checked += 1
+            cells_checked += 1
             if got != want:
-                check.mismatches.append(f"{name} n={n} g={g}: {got} != {want}")
+                mismatches.append(f"{name} n={n} g={g}: {got} != {want}")
     seq = simplex_total_sequence(SIMPLEX_EXTRA_TOTALS_MAX_N)
     for (n, g), want in golden["simplex-unlabeled"].items():
         if n <= TABLE_SPECS["simplex-unlabeled"][1]:
             continue
-        check.cells_checked += 1
+        cells_checked += 1
         if seq[n] != want:
-            check.mismatches.append(f"simplex-unlabeled n={n} total: {seq[n]} != {want}")
-    return check
+            mismatches.append(f"simplex-unlabeled n={n} total: {seq[n]} != {want}")
+    return TableCheck(cells_checked, mismatches)

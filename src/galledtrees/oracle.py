@@ -40,9 +40,8 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counts import NetworkClass
 
@@ -60,57 +59,94 @@ class Leaf:
     def __repr__(self):
         return "Leaf()"
 
+    def __reduce__(self):  # copies and unpickles to the one LEAF, which == compares by identity
+        return "LEAF"
+
 
 LEAF = Leaf()
 
 
-# The stored key, tallies, automorphism order and DAG expansion stay out of
-# ==, hash and repr, which compare and show the structure alone.  The
-# expansion is filled lazily, the first time the node is expanded as a child.
+# Internal and GallTop are frozen: their fields are set once, in __init__,
+# through object.__setattr__.  The stored key, tallies, automorphism order and
+# DAG expansion stay out of ==, hash and repr, which compare and show the
+# structure alone.  The expansion is filled lazily, the first time the node is
+# expanded as a child.
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Internal:
-    left: object
-    right: object
-    key: bytes = field(init=False, repr=False, compare=False)
-    n_leaves: int = field(init=False, repr=False, compare=False)
-    n_galls: int = field(init=False, repr=False, compare=False)
-    aut: int = field(init=False, repr=False, compare=False)
-    expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+class _Frozen:
+    __slots__ = ()
 
-    def __post_init__(self):
-        left, right = self.left, self.right
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Internal(_Frozen):
+    __slots__ = ("left", "right", "key", "n_leaves", "n_galls", "aut", "expansion")
+
+    def __init__(self, left, right):
         a, b = sorted((left.key, right.key))
-        object.__setattr__(self, "key", b"I" + _blob(a) + _blob(b))
-        object.__setattr__(self, "n_leaves", left.n_leaves + right.n_leaves)
-        object.__setattr__(self, "n_galls", left.n_galls + right.n_galls)
-        object.__setattr__(self, "aut", left.aut * right.aut * (2 if a == b else 1))
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "key", b"I" + _blob(a) + _blob(b))
+        _set(self, "n_leaves", left.n_leaves + right.n_leaves)
+        _set(self, "n_galls", left.n_galls + right.n_galls)
+        _set(self, "aut", left.aut * right.aut * (2 if a == b else 1))
+        _set(self, "expansion", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not Internal:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"Internal(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        return Internal, (self.left, self.right)
 
 
-@dataclass(frozen=True, slots=True)
-class GallTop:
-    left_seq: Tuple[object, ...]
-    right_seq: Tuple[object, ...]
-    ret_child: object
-    key: bytes = field(init=False, repr=False, compare=False)
-    n_leaves: int = field(init=False, repr=False, compare=False)
-    n_galls: int = field(init=False, repr=False, compare=False)
-    aut: int = field(init=False, repr=False, compare=False)
-    expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    # The two paths' encoding, from _encode_paths; generation passes it in
-    # once for every reticulation subtree that shares the pair.
-    paths: InitVar[Optional[_Paths]] = None
+class GallTop(_Frozen):
+    __slots__ = ("left_seq", "right_seq", "ret_child", "key", "n_leaves", "n_galls", "aut",
+                 "expansion")
 
-    def __post_init__(self, paths):
+    def __init__(self, left_seq, right_seq, ret_child, paths: Optional[_Paths] = None):
+        """paths is the two paths' encoding, from _encode_paths; generation
+        passes it in once for every reticulation subtree that shares the pair."""
         if paths is None:
-            paths = _encode_paths(self.left_seq, self.right_seq)
+            paths = _encode_paths(left_seq, right_seq)
         body, n_leaves, n_galls, aut = paths
-        rc = self.ret_child
-        object.__setattr__(self, "key", b"G" + body + _blob(rc.key))
-        object.__setattr__(self, "n_leaves", n_leaves + rc.n_leaves)
-        object.__setattr__(self, "n_galls", 1 + n_galls + rc.n_galls)
-        object.__setattr__(self, "aut", aut * rc.aut)
+        _set(self, "left_seq", left_seq)
+        _set(self, "right_seq", right_seq)
+        _set(self, "ret_child", ret_child)
+        _set(self, "key", b"G" + body + _blob(ret_child.key))
+        _set(self, "n_leaves", n_leaves + ret_child.n_leaves)
+        _set(self, "n_galls", 1 + n_galls + ret_child.n_galls)
+        _set(self, "aut", aut * ret_child.aut)
+        _set(self, "expansion", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not GallTop:
+            return NotImplemented
+        return ((self.left_seq, self.right_seq, self.ret_child)
+                == (other.left_seq, other.right_seq, other.ret_child))
+
+    def __hash__(self):
+        return hash((self.left_seq, self.right_seq, self.ret_child))
+
+    def __repr__(self):
+        return (f"GallTop(left_seq={self.left_seq!r}, right_seq={self.right_seq!r}, "
+                f"ret_child={self.ret_child!r})")
+
+    def __reduce__(self):
+        return GallTop, (self.left_seq, self.right_seq, self.ret_child)
 
 
 _Paths = Tuple[bytes, int, int, int]
@@ -310,11 +346,10 @@ _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
 _RECORDS: Dict[_Record, _Record] = {}
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     n_leaves: int
     n_galls: int
-    violations: List[str] = field(default_factory=list)
+    violations: List[str]
 
     @property
     def ok(self) -> bool:
@@ -402,7 +437,7 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     never per key."""
     recs = _expansion(s)
     n_nodes = len(recs)
-    report = ValidationReport(n_leaves=leaves(s), n_galls=galls(s))
+    report = ValidationReport(leaves(s), galls(s), [])
     bad = report.violations.append
 
     # A repeated edge repeats a parent of its head, so only nodes with two or
@@ -433,7 +468,7 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
                 parallel = True
     if parallel:
         bad("parallel edges (not a simple graph)")
-    report.violations += degree_faults
+    report.violations.extend(degree_faults)
 
     expected_leaves = 1 if n_nodes == 1 else n_leaf_nodes
     if expected_leaves != report.n_leaves:

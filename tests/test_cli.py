@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,25 @@ def test_count_usage_error(capsys):
     code, _, err = run(capsys, "count", "--class", "general", "--labeling", "unlabeled",
                        "-n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("count", "--class", "general", "--labeling", "unlabeled", "-n", "0"),
+     "-n must be at least 1"),
+    (("table", "--class", "general", "--labeling", "unlabeled", "--max-n", "0"),
+     "--max-n must be at least 1"),
+    (("series", "--class", "general", "--labeling", "unlabeled", "--mode", "arbitrary",
+      "-N", "0"), "-N must be at least 1"),
+    (("asym", "charsys", "--family", "general-labeled", "--replicate-reported"),
+     "--replicate-reported applies to --family simplex-unlabeled only"),
+])
+def test_usage_errors_name_the_subcommand(capsys, argv, message):
+    # an error found by the handler shows the subcommand's usage, not the top level's
+    code, out, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert lines[0].startswith(f"usage: galledtrees {argv[0]} [-h]")
+    assert lines[-1] == f"galledtrees {argv[0]}: error: {message}"
 
 
 def test_count_engine_limit(capsys):
@@ -344,3 +366,51 @@ def test_asym_order_is_honoured(capsys):
         code, out, err = run(capsys, "asym", "ratio", "--labeling", labeling, "-g", "1", "-n", "50",
                              "--order", "49")
         assert code == 4 and out == "" and "below requested n" in err, labeling
+
+
+# Every CLI call imports galledtrees.cli, so the import stays lean: no
+# dataclasses (which pulls in inspect, ast, dis and tokenize) and no
+# importlib.resources (pathlib, tempfile, shutil, ...) until the golden CSV is
+# read.  Run with -S in a fresh interpreter, since a site hook may preload them.
+_LEAN_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import galledtrees.cli
+loaded = sorted({"dataclasses", "inspect", "importlib.resources"} & set(sys.modules))
+from galledtrees import golden
+tables = golden.load_golden()
+print(json.dumps([loaded, sorted(tables), tables["general-unlabeled"][(5, 2)]]))
+"""
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_resources_out():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    got = subprocess.run([sys.executable, "-S", "-c", _LEAN_IMPORT, src],
+                         capture_output=True, text=True, check=True)
+    loaded, names, cell = json.loads(got.stdout)
+    assert loaded == []
+    assert names == sorted(golden.TABLE_SPECS) and cell == 113
+
+
+def test_value_records_are_named_tuples_with_their_repr():
+    from galledtrees.asym import (
+        AsymptoticEstimate, CharFamily, CharSysSolution, SingularConstants,
+    )
+
+    sol = CharSysSolution(CharFamily.GENERAL_LABELED, 0.25, 0.5, None, 1.5, 2.0, 0.75, 25)
+    records = {
+        GENERAL_UNLABELED: "TreeClassSpec(network_class=<NetworkClass.GENERAL: 'general'>, "
+                           "labeling=<Labeling.UNLABELED: 'unlabeled'>)",
+        SingularConstants(0.25, 1.5, 60): "SingularConstants(rho=0.25, gamma=1.5, truncation_n=60)",
+        AsymptoticEstimate(-1.5, -1.5, 0.5, True): "AsymptoticEstimate(log_constant=-1.5, "
+        "poly_exponent=-1.5, log_base=0.5, includes_factorial=True)",
+        sol: "CharSysSolution(family=<CharFamily.GENERAL_LABELED: 'general-labeled'>, r=0.25, "
+             "s=0.5, b=None, phi_t=1.5, phi_ww=2.0, delta=0.75, truncation_n=25, mode=None, "
+             "replicate_reported=False)",
+    }
+    for record, text in records.items():
+        assert repr(record) == text
+        assert record == tuple(record) and hash(record) == hash(tuple(record))
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)

@@ -1,5 +1,6 @@
+import copy
 import math
-from dataclasses import fields
+import pickle
 
 import pytest
 
@@ -331,9 +332,10 @@ def test_stored_key_and_tallies_match_reference(source):
 
 
 def test_stored_fields_stay_out_of_eq_hash_and_repr():
-    for cls in (Internal, GallTop):
-        stored = [f.name for f in fields(cls) if not f.compare or not f.repr]
-        assert stored == ["key", "n_leaves", "n_galls", "aut", "expansion"]
+    # the slots are the structural fields, then the stored ones
+    for cls, structural in ((Internal, ("left", "right")),
+                            (GallTop, ("left_seq", "right_seq", "ret_child"))):
+        assert cls.__slots__ == structural + ("key", "n_leaves", "n_galls", "aut", "expansion")
     cherry = Internal(LEAF, LEAF)
     assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
     assert not hasattr(cherry, "__dict__")
@@ -354,6 +356,18 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     validate(b, NetworkClass.GENERAL)
     assert b.ret_child.expansion is not None
     assert a == b and hash(a) == hash(b) and "expansion" not in repr(b)
+    # the nodes are frozen: no field can be assigned or deleted
+    for node in (cherry, b):
+        for name in type(node).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert b.ret_child.expansion is not None and cherry.left is LEAF
+    # copying and pickling rebuild a node from its structural fields, down to the one LEAF
+    for c in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert c is not b and c == b and canonical_key(c) == canonical_key(b)
+        assert c.expansion is None and c.ret_child.ret_child is LEAF
 
 
 # -- the flat expansion against the recursive one -----------------------------
