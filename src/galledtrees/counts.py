@@ -72,8 +72,15 @@ ALL_SPECS = (
 # a fraction of a second; larger n is served by the generating-function engine.
 EXACT_ENGINE_LIMIT = 30
 
-_row_cache: Dict[Tuple[TreeClassSpec, int], Tuple[int, ...]] = {}
-_power_cache: Dict[Tuple[TreeClassSpec, int], List[List[int]]] = {}
+# Both caches are keyed by `_cache_key`, the members' string values and n:
+# a str hashes in C and caches its hash, where hashing an Enum member (or a
+# spec of two) runs the Python-level Enum.__hash__ on every lookup.
+_row_cache: Dict[Tuple[str, str, int], Tuple[int, ...]] = {}
+_power_cache: Dict[Tuple[str, str, int], List[List[int]]] = {}
+
+
+def _cache_key(spec: TreeClassSpec, n: int) -> Tuple[str, str, int]:
+    return spec.network_class._value_, spec.labeling._value_, n
 
 
 def _conv(a, b) -> List[int]:
@@ -111,7 +118,7 @@ def _powers(spec: TreeClassSpec, v: int) -> List[List[int]]:
     with w = comb(v, f) labeled and 1 unlabeled, so only rows below v are
     read.  Entries 0 and 1 (the row of v itself) are left empty; use _power.
     """
-    key = (spec, v)
+    key = _cache_key(spec, v)
     column = _power_cache.get(key)
     if column is None:
         labeled = spec.is_labeled
@@ -221,12 +228,13 @@ def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
 
 
 def _get_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
-    key = (spec, n)
+    key = _cache_key(spec, n)
     row = _row_cache.get(key)
     if row is None:
         for m in range(1, n):  # build bottom-up so recursion depth stays O(1)
-            if (spec, m) not in _row_cache:
-                _row_cache[(spec, m)] = _compute_row(spec, m)
+            low = _cache_key(spec, m)
+            if low not in _row_cache:
+                _row_cache[low] = _compute_row(spec, m)
         row = _compute_row(spec, n)
         _row_cache[key] = row
     return row

@@ -6,9 +6,12 @@ Each (network class, labeling) family gets three routes to the same numbers:
   equation in (t, u), where u marks galls.  Unlabeled equations carry the
   (t^2, u^2) substitution terms coming from unordered pairs.
 * ``fixed_g_series`` -- the explicit one-variable formula for a fixed number
-  of galls g, assembled from convolutions of the lower ladder, weighted
-  partitions with multinomial coefficients, parity guards, and (unlabeled)
-  symmetric-half blocks in t^2.
+  of galls g, assembled from convolutions of the lower ladder (each unordered
+  pair of rungs once), weighted partitions with multinomial coefficients,
+  parity guards, and (unlabeled) symmetric-half blocks in t^2.  Each
+  partition sum is split by part count, and each part count's kernel, built
+  once per ladder, multiplies its share in one product.  For g >= order the
+  series is zero and no rung is built.
 * ``closed_small_g`` -- the closed rational expressions in the base tree
   series available for g = 1, 2.
 
@@ -154,17 +157,23 @@ def _dxk_seq(k: int, inv_pows) -> TruncatedSeries:
 class _Ladder(list):
     """Rungs 0..g of one family's fixed-g ladder at one order, rung 0 being
     the base tree series.  Every rung reads powers of 1 / (1 - base) (and,
-    unlabeled, of 1 / (1 - base(t^2))) and powers of lower rungs; those are
-    kept here, each power one product from the one below it, and grown as
-    later rungs need more of them."""
+    unlabeled, of 1 / (1 - base(t^2))), powers of lower rungs, the family's
+    root-gall kernel for each part count ls and, unlabeled, the
+    symmetric-half sum for each weight; those are kept here, each power one
+    product from the one below it and each kernel and sum built the first
+    time a rung reads it, and grown as later rungs need more of them.
+    A rung's convolution of lower rungs forms each unordered pair once and
+    reads the middle rung's square from the rung powers."""
 
-    __slots__ = ("inv_pows", "inv2_pows", "rung_pows")
+    __slots__ = ("inv_pows", "inv2_pows", "rung_pows", "kernels", "halves")
 
     def __init__(self, base: TruncatedSeries) -> None:
         super().__init__([base])
         self.inv_pows = [TruncatedSeries.one(base.order)]
         self.inv2_pows = self.inv_pows[:]
         self.rung_pows: Dict[int, List[TruncatedSeries]] = {}
+        self.kernels: Dict[int, TruncatedSeries] = {}
+        self.halves: Dict[int, TruncatedSeries] = {}
 
     def inverse_powers(self, top: int, squared: bool = False) -> List[TruncatedSeries]:
         """(1 / (1 - b))^k for k = 0..top at least, b the base series or,
@@ -183,6 +192,22 @@ class _Ladder(list):
             pows.append(pows[-1] * self[m])
         return pows[k - 1]
 
+    def kernel(self, spec: TreeClassSpec, ls: int) -> TruncatedSeries:
+        """The root-gall kernel of the ls-part terms: (1/ls!) D_x^ls of the
+        family's root-gall kernels at the base series, halved where the two
+        gall paths are interchangeable."""
+        got = self.kernels.get(ls)
+        if got is None:
+            base, inv_pows = self[0], self.inverse_powers(ls + 2)
+            if spec.network_class is NetworkClass.SIMPLEX_TC:
+                got = _dxk_pinned_leaf(ls, inv_pows).shift_by_t().scale(HALF)
+            else:
+                got = _dxk_both_paths(ls, base, inv_pows).scale(HALF)
+                if spec.network_class is NetworkClass.GENERAL:
+                    got = got + _dxk_one_empty(ls, base, inv_pows)
+            self.kernels[ls] = got
+        return got
+
 
 def _wp_product(ladder: _Ladder, wp, squared=False) -> TruncatedSeries:
     """Product of rung m to the power k over the items (m, k) of wp, taken at
@@ -193,12 +218,46 @@ def _wp_product(ladder: _Ladder, wp, squared=False) -> TruncatedSeries:
     return reduce(operator.mul, factors) if factors else TruncatedSeries.one(ladder[0].order)
 
 
+def _by_part_count(ladder: _Ladder, partitions, squared=False) -> Dict[int, TruncatedSeries]:
+    """{ls: sum of multinomial(wp) * `_wp_product`(wp)} over the partitions
+    wp with ls parts, so each part count's kernel multiplies its sum once
+    (the split of a partition sum by part count, the partial Bell
+    polynomials).  Even partitions are read at half weight and t^2."""
+    sums: Dict[int, TruncatedSeries] = {}
+    for wp in partitions:
+        ls = sum(wp.values())
+        if squared:
+            wp = {m // 2: k for m, k in wp.items()}
+        term = _wp_product(ladder, wp, squared).scale(partition_multinomial(wp))
+        sums[ls] = sums[ls] + term if ls in sums else term
+    return sums
+
+
+def _seq_sum(ladder: _Ladder, weight: int) -> TruncatedSeries:
+    """The symmetric-half sum over the even weighted partitions of weight,
+    one `_dxk_seq` product per part count; built once per ladder."""
+    acc = ladder.halves.get(weight)
+    if acc is None:
+        inv2_pows = ladder.inverse_powers(weight + 1, squared=True)
+        acc = TruncatedSeries.zero(ladder[0].order)
+        for sr, s in _by_part_count(ladder, even_weighted_partitions(weight), squared=True).items():
+            acc = acc + _dxk_seq(sr, inv2_pows) * s
+        ladder.halves[weight] = acc
+    return acc
+
+
 def fixed_g_series(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
     """Series counting networks with exactly g galls, from the explicit
     fixed-g formula; the whole ladder 1..g is computed and memoized, with the
-    inverse and rung powers its rungs share (`_Ladder`)."""
+    inverse and rung powers and the kernels its rungs share (`_Ladder`).
+    Every family has at most n - 1 galls on n leaves, so for g >= order the
+    series is zero through t^order and no rung is built."""
     if g < 1:
         raise ValueError("fixed_g_series needs g >= 1; g = 0 is the base tree series")
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
+    if g >= order:
+        return TruncatedSeries.zero(order)
     key = (spec.network_class, spec.labeling, order)
     ladder = _ladder_cache.get(key)
     if ladder is None:
@@ -210,54 +269,31 @@ def fixed_g_series(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
 
 def _next_rung(spec: TreeClassSpec, ladder: _Ladder, order: int) -> TruncatedSeries:
     g = len(ladder)
-    base = ladder[0]
     unlabeled = spec.labeling is Labeling.UNLABELED
-    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
-    general = spec.network_class is NetworkClass.GENERAL
-    inv_pows = ladder.inverse_powers(g + 2)
-    if unlabeled:
-        inv2_pows = ladder.inverse_powers(g + 1, squared=True)
 
+    # half the sum of rung l times rung g - l over 1 <= l < g: each unordered
+    # pair once, and the middle rung squared at half weight
     bracket = TruncatedSeries.zero(order)
-    for l in range(1, g):
-        bracket = bracket + (ladder[l] * ladder[g - l]).scale(HALF)
-    if unlabeled and g % 2 == 0:
-        bracket = bracket + ladder[g // 2].substitute_t_squared().scale(HALF)
+    for l in range(1, (g + 1) // 2):
+        bracket = bracket + ladder[l] * ladder[g - l]
+    if g % 2 == 0:
+        middle = ladder.rung_pow(g // 2, 2)
+        if unlabeled:
+            middle = middle + ladder[g // 2].substitute_t_squared()
+        bracket = bracket + middle.scale(HALF)
 
-    for wp in weighted_partitions(g - 1):
-        ls = sum(wp.values())
-        mult = partition_multinomial(wp)
-        prod = _wp_product(ladder, wp)
-        if simplex:
-            kernel = _dxk_pinned_leaf(ls, inv_pows).shift_by_t().scale(HALF)
-        else:
-            kernel = _dxk_both_paths(ls, base, inv_pows).scale(HALF)
-            if general:
-                kernel = kernel + _dxk_one_empty(ls, base, inv_pows)
-        bracket = bracket + (kernel * prod).scale(mult)
+    for ls, s in _by_part_count(ladder, weighted_partitions(g - 1)).items():
+        bracket = bracket + ladder.kernel(spec, ls) * s
 
     if unlabeled:
-        if simplex:
+        if spec.network_class is NetworkClass.SIMPLEX_TC:
             if g % 2 == 1:
-                acc = TruncatedSeries.zero(order)
-                for rp in even_weighted_partitions(g - 1):
-                    sr = sum(rp.values())
-                    mult = partition_multinomial(rp)
-                    prod = _wp_product(ladder, {m // 2: k for m, k in rp.items()}, squared=True)
-                    acc = acc + (_dxk_seq(sr, inv2_pows) * prod).scale(mult)
-                bracket = bracket + acc.shift_by_t().scale(HALF)
+                bracket = bracket + _seq_sum(ladder, g - 1).shift_by_t().scale(HALF)
         else:
             for b in range(0, (g - 1) // 2 + 1):
-                cof = ladder[g - 2 * b - 1]
-                acc = TruncatedSeries.zero(order)
-                for rp in even_weighted_partitions(2 * b):
-                    sr = sum(rp.values())
-                    mult = partition_multinomial(rp)
-                    prod = _wp_product(ladder, {m // 2: k for m, k in rp.items()}, squared=True)
-                    acc = acc + (_dxk_seq(sr, inv2_pows) * prod).scale(mult)
-                bracket = bracket + (cof * acc).scale(HALF)
+                bracket = bracket + (ladder[g - 2 * b - 1] * _seq_sum(ladder, 2 * b)).scale(HALF)
 
-    return inv_pows[1] * bracket
+    return ladder.inverse_powers(1)[1] * bracket
 
 
 def closed_small_g(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:

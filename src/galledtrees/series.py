@@ -28,7 +28,8 @@ and vb being the operands' valuations.  The series these engines multiply are
 mostly zero at both ends: the bivariate rows hold gall counts only for g below
 the row's leaf count, and rung g of the fixed-g ladder has valuation above g.
 A bivariate product finds each row's span once and adds each row product over
-its own span only.
+its own span only.  A span of one coefficient, as in many of the sparse
+bivariate rows and low ladder rungs, multiplies the other as a scaling.
 
 Two spans of at least KRONECKER_MIN coefficients, none negative, are
 multiplied by Kronecker substitution: each is packed into one `Decimal` with
@@ -201,7 +202,8 @@ class TruncatedSeries:
 
     def scale(self, factor) -> "TruncatedSeries":
         f = Fraction(factor)
-        return TruncatedSeries._make([x * f.numerator for x in self.nums], self.den * f.denominator)
+        num = f.numerator
+        return TruncatedSeries._make([x * num for x in self.nums], self.den * f.denominator)
 
     def shift_by_t(self) -> "TruncatedSeries":
         """Multiply by t (the leading coefficient drops off the far end)."""
@@ -359,7 +361,8 @@ class BivariateSeries:
 
     def scale(self, factor) -> "BivariateSeries":
         f = Fraction(factor)
-        rows = [[x * f.numerator for x in row] for row in self.rows]
+        num = f.numerator
+        rows = [[x * num for x in row] for row in self.rows]
         return BivariateSeries._make(rows, self.den * f.denominator)
 
     def shift_by_t(self) -> "BivariateSeries":
@@ -510,7 +513,8 @@ class _Lazy:
             return self.zero
         if kind == "scale":
             f = a[1]
-            return _row([x * f.numerator for x in nums], den * f.denominator)
+            num = f.numerator
+            return _row([x * num for x in nums], den * f.denominator)
         if kind == "sq":
             return _row(int_substitute_t_squared(nums, len(nums) - 1), den)
         return _row((0,) + nums[:-1], den)  # shift_u
@@ -687,6 +691,9 @@ def _span_mul(sa, sb, order: int):
     (va, a), (vb, b) = sa, sb
     la, lb = len(a), len(b)
     n = min(order - va - vb, la + lb - 2) + 1  # coefficients c[0..n - 1]
+    if la == 1 or lb == 1:  # a monomial times a span is a scaling
+        x, ys = (a[0], b) if la == 1 else (b[0], a)
+        return va + vb, [x * y for y in ys[:n]]
     if min(la, lb, n) >= KRONECKER_MIN and min(a) >= 0 and min(b) >= 0:
         c = _kronecker_mul(a[:n], b[:n], n)
         if c is not None:

@@ -1,3 +1,5 @@
+from enum import Enum
+
 import pytest
 
 from galledtrees import comb, genfunc
@@ -12,6 +14,7 @@ from galledtrees.counts import (
     SIMPLEX_UNLABELED,
     TC_LABELED,
     TC_UNLABELED,
+    TreeClassSpec,
     build_table,
     count,
     labeled_tree_count,
@@ -196,3 +199,23 @@ def test_max_galls_rule():
     assert SIMPLEX_LABELED.max_galls(8) == 3
     with pytest.raises(ValueError):
         GENERAL_UNLABELED.max_galls(0)
+
+
+def test_warm_counts_hash_no_enum(monkeypatch):
+    for spec in ALL_SPECS:
+        total(spec, 12)
+    hashed = []
+    real = Enum.__hash__
+    monkeypatch.setattr(Enum, "__hash__", lambda self: hashed.append(self) or real(self))
+    assert {NetworkClass.GENERAL: 1} and hashed == [NetworkClass.GENERAL]  # the spy sees them
+    hashed.clear()
+    for spec in ALL_SPECS:
+        for n in range(1, 13):
+            assert total(spec, n) == sum(count(spec, n, g) for g in range(spec.max_galls(n) + 1))
+    assert hashed == []
+    # the cache keys leave the spec itself as it was: equal, hashed and shown by value
+    spec = TreeClassSpec(NetworkClass.GENERAL, Labeling.UNLABELED)
+    assert spec == GENERAL_UNLABELED and hash(spec) == hash(GENERAL_UNLABELED)
+    assert {spec: 1}[GENERAL_UNLABELED] == 1
+    assert repr(spec) == ("TreeClassSpec(network_class=<NetworkClass.GENERAL: 'general'>, "
+                          "labeling=<Labeling.UNLABELED: 'unlabeled'>)")

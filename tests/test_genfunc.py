@@ -81,6 +81,67 @@ def test_fixed_g_rejects_zero():
         genfunc.fixed_g_series(GENERAL_UNLABELED, 0, 5)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_fixed_g_at_or_past_the_order_builds_no_rung(spec, monkeypatch):
+    # at most n - 1 galls on n leaves, so rung g vanishes through t^g
+    monkeypatch.setattr(genfunc, "_ladder_cache", {})
+    real = genfunc._next_rung
+
+    def refuse(s, ladder, order):
+        raise AssertionError(f"built rung {len(ladder)} at order {order}")
+
+    monkeypatch.setattr(genfunc, "_next_rung", refuse)
+    for g, order in [(1, 0), (1, 1), (5, 5), (6, 5), (60, 5), (500, 12)]:
+        assert genfunc.fixed_g_series(spec, g, order).coeffs == (0,) * (order + 1), (g, order)
+    assert genfunc._ladder_cache == {}
+    built = []
+    monkeypatch.setattr(genfunc, "_next_rung", lambda s, ladder, order: (
+        built.append(len(ladder)) or real(s, ladder, order)))
+    nf = math.factorial(6) if spec.is_labeled else 1
+    assert genfunc.fixed_g_series(spec, 5, 6)[6] * nf == count(spec, 6, 5)
+    assert built == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_ladder_matches_recursion_in_every_gall_number_at_order_16(spec):
+    # from g = 3 on, the weighted partitions of g - 1 differ in their number
+    # of parts, and each part count's sum meets its kernel in one product
+    nf = math.factorial if spec.is_labeled else (lambda n: 1)
+    for g in range(1, 16):
+        column = genfunc.fixed_g_series(spec, g, 16)
+        for n in range(1, 17):
+            assert column[n] * nf(n) == count(spec, n, g), (n, g)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_one_ladder_builds_each_kernel_once_per_part_count(spec, monkeypatch):
+    monkeypatch.setattr(genfunc, "_ladder_cache", {})
+    built = Counter()
+    for name in ("_dxk_both_paths", "_dxk_one_empty", "_dxk_pinned_leaf"):
+        def spy(k, *rest, name=name, real=getattr(genfunc, name)):
+            built[name, k] += 1
+            return real(k, *rest)
+        monkeypatch.setattr(genfunc, name, spy)
+    seq_sums = []  # the sr of each _dxk_seq call, one list per symmetric-half sum
+    real_sum, real_seq = genfunc._seq_sum, genfunc._dxk_seq
+    monkeypatch.setattr(genfunc, "_seq_sum", lambda ladder, weight: (
+        seq_sums.append([]) or real_sum(ladder, weight)))
+    monkeypatch.setattr(genfunc, "_dxk_seq", lambda k, inv_pows: (
+        seq_sums[-1].append(k) or real_seq(k, inv_pows)))
+    nf = math.factorial(12) if spec.is_labeled else 1
+    assert genfunc.fixed_g_series(spec, 11, 12)[12] * nf == count(spec, 12, 11)
+    names = {
+        NetworkClass.GENERAL: {"_dxk_both_paths", "_dxk_one_empty"},
+        NetworkClass.TIME_CONSISTENT: {"_dxk_both_paths"},
+        NetworkClass.SIMPLEX_TC: {"_dxk_pinned_leaf"},
+    }[spec.network_class]
+    # rung g reads the part counts 0..g - 1, each kernel built on first use
+    assert built == Counter({(name, ls): 1 for name in names for ls in range(11)})
+    assert all(len(srs) == len(set(srs)) for srs in seq_sums)
+    # unlabeled, each symmetric-half sum (even weights 0..10) is built once
+    assert sum(1 for srs in seq_sums if srs) == (6 if spec.labeling is Labeling.UNLABELED else 0)
+
+
 def test_closed_small_g_spot_values():
     assert genfunc.closed_small_g(GENERAL_UNLABELED, 1, 7)[7] == 392
     assert genfunc.closed_small_g(SIMPLEX_UNLABELED, 2, 6)[6] == 9

@@ -415,6 +415,34 @@ def test_int_mul_convolves_only_the_nonzero_spans(a, b, order, as_tuples):
     assert list(x) == a and list(y) == b  # operands untouched
 
 
+@pytest.mark.parametrize("a, b, order", [
+    ([0, 0, 3], [0, 5], 6),  # 1 x 1
+    ([0, 0, 3], [0, 0, 0, 5], 5),  # 1 x 1 landing on t^order itself
+    ([0, 2], [1, 2, 3, 4], 10),  # 1 x k
+    ([1, 2, 3, 4], [0, 0, 7], 10),  # k x 1
+    ([0, 0, 0, 9], [0, 0, 1, 0, 2, 3], 12),  # valuations 3 + 2, zeros inside the span
+    ([0, 4], [1, 2, 3, 4, 5, 6, 7, 8], 4),  # the order cuts the k span: n = 4 < 8
+    ([-3], [1, -2, 0, 5], 5),  # negative entries, 1 x k
+    ([2, -1, 0, 4], [0, -6], 5),  # negative entries, k x 1
+    ([0, 0, 0, 2], [0, 0, 5], 4),  # valuations 3 + 2 pass the order: zero
+])
+def test_monomial_span_products_are_scalings(a, b, order):
+    want = _ref_int_mul(_padded(a, order), _padded(b, order))
+    sa, sb = series._nonzero_span(a, order), series._nonzero_span(b, order)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_kronecker(mp, 1)  # every nonnegative span would qualify
+        got = series._span_mul(sa, sb, order)
+        assert int_mul(a, b, order) == want
+        assert int_mul(b, a, order) == want
+    assert calls == []  # the monomial shortcut ran before the Kronecker check
+    if got is None:
+        assert want == [0] * (order + 1)
+    else:
+        v, c = got
+        assert v == sa[0] + sb[0] and len(c) == min(order - v + 1, len(sa[1]) + len(sb[1]) - 1)
+        assert [0] * v + c + [0] * (order + 1 - v - len(c)) == want
+
+
 def test_int_scale_keeps_counts_integral():
     assert int_scale([2, 4, 6], 1, 2) == [1, 2, 3]
     assert int_scale((0, 3), 4, 6) == [0, 2]
