@@ -3,7 +3,7 @@
 Subcommands: count, table, series, asym, verify.  Counts are printed as
 exact decimal strings (``--pretty`` adds thousands separators for reading).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 exact-engine
-limit exceeded, 4 numeric/solver failure.
+or fixed-g ladder limit exceeded, 4 numeric/solver failure.
 """
 
 from __future__ import annotations
@@ -54,15 +54,14 @@ def _fmt(v: int, pretty: bool) -> str:
     return f"{v:,}" if pretty else str(v)
 
 
-def _over_exact_limit(option: str, n: int) -> bool:
-    """Say so on stderr and return True when n is past the exact recursion's limit."""
+def _over_exact_limit(option: str, n: int, engine: str = "exact-recursion",
+                      advice: str = "use the series engine (`series --mode arbitrary`) "
+                      "for larger n") -> bool:
+    """Say so on stderr and return True when n is past the engine's limit."""
     if n <= EXACT_ENGINE_LIMIT:
         return False
-    print(
-        f"{option} {n} exceeds the exact-recursion limit ({EXACT_ENGINE_LIMIT}); "
-        "use the series engine (`series --mode arbitrary`) for larger n",
-        file=sys.stderr,
-    )
+    print(f"{option} {n} exceeds the {engine} limit ({EXACT_ENGINE_LIMIT}); {advice}",
+          file=sys.stderr)
     return True
 
 
@@ -154,6 +153,10 @@ def cmd_series(args, parser) -> int:
         if args.mode == "fixed-g":
             if args.g is None or args.g < 1:
                 parser.error("--mode fixed-g needs -g >= 1")
+            # The last rung below -N sums every weighted partition of g - 1.
+            if args.g < args.order and _over_exact_limit(
+                    "-g", args.g, "fixed-g ladder", "a -g at or past -N prints zeros"):
+                return EXIT_ENGINE_LIMIT
             s = genfunc.fixed_g_series(spec, args.g, args.order)
         else:
             s = genfunc.arbitrary_galls_series(spec, args.order)

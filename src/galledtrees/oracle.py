@@ -40,7 +40,6 @@ import itertools
 import math
 import operator
 import os
-from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counts import NetworkClass
@@ -217,9 +216,13 @@ def canonicalize(s):
 
 # -- generation ---------------------------------------------------------------
 
-# _gen_cache holds the (class, n, g) buckets, _all_cache their merges by n.
-_gen_cache: Dict[Tuple[NetworkClass, int, int], Tuple] = {}
-_all_cache: Dict[Tuple[NetworkClass, int], Tuple] = {}
+# _gen_cache holds the (class, n, g) buckets, _all_cache their merges by n and
+# _seq_cache the path sequences of (class, total, g).  Each key names the
+# class by its string value: a str hashes in C and caches its hash, where an
+# Enum member runs the Python-level Enum.__hash__ on every lookup.
+_gen_cache: Dict[Tuple[str, int, int], Tuple] = {}
+_all_cache: Dict[Tuple[str, int], Tuple] = {}
+_seq_cache: Dict[Tuple[str, int, int], Tuple[Tuple[Tuple, Tuple], ...]] = {}
 
 
 def _max_leaves_guard() -> int:
@@ -248,7 +251,7 @@ def generate_all(network_class: NetworkClass, n: int, g: Optional[int] = None) -
         )
     if g is not None:
         return _generate(network_class, n, g) if 0 <= g < n else ()
-    key = (network_class, n)
+    key = (network_class._value_, n)
     got = _all_cache.get(key)
     if got is None:
         merged = itertools.chain(*(_generate(network_class, n, g) for g in range(n)))
@@ -258,7 +261,7 @@ def generate_all(network_class: NetworkClass, n: int, g: Optional[int] = None) -
 
 def _generate(cls: NetworkClass, n: int, g: int) -> Tuple:
     """The structures with n leaves and g galls, 0 <= g < n, sorted by key."""
-    key = (cls, n, g)
+    key = (cls._value_, n, g)
     got = _gen_cache.get(key)
     if got is not None:
         return got
@@ -311,12 +314,15 @@ def _root_galls(cls, n, g) -> Iterable[GallTop]:
                                 yield GallTop(ls, rs, rc, paths)
 
 
-@lru_cache(maxsize=None)
 def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple, Tuple], ...]:
     """Every path sequence with `total` leaves and g galls, paired with its
     key tuple; a piece with l leaves has at most l - 1 galls."""
     if total == 0:
         return (((), ()),) if g == 0 else ()
+    key = (cls._value_, total, g)
+    got = _seq_cache.get(key)
+    if got is not None:
+        return got
     out = []
     for first_leaves in range(1, total + 1):
         for first_galls in range(min(first_leaves - 1, g) + 1):
@@ -324,7 +330,8 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
             for first in _generate(cls, first_leaves, first_galls) if rests else ():
                 for rest, krest in rests:
                     out.append(((first,) + rest, (first.key,) + krest))
-    return tuple(out)
+    got = _seq_cache[key] = tuple(out)
+    return got
 
 
 # -- DAG expansion and validation ---------------------------------------------
@@ -660,4 +667,4 @@ def clear_cache() -> None:
     _gen_cache.clear()
     _all_cache.clear()
     _RECORDS.clear()
-    _sequences_index.cache_clear()
+    _seq_cache.clear()

@@ -144,6 +144,18 @@ def test_series_fixed_g_labeled(capsys):
     assert lines[1] == "egf: 0,1,7/2,19/2"
 
 
+def test_series_fixed_g_ladder_limit(capsys):
+    argv = ("series", "--class", "general", "--labeling", "unlabeled", "--mode", "fixed-g")
+    code, out, err = run(capsys, *argv, "-g", "31", "-N", "40")
+    assert code == 3 and out == ""
+    assert err.strip() == ("-g 31 exceeds the fixed-g ladder limit (30); "
+                           "a -g at or past -N prints zeros")
+    code, out, _ = run(capsys, *argv, "-g", "31", "-N", "31")  # g >= N builds no rung
+    assert code == 0 and out.strip() == ",".join(["0"] * 31)
+    code, out, _ = run(capsys, *argv, "-g", "3", "-N", "5")
+    assert code == 0 and out.strip() == "0,0,0,5,76"
+
+
 def test_series_bivariate(capsys):
     code, out, _ = run(capsys, "series", "--class", "simplex-tc", "--labeling", "unlabeled",
                        "--mode", "bivariate", "-N", "5")

@@ -1,3 +1,4 @@
+import math
 from enum import Enum
 
 import pytest
@@ -219,3 +220,115 @@ def test_warm_counts_hash_no_enum(monkeypatch):
     assert {spec: 1}[GENERAL_UNLABELED] == 1
     assert repr(spec) == ("TreeClassSpec(network_class=<NetworkClass.GENERAL: 'general'>, "
                           "labeling=<Labeling.UNLABELED: 'unlabeled'>)")
+
+
+# -- reference: the per-part-count recursion --------------------------------
+#
+# The row recursion as it was before the running composition sums: every
+# convolution power P_k(v) (the sum over compositions of v into k parts of the
+# convolved rows, labeled compositions weighted by the multinomial) is built
+# separately for each k.  A table to n costs O(n^5) products here.
+
+
+def _reference_rows(spec, max_n):
+    labeled = spec.is_labeled
+    general = spec.network_class is NetworkClass.GENERAL
+    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
+    rows = [None, (1,)]
+    powers = {}  # (k, v) -> P_k(v) for k >= 2
+
+    def conv(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def stretch2(row):
+        out = [0] * (2 * len(row) - 1)
+        out[::2] = row
+        return out
+
+    def add_root_gall(acc, vec, weight=1):
+        for h, v in enumerate(vec):
+            acc[h + 1] += weight * v
+
+    def power(k, v):
+        if k == 1:
+            return rows[v]
+        if (k, v) not in powers:
+            acc = [0] * (v - k + 1)
+            for f in range(1, v - k + 2):
+                w = math.comb(v, f) if labeled else 1
+                for h, x in enumerate(conv(rows[f], power(k - 1, v - f))):
+                    acc[h] += w * x
+            powers[(k, v)] = acc
+        return powers[(k, v)]
+
+    for n in range(2, max_n + 1):
+        sym, extra = [0] * (2 * n), [0] * (2 * n)
+        for a in range(1, n):
+            for h, x in enumerate(conv(rows[a], rows[n - a])):
+                sym[h] += (math.comb(n, a) if labeled else 1) * x
+        if not labeled and n % 2 == 0:
+            for h, v in enumerate(rows[n // 2]):
+                sym[2 * h] += v
+        for k in range(3, n + 1):
+            if simplex:
+                add_root_gall(sym, power(k - 1, n - 1), (k - 2) * (n if labeled else 1))
+            else:
+                add_root_gall(sym, power(k, n), k - 2)
+        if not labeled:
+            if simplex:
+                if n % 2 == 1:
+                    half = (n - 1) // 2
+                    for a in range(1, half + 1):
+                        add_root_gall(sym, stretch2(power(a, half)))
+            else:
+                for a in range(1, (n - 1) // 2 + 1):
+                    for s in range(a, (n - 1) // 2 + 1):
+                        add_root_gall(sym, conv(stretch2(power(a, s)), rows[n - 2 * s]))
+        if general:
+            for k in range(2, n + 1):
+                add_root_gall(extra, power(k, n))
+        assert all(v % 2 == 0 for v in sym)
+        rows.append(tuple(sym[g] // 2 + extra[g] for g in range(spec.max_galls(n) + 1)))
+        assert not any(sym[spec.max_galls(n) + 1:]) and not any(extra[spec.max_galls(n) + 1:])
+    return rows
+
+
+def _reference_simplex_totals(max_n):
+    # the prefix sequence's convolution powers, one memo entry per (j, v)
+    a = [0] * (max_n + 1)
+    a[1] = 1
+    memo = {}
+
+    def comp_power(j, v):
+        if j == 1:
+            return a[v] if v >= 1 else 0
+        if (j, v) not in memo:
+            memo[(j, v)] = sum(comp_power(j - 1, v - i) * a[i] for i in range(1, v - j + 2))
+        return memo[(j, v)]
+
+    for n in range(2, max_n + 1):
+        s = sum(a[m] * a[n - m] for m in range(1, n))
+        if n % 2 == 0:
+            s += a[n // 2]
+        s += sum((k - 2) * comp_power(k - 1, n - 1) for k in range(3, n + 1))
+        if n % 2 == 1:
+            half = (n - 1) // 2
+            s += sum(comp_power(q, half) for q in range(1, half + 1))
+        assert s % 2 == 0
+        a[n] = s // 2
+    return a
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_rows_match_per_part_count_reference(spec):
+    ref = _reference_rows(spec, 20)
+    for n in range(1, 21):
+        assert tuple(count(spec, n, g) for g in range(spec.max_galls(n) + 1)) == ref[n], n
+
+
+def test_simplex_total_sequence_matches_per_part_count_reference():
+    assert simplex_total_sequence(60) == _reference_simplex_totals(60)

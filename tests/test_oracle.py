@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from enum import Enum
 
 import pytest
 
@@ -629,3 +630,26 @@ def test_oracle_at_eight_leaves_matches_the_recursion(monkeypatch):
             assert all(validate(s, cls).ok for s in structures)
     finally:
         oracle_module.clear_cache()
+
+
+def test_generation_hashes_no_enum(monkeypatch):
+    # the bucket, merge and path-sequence caches are keyed by the class's value,
+    # so neither a cold build nor a warm lookup hashes a NetworkClass member
+    import galledtrees.oracle as oracle_module
+
+    oracle_module.clear_cache()
+    hashed = []
+    real = Enum.__hash__
+    monkeypatch.setattr(Enum, "__hash__", lambda self: hashed.append(self) or real(self))
+    assert {NetworkClass.GENERAL: 1} and hashed == [NetworkClass.GENERAL]  # the spy sees them
+    hashed.clear()
+    for cls in NetworkClass:
+        for n in range(1, 7):
+            generate_all(cls, n)
+    assert hashed == [] and oracle_module._seq_cache
+    for cls in NetworkClass:
+        for n in range(1, 7):
+            assert len(generate_all(cls, n)) == sum(
+                len(generate_all(cls, n, g)) for g in range(n))
+            assert sum(count_by_galls(cls, n).values()) == len(generate_all(cls, n))
+    assert hashed == []
