@@ -12,9 +12,10 @@ structures, not just numbers.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from typing import Dict, List, NamedTuple, Tuple
 
-from .comb import catalan, factorial
+from .comb import catalan
 from .counts import (
     Labeling,
     NetworkClass,

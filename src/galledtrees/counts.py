@@ -75,12 +75,11 @@ ALL_SPECS = (
 # is served by the generating-function engine.
 EXACT_ENGINE_LIMIT = 30
 
-# Both caches are keyed by `_cache_key`, the members' string values and n:
-# a str hashes in C and caches its hash, where hashing an Enum member (or a
-# spec of two) runs the Python-level Enum.__hash__ on every lookup.
-# `_compute_row` fills both: a row and the composition sums (A, B) of its n.
-_row_cache: Dict[Tuple[str, str, int], Tuple[int, ...]] = {}
-_sum_cache: Dict[Tuple[str, str, int], Tuple[List[int], List[int]]] = {}
+# Keyed by `_cache_key`, the members' string values and n: a str hashes in C
+# and caches its hash, where hashing an Enum member (or a spec of two) runs
+# the Python-level Enum.__hash__ on every lookup.  Each entry is what
+# `_compute_row` returns for its n: the row and the composition sums A and B.
+_row_cache: Dict[Tuple[str, str, int], Tuple[Tuple[int, ...], List[int], List[int]]] = {}
 
 
 def _cache_key(spec: TreeClassSpec, n: int) -> Tuple[str, str, int]:
@@ -121,26 +120,26 @@ def _plus_row(row, vec) -> List[int]:
     return out
 
 
-def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
-    """Row of counts (g = 0 .. max_galls(n)) for n leaves, from smaller rows.
+def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[Tuple[int, ...], List[int], List[int]]:
+    """(row, A(n), B(n)): the row of counts (g = 0 .. max_galls(n)) for n
+    leaves and the composition sums of n, from the cached entries below n.
 
-    Also stores the composition sums of n in `_sum_cache`.  Let P_k(v) be the
-    sum, over compositions (c_1, ..., c_k) of v into k positive parts, of the
-    convolution of the rows of c_1, ..., c_k leaves, each composition carrying
-    the multinomial v! / (c_1! ... c_k!) in labeled families.  The recursion
-    reads P_k only through A(v) = sum_k P_k(v) and B(v) = sum_k k P_k(v).
-    Splitting off the first part f, with w = comb(v, f) labeled and 1
-    unlabeled, P_k(v) = sum_f w row(f) * P_{k-1}(v - f), so the parts with
-    k >= 2 are A'(v) = sum_f w row(f) * A(v - f) and
-    B'(v) = sum_f w row(f) * (A + B)(v - f), and A = row + A', B = row + B'.
+    Let P_k(v) be the sum, over compositions (c_1, ..., c_k) of v into k
+    positive parts, of the convolution of the rows of c_1, ..., c_k leaves,
+    each composition carrying the multinomial v! / (c_1! ... c_k!) in labeled
+    families.  The recursion reads P_k only through A(v) = sum_k P_k(v) and
+    B(v) = sum_k k P_k(v).  Splitting off the first part f, with
+    w = comb(v, f) labeled and 1 unlabeled,
+    P_k(v) = sum_f w row(f) * P_{k-1}(v - f), so the parts with k >= 2 are
+    A'(v) = sum_f w row(f) * A(v - f) and B'(v) = sum_f w row(f) * (A + B)(v - f),
+    and A = row + A', B = row + B'.
     """
-    key = _cache_key(spec, n)
     if n == 1:
-        _sum_cache[key] = ([1], [1])
-        return (1,)
+        return (1,), [1], [1]
     labeled = spec.is_labeled
-    rows = [None] + [_get_row(spec, m) for m in range(1, n)]
-    sums = [None] + [_sum_cache[_cache_key(spec, m)] for m in range(1, n)]
+    below = [_row_cache[_cache_key(spec, m)] for m in range(1, n)]
+    rows = [None] + [e[0] for e in below]
+    sums = [None] + [e[1:] for e in below]
     width = n  # scratch is wider than any legal row; the tail must stay zero
     general = spec.network_class is NetworkClass.GENERAL
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
@@ -215,21 +214,19 @@ def _compute_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
             if value:
                 raise ArithmeticError(f"nonzero count outside gall range at n={n}, g={g}")
     # A composition of n has no more galls than a row of n may hold.
-    _sum_cache[key] = (_plus_row(row, a1), _plus_row(row, b1))
-    return tuple(row)
+    return tuple(row), _plus_row(row, a1), _plus_row(row, b1)
 
 
 def _get_row(spec: TreeClassSpec, n: int) -> Tuple[int, ...]:
     key = _cache_key(spec, n)
-    row = _row_cache.get(key)
-    if row is None:
-        for m in range(1, n):  # build bottom-up so recursion depth stays O(1)
+    entry = _row_cache.get(key)
+    if entry is None:
+        for m in range(1, n + 1):  # bottom-up, each entry from those below it
             low = _cache_key(spec, m)
             if low not in _row_cache:
                 _row_cache[low] = _compute_row(spec, m)
-        row = _compute_row(spec, n)
-        _row_cache[key] = row
-    return row
+        entry = _row_cache[key]
+    return entry[0]
 
 
 def count(spec: TreeClassSpec, n: int, g: int) -> int:
@@ -351,4 +348,3 @@ def build_table(spec: TreeClassSpec, max_n: int) -> CountTable:
 
 def clear_cache() -> None:
     _row_cache.clear()
-    _sum_cache.clear()

@@ -35,8 +35,8 @@ from functools import partial, reduce
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
-from .comb import even_weighted_partitions, partition_multinomial, weighted_partitions
-from .counts import Labeling, NetworkClass, TreeClassSpec, wedderburn_sequence
+from .comb import partition_multinomial, weighted_partitions
+from .counts import Labeling, NetworkClass, TreeClassSpec, _cache_key, wedderburn_sequence
 from .series import (
     BivariateSeries,
     TruncatedSeries,
@@ -51,13 +51,15 @@ from .series import (
 
 HALF = Fraction(1, 2)
 
-_base_cache: Dict[Tuple[Labeling, int], TruncatedSeries] = {}
-_ladder_cache: Dict[Tuple[NetworkClass, Labeling, int], "_Ladder"] = {}
+# The caches are keyed by the members' string values (`counts._cache_key`),
+# which hash in C, not by Enum members, whose hash runs in Python.
+_base_cache: Dict[Tuple[str, int], TruncatedSeries] = {}
+_ladder_cache: Dict[Tuple[str, str, int], "_Ladder"] = {}
 
 
 def base_tree_series(labeling: Labeling, order: int) -> TruncatedSeries:
     """Series of gall-free trees: OGF of unlabeled shapes or EGF of labeled trees."""
-    key = (labeling, order)
+    key = (labeling._value_, order)
     got = _base_cache.get(key)
     if got is None:
         if labeling is Labeling.UNLABELED:
@@ -222,25 +224,24 @@ def _by_part_count(ladder: _Ladder, partitions, squared=False) -> Dict[int, Trun
     """{ls: sum of multinomial(wp) * `_wp_product`(wp)} over the partitions
     wp with ls parts, so each part count's kernel multiplies its sum once
     (the split of a partition sum by part count, the partial Bell
-    polynomials).  Even partitions are read at half weight and t^2."""
+    polynomials)."""
     sums: Dict[int, TruncatedSeries] = {}
     for wp in partitions:
         ls = sum(wp.values())
-        if squared:
-            wp = {m // 2: k for m, k in wp.items()}
         term = _wp_product(ladder, wp, squared).scale(partition_multinomial(wp))
         sums[ls] = sums[ls] + term if ls in sums else term
     return sums
 
 
 def _seq_sum(ladder: _Ladder, weight: int) -> TruncatedSeries:
-    """The symmetric-half sum over the even weighted partitions of weight,
-    one `_dxk_seq` product per part count; built once per ladder."""
+    """The symmetric-half sum for an even weight: a partition of weight / 2
+    read at t^2 is an even partition of weight.  One `_dxk_seq` product per
+    part count; built once per ladder."""
     acc = ladder.halves.get(weight)
     if acc is None:
         inv2_pows = ladder.inverse_powers(weight + 1, squared=True)
         acc = TruncatedSeries.zero(ladder[0].order)
-        for sr, s in _by_part_count(ladder, even_weighted_partitions(weight), squared=True).items():
+        for sr, s in _by_part_count(ladder, weighted_partitions(weight // 2), squared=True).items():
             acc = acc + _dxk_seq(sr, inv2_pows) * s
         ladder.halves[weight] = acc
     return acc
@@ -258,7 +259,7 @@ def fixed_g_series(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
         raise ValueError(f"need order >= 0, got {order}")
     if g >= order:
         return TruncatedSeries.zero(order)
-    key = (spec.network_class, spec.labeling, order)
+    key = _cache_key(spec, order)
     ladder = _ladder_cache.get(key)
     if ladder is None:
         ladder = _ladder_cache[key] = _Ladder(base_tree_series(spec.labeling, order))
@@ -459,14 +460,14 @@ def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
     return _closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g)
 
 
-_laurent_cache: Dict[Tuple[TreeClassSpec, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+_laurent_cache: Dict[Tuple[str, str, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
 
 
 def _laurent_terms(spec: TreeClassSpec, g: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
     """(den, ((k, den c_k), ...)): the labeled Laurent form sum c_k v^k over
     the lcm den of its denominators, so its counts accumulate as integers.
     Built once per (family, g)."""
-    key = (spec, g)
+    key = _cache_key(spec, g)
     got = _laurent_cache.get(key)
     if got is None:
         laurent = _labeled_laurent(spec, g)

@@ -14,9 +14,12 @@ coefficients below k of F.  The solvers evaluate Phi online (van der Hoeven,
 "Relax, but don't be too lazy", J. Symbolic Comput. 34(6), 2002): Phi runs
 once on a lazy series, and each t^k row of every intermediate series is
 computed once, from rows already known, the first time it is read; row k of
-Phi(F) is row k of F.  Row k of a product sums x_i y_(k-i) for i from val(x)
-to k - val(y), val a static lower bound on the valuation, skipping zero rows,
-and row k of 1 / (1 - f) is h_0 times the sum of f_i h_(k-i) over i >= 1.
+Phi(F) is row k of F.  F starts out vanishing at t = 0; if row 0 of Phi(F)
+refutes that, Phi runs once more, on an F that holds that row 0 (none of the
+library's equations has a constant term).  Row k of a product sums
+x_i y_(k-i) for i from val(x) to k - val(y), val a static lower bound on the
+valuation, skipping zero rows, and row k of 1 / (1 - f) is h_0 times the sum
+of f_i h_(k-i) over i >= 1.
 Reading a row of F that is not known yet means the equation is not
 contractive, and raises SeriesDivergenceError.  A solve so costs one
 computation of each row plus one full-order run of Phi, which verifies
@@ -209,18 +212,6 @@ class TruncatedSeries:
         """Multiply by t (the leading coefficient drops off the far end)."""
         return TruncatedSeries._make(int_shift_t(self.nums, self.order), self.den)
 
-    def pow(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError(f"need k >= 0, got {k}")
-        out = TruncatedSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def geom_inverse(self) -> "TruncatedSeries":
         """1 / (1 - f) for f with zero constant term.  With t scaled by c, where
         every c^i f_i is an integer, the recursion is integral:
@@ -236,9 +227,6 @@ class TruncatedSeries:
     def substitute_t_squared(self) -> "TruncatedSeries":
         """f(t^2), truncated at the same order."""
         return TruncatedSeries._make(int_substitute_t_squared(self.nums, self.order), self.den)
-
-    def derivative(self) -> "TruncatedSeries":
-        return TruncatedSeries._make([k * x for k, x in enumerate(self.nums)][1:] + [0], self.den)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -258,13 +246,6 @@ class TruncatedSeries:
                 raise ValueError(f"coefficient {n} is not an integer: {Fraction(v, self.den)}")
             out.append(q)
         return out
-
-    def evaluate(self, x: float) -> float:
-        """Horner evaluation of the truncated polynomial at a float point."""
-        acc = 0.0
-        for c in reversed(self.nums):
-            acc = acc * x + c / self.den
-        return acc
 
 
 def _row_products(pairs, order: int) -> List[int]:
@@ -600,31 +581,20 @@ class _Lazy:
         return _Lazy("inv", (self,), self.zero)
 
 
-def _reset(node: _Lazy, seen: set) -> None:
-    """Drop the rows kept by node and the nodes below it, and recompute their
-    valuation bounds, operands first."""
-    if id(node) in seen or node.kind in ("const", "fix"):
-        return
-    seen.add(id(node))
-    for x in node.args:
-        if isinstance(x, _Lazy):
-            _reset(x, seen)
-    node.rows, node.val = [], node._bound()
-
-
 def _online_rows(update: Callable, zero, order: int) -> list:
     """Rows 0..order of the fixed point of F = update(F), rows of width
-    len(zero[0]).  update runs once, on the fixed-point node; row k of its
-    result then fixes row k of F, reading only rows below k of F, and raises
+    len(zero[0]).  update runs on the fixed-point node; row k of its result
+    then fixes row k of F, reading only rows below k of F, and raises
     SeriesDivergenceError if it reads more.  F is first taken to vanish at
-    t = 0 (valuation 1), which row 0 of Phi(F) either confirms or refutes;
-    if it refutes it, the rows computed so far are dropped."""
+    t = 0 (valuation 1), which row 0 of Phi(F) either confirms, so update
+    runs once, or refutes: then F holds that row 0 and update runs again on
+    it, building a graph whose valuation bounds start at 0."""
     f = _Lazy("fix", (), zero, [zero], 1)
     phi = f._operand(update(f))
     first = phi.row(0)
     if first[2] is not None:
         f.rows, f.val = [first], 0
-        _reset(phi, set())
+        phi = f._operand(update(f))
     for k in range(1, order + 1):
         f.rows.append(phi.row(k))
     return f.rows
@@ -635,9 +605,10 @@ def fixed_point_solve(
 ) -> TruncatedSeries:
     """Solve F = Phi(F) to the given order for equations contractive in the
     coefficient filtration (coefficient n of Phi(F) uses only coefficients
-    < n of F).  update runs once on a lazy series, whose coefficients are
-    each computed once (`_online_rows`), and once more at full order on the
-    result, which must be stationary; SeriesDivergenceError otherwise.
+    < n of F).  update runs once on a lazy series (twice when F(0) != 0),
+    whose coefficients are each computed once (`_online_rows`), and once more
+    at full order on the result, which must be stationary;
+    SeriesDivergenceError otherwise.
     """
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
@@ -653,8 +624,8 @@ def bivariate_fixed_point(
     update: Callable[[BivariateSeries], BivariateSeries], t_order: int, u_order: int
 ) -> BivariateSeries:
     """Fixed point of F = Phi(F) for bivariate equations contractive in the
-    t-filtration: update runs once on a lazy series, whose t^k rows are each
-    computed once (`_online_rows`), and a final full-order run verifies
+    t-filtration: update runs once on a lazy series (twice when F(0) != 0),
+    whose t^k rows are each computed once (`_online_rows`), and a final full-order run verifies
     stationarity."""
     rows = _online_rows(update, ((0,) * (u_order + 1), 1, None), t_order)
     den = math.lcm(*[d for _, d, _ in rows])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,53 +8,49 @@ from hypothesis import given, strategies as st
 from galledtrees import comb
 
 
-def test_compositions_examples():
-    assert list(comb.compositions(3, 2)) == [(1, 2), (2, 1)]
-    assert list(comb.compositions(4, 1)) == [(4,)]
-    assert len(list(comb.compositions(6, 3))) == 10  # binomial(5, 2)
+def _compositions(total, parts):
+    # independent oracle: the compositions of total into parts positive parts,
+    # one per choice of parts - 1 cut points among 1 .. total - 1
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        ends = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
-def test_compositions_empty_when_parts_exceed_total():
-    assert list(comb.compositions(2, 3)) == []
+def _orderings(total, parts):
+    # compositions counted through partitions: each partition of total into
+    # parts parts has partition_multinomial orderings
+    return sum(comb.partition_multinomial(wp) for wp in comb.weighted_partitions(total)
+               if sum(wp.values()) == parts)
 
 
 @pytest.mark.parametrize("a", range(1, 13))
 def test_composition_counts_match_binomials(a):
-    for b in range(1, a + 1):
-        got = list(comb.compositions(a, b))
-        assert len(got) == math.comb(a - 1, b - 1)
-        assert len(set(got)) == len(got)
+    for b in range(1, a + 2):
+        got = list(_compositions(a, b))
+        assert _orderings(a, b) == len(got) == math.comb(a - 1, b - 1)
         assert all(len(c) == b and sum(c) == a and min(c) >= 1 for c in got)
-        assert got == sorted(got)  # lexicographic stream
 
 
 @given(st.integers(min_value=1, max_value=11))
 def test_compositions_sum_over_parts_is_power_of_two(a):
-    assert sum(len(list(comb.compositions(a, b))) for b in range(1, a + 1)) == 2 ** (a - 1)
+    got = sum(map(comb.partition_multinomial, comb.weighted_partitions(a)))
+    assert got == 2 ** (a - 1)
 
 
-def test_palindromic_examples():
-    assert list(comb.palindromic_compositions(5, 3)) == [(1, 3, 1), (2, 1, 2)]
-    assert list(comb.palindromic_compositions(4, 2)) == [(2, 2)]
-    assert list(comb.palindromic_compositions(3, 2)) == []
+def _palindromic_orderings(total, parts):
+    # a palindromic composition is a half composition of s mirrored, around a
+    # center part of total - 2s when parts is odd
+    half = parts // 2
+    if parts % 2 == 0:
+        return _orderings(total // 2, half) if total % 2 == 0 else 0
+    return sum(_orderings(s, half) for s in range((total - 1) // 2 + 1))
 
 
 @pytest.mark.parametrize("a", range(1, 11))
 def test_palindromic_equals_filtered_full_stream(a):
     for b in range(1, a + 1):
-        full = [c for c in comb.compositions(a, b) if c == tuple(reversed(c))]
-        assert sorted(comb.palindromic_compositions(a, b)) == sorted(full)
-
-
-def test_bounded_compositions_equal_filtered_stream():
-    bounds = (2, 5, 1, 3)
-    for total in range(1, sum(bounds) + 1):
-        want = [
-            c
-            for c in comb.compositions(total, len(bounds))
-            if all(x <= m for x, m in zip(c, bounds))
-        ] if total >= len(bounds) else []
-        assert list(comb.bounded_compositions(total, bounds)) == want
+        full = [c for c in _compositions(a, b) if c == tuple(reversed(c))]
+        assert _palindromic_orderings(a, b) == len(full)
 
 
 def _partition_count(w):
@@ -80,28 +77,13 @@ def test_weighted_partition_count_is_partition_number(w):
     assert len(got) == _partition_count(w)
 
 
-def test_even_weighted_partitions():
-    assert list(comb.even_weighted_partitions(0)) == [{}]
-    assert list(comb.even_weighted_partitions(3)) == []
-    for w in range(0, 13, 2):
-        got = list(comb.even_weighted_partitions(w))
-        assert all(all(i % 2 == 0 for i in wp) for wp in got)
-        assert all(sum(i * k for i, k in wp.items()) == w for wp in got)
-        assert len(got) == _partition_count(w // 2)
-
-
-def test_multinomial():
-    assert comb.multinomial(4, [2, 2]) == 6
-    assert comb.multinomial(5, [5]) == 1
-    assert comb.multinomial(7, [2, 2, 3]) == 210  # 7!/(2!2!3!)
-    assert comb.multinomial(7, [2, 2, 3]) == math.factorial(7) // (2 * 2 * 6)
-    with pytest.raises(ValueError):
-        comb.multinomial(6, [2, 2, 3])
-
-
 def test_partition_multinomial():
     assert comb.partition_multinomial({1: 2, 3: 1}) == 3
     assert comb.partition_multinomial({}) == 1
+    assert comb.partition_multinomial({1: 5}) == 1
+    assert comb.partition_multinomial({1: 2, 2: 2}) == 6
+    assert comb.partition_multinomial({1: 2, 2: 2, 3: 3}) == 210  # 7!/(2!2!3!)
+    assert comb.partition_multinomial({1: 2, 2: 2, 3: 3}) == math.factorial(7) // (2 * 2 * 6)
 
 
 def test_catalan_and_factorials():
@@ -111,7 +93,6 @@ def test_catalan_and_factorials():
     assert comb.double_factorial_odd(0) == 1
     assert comb.double_factorial_odd(3) == 15  # 1*3*5, the 4-leaf labeled tree count
     assert comb.double_factorial_odd(5) == 945
-    assert comb.factorial(6) == 720
     # catalan via factorial arithmetic, independent route
     for m in range(20):
         assert comb.catalan(m) == Fraction(math.factorial(2 * m), math.factorial(m) ** 2) / (m + 1)

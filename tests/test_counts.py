@@ -3,7 +3,7 @@ from enum import Enum
 
 import pytest
 
-from galledtrees import comb, genfunc
+from galledtrees import comb, counts, genfunc
 from galledtrees.counts import (
     ALL_SPECS,
     EXACT_ENGINE_LIMIT,
@@ -139,12 +139,12 @@ def test_simplex_total_direct_large_values():
 def test_maximal_gall_identities():
     for n in range(2, 13):
         assert count(GENERAL_UNLABELED, n, n - 1) == comb.catalan(n - 1)
-        assert count(GENERAL_LABELED, n, n - 1) == comb.catalan(n - 1) * comb.factorial(n)
+        assert count(GENERAL_LABELED, n, n - 1) == comb.catalan(n - 1) * math.factorial(n)
     for n in range(3, 16, 2):
         m = (n + 1) // 2
         assert count(SIMPLEX_UNLABELED, n, (n - 1) // 2) == wedderburn(m)
         assert count(SIMPLEX_LABELED, n, (n - 1) // 2) == (
-            labeled_tree_count(m) * comb.factorial(n) // comb.factorial(m)
+            labeled_tree_count(m) * math.factorial(n) // math.factorial(m)
         )
 
 
@@ -200,6 +200,22 @@ def test_max_galls_rule():
     assert SIMPLEX_LABELED.max_galls(8) == 3
     with pytest.raises(ValueError):
         GENERAL_UNLABELED.max_galls(0)
+
+
+def test_build_table_keeps_one_cache_entry_per_row(monkeypatch):
+    monkeypatch.setattr(counts, "_row_cache", {})
+    total(GENERAL_UNLABELED, 5)
+    counts.clear_cache()
+    assert counts._row_cache == {}
+    n = 12
+    for spec in ALL_SPECS:
+        table = build_table(spec, n)
+        family = {key[2]: entry for key, entry in counts._row_cache.items()
+                  if key[:2] == (spec.network_class.value, spec.labeling.value)}
+        assert sorted(family) == list(range(1, n + 1))
+        # each entry is the row and the composition sums A and B of its n
+        assert all(len(entry) == 3 and entry[0] == table.row(m) for m, entry in family.items())
+    assert len(counts._row_cache) == n * len(ALL_SPECS)
 
 
 def test_warm_counts_hash_no_enum(monkeypatch):

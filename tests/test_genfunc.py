@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -140,6 +141,28 @@ def test_one_ladder_builds_each_kernel_once_per_part_count(spec, monkeypatch):
     assert all(len(srs) == len(set(srs)) for srs in seq_sums)
     # unlabeled, each symmetric-half sum (even weights 0..10) is built once
     assert sum(1 for srs in seq_sums if srs) == (6 if spec.labeling is Labeling.UNLABELED else 0)
+
+
+def test_warm_fixed_g_lookups_hash_no_enum(monkeypatch):
+    # the base, ladder and Laurent caches are keyed by the members' values, so
+    # a warm lookup hashes no Enum member
+    labeled = [s for s in ALL_SPECS
+               if s.is_labeled and s.network_class is not NetworkClass.TIME_CONSISTENT]
+
+    def lookups():
+        got = [genfunc.base_tree_series(lab, 10).coeffs for lab in Labeling]
+        got += [genfunc.fixed_g_series(spec, 3, 10).coeffs for spec in ALL_SPECS]
+        got += [genfunc.labeled_fixed_g_count_at(spec, g, 9) for spec in labeled for g in (1, 2)]
+        return got
+
+    cold = lookups()
+    hashed = []
+    real = Enum.__hash__
+    monkeypatch.setattr(Enum, "__hash__", lambda self: hashed.append(self) or real(self))
+    assert {Labeling.UNLABELED: 1} and hashed == [Labeling.UNLABELED]  # the spy sees them
+    hashed.clear()
+    assert lookups() == cold
+    assert hashed == []
 
 
 def test_closed_small_g_spot_values():

@@ -82,14 +82,10 @@ def test_substitute_commutes_with_squaring(tail):
 def test_shift_and_pow():
     f = TruncatedSeries([1, 2, 3])
     assert f.shift_by_t().coeffs == TruncatedSeries([0, 1, 2]).coeffs
-    assert (U8.pow(3)).coeffs == (U8 * U8 * U8).coeffs
-    assert U8.pow(0).coeffs == TruncatedSeries.one(8).coeffs
-
-
-def test_derivative_and_eval():
-    f = TruncatedSeries([5, 1, 4])
-    assert f.derivative().coeffs == TruncatedSeries([1, 8, 0]).coeffs
-    assert f.evaluate(2.0) == 5 + 2 + 16
+    # the fixed-g ladder keeps the powers of its rungs, here of rung 0
+    ladder = genfunc._Ladder(U8)
+    assert ladder.rung_pow(0, 3) == U8 * U8 * U8
+    assert ladder.rung_pow(0, 1) is U8
 
 
 def test_integer_coefficients_guard():
@@ -150,6 +146,29 @@ def test_fixed_point_runs_the_update_twice():
     assert len(seen) == 2
     assert not isinstance(seen[0], BivariateSeries)
     assert seen[1] == f and (f.t_order, f.u_order) == (5, 4)
+
+
+def test_fixed_point_with_a_constant_term_rebuilds_the_graph_once():
+    # F = 1 + tF: row 0 of Phi(F) refutes F(0) = 0, so update runs on the lazy
+    # series, again on it once it holds row 0, and once at full order
+    seen = []
+
+    def update(f):
+        seen.append(f)
+        return 1 + f.shift_by_t()
+
+    c = fixed_point_solve(update, 6)
+    assert c.integer_coefficients() == [1] * 7
+    assert len(seen) == 3
+    assert not any(isinstance(f, TruncatedSeries) for f in seen[:2])
+    assert seen[2] == c
+
+    seen.clear()
+    t, one = BivariateSeries.t(5, 3), BivariateSeries.one(5, 3)
+    f = bivariate_fixed_point(lambda F: seen.append(F) or one + (F * t).shift_by_u(), 5, 3)
+    assert len(seen) == 3
+    assert [[int(x) for x in f.u_slice(n)] for n in range(4)] == [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def test_bivariate_ops():
