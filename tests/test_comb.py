@@ -80,10 +80,16 @@ def test_weighted_partition_count_is_partition_number(w):
 def test_partition_multinomial():
     assert comb.partition_multinomial({1: 2, 3: 1}) == 3
     assert comb.partition_multinomial({}) == 1
+
+
+def test_multinomial():
+    # the multinomial n! / prod(k_i!) now lives only in partition_multinomial
     assert comb.partition_multinomial({1: 5}) == 1
     assert comb.partition_multinomial({1: 2, 2: 2}) == 6
     assert comb.partition_multinomial({1: 2, 2: 2, 3: 3}) == 210  # 7!/(2!2!3!)
     assert comb.partition_multinomial({1: 2, 2: 2, 3: 3}) == math.factorial(7) // (2 * 2 * 6)
+    with pytest.raises(ValueError):
+        comb.partition_multinomial({1: 2, 2: -1})
 
 
 def test_catalan_and_factorials():
