@@ -24,7 +24,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .comb import partition_multinomial, weighted_partitions
 from .counts import (
@@ -423,22 +423,18 @@ def simplex_labeled_closed_delta() -> float:
 # Exact-versus-estimate ratio studies (the large-n convergence checks).
 # ---------------------------------------------------------------------------
 
-_unlabeled_counts_cache: Dict[Tuple[NetworkClass, int, int], List[int]] = {}
-
-
 def exact_fixed_g_count(spec: TreeClassSpec, g: int, n: int, order: Optional[int] = None) -> int:
-    """Exact count at one n through the large-order engines (g in {1, 2}), order >= n."""
+    """Exact count at one n through the large-order engines (g in {1, 2}),
+    order >= n >= 0: off the labeled Laurent form term by term, or off the
+    unlabeled closed forms' shared ring at that order."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     order = n if order is None else order
     if order < n:
         raise ValueError("truncation order below requested n")
     if spec.labeling is Labeling.LEAF_LABELED:
         return genfunc.labeled_fixed_g_count_at(spec, g, n)
-    key = (spec.network_class, g, order)
-    arr = _unlabeled_counts_cache.get(key)
-    if arr is None:
-        arr = genfunc.fixed_g_counts(spec, g, order)
-        _unlabeled_counts_cache[key] = arr
-    return arr[n]
+    return genfunc.unlabeled_fixed_g_count_at(spec, g, n, order)
 
 
 def ratio_exact_to_estimate(
@@ -446,6 +442,8 @@ def ratio_exact_to_estimate(
 ) -> float:
     """exact(n) / estimate(n), computed in log space; exactly 0.0 when no
     network with g galls has n leaves."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     exact = exact_fixed_g_count(spec, g, n, order)
     if exact == 0:
         return 0.0
@@ -455,6 +453,8 @@ def ratio_exact_to_estimate(
 def simplex_to_general_ratio(g: int, n: int, order: Optional[int] = None) -> float:
     """Exact simplex/general unlabeled count ratio at one n (compares to rho^g).
     Raises ValueError when there is no general network to divide by."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     spec_s = TreeClassSpec(NetworkClass.SIMPLEX_TC, Labeling.UNLABELED)
     spec_g = TreeClassSpec(NetworkClass.GENERAL, Labeling.UNLABELED)
     b = exact_fixed_g_count(spec_g, g, n, order)

@@ -262,6 +262,27 @@ def test_exact_count_refuses_an_order_below_n():
             asym.ratio_exact_to_estimate(spec, 1, 50, order=49)
 
 
+@pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED, GENERAL_LABELED, SIMPLEX_LABELED])
+def test_a_negative_n_is_refused(spec):
+    # a negative index must not read the array from its end
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            asym.exact_fixed_g_count(spec, 1, n, order=10)
+
+
+def test_ratios_refuse_n_below_two_before_reading_a_count(monkeypatch):
+    def read(*args, **kwargs):
+        raise AssertionError("a count was read")
+
+    monkeypatch.setattr(asym, "exact_fixed_g_count", read)
+    for n in (-1, 0, 1):
+        for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED, GENERAL_LABELED, SIMPLEX_LABELED):
+            with pytest.raises(ValueError, match="need n >= 2"):
+                asym.ratio_exact_to_estimate(spec, 1, n, order=10)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            asym.simplex_to_general_ratio(1, n, order=10)
+
+
 def test_ratio_moves_toward_one():
     r60 = asym.ratio_exact_to_estimate(GENERAL_UNLABELED, 1, 60, order=120)
     r120 = asym.ratio_exact_to_estimate(GENERAL_UNLABELED, 1, 120, order=120)

@@ -280,6 +280,14 @@ def test_asym_ratio_of_a_zero_count(capsys):
         assert (code, out, err) == (0, "ratio 0.000000\n", "")
 
 
+def test_asym_ratio_refuses_n_below_two(capsys):
+    for labeling in ("unlabeled", "labeled"):
+        for n in ("1", "0", "-1"):
+            code, out, err = run(capsys, "asym", "ratio", "--class", "general", "--labeling",
+                                 labeling, "-g", "1", "-n", n)
+            assert code == 2 and out == "" and "-n >= 2" in err, (labeling, n)
+
+
 def test_asym_estimate(capsys):
     code, out, _ = run(capsys, "asym", "estimate", "--class", "general", "--labeling",
                        "unlabeled", "-g", "1", "-n", "100")

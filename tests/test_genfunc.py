@@ -386,6 +386,99 @@ def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, lab
     assert calls == want
 
 
+NEWTON_ORDERS = (0, 1, 2, genfunc.NEWTON_MIN - 1, genfunc.NEWTON_MIN, genfunc.NEWTON_MIN + 1,
+                 2 * genfunc.NEWTON_MIN + 1, 1000)
+
+
+def test_newton_base_series_is_the_counts_recursion():
+    # the counts engine derives U by its own recursion; genfunc's Newton
+    # iteration must reach the same integers
+    assert 1000 >= genfunc.NEWTON_MIN
+    assert genfunc._base_and_inverse(1000)[0] == wedderburn_sequence(1000)
+
+
+@pytest.mark.parametrize("order", NEWTON_ORDERS)
+def test_ring_inverse_matches_the_recurrence_on_both_sides_of_the_cutoff(order):
+    genfunc.clear_caches()
+    try:
+        got = genfunc._array_ring(order).inv
+    finally:
+        genfunc.clear_caches()
+    assert got == int_geom_inverse(wedderburn_sequence(order), order)
+
+
+def test_an_odd_newton_residual_raises(monkeypatch):
+    # 1/2 (U^2 + U(t^2)) is integral for every integer U; a product off by
+    # one in its last coefficient must be refused, not floored
+    mul = genfunc.int_mul
+
+    def off_by_one(a, b, order):
+        c = mul(a, b, order)
+        c[-1] += 1
+        return c
+
+    monkeypatch.setattr(genfunc, "int_mul", off_by_one)
+    with pytest.raises(ValueError, match="non-integer"):
+        genfunc._base_and_inverse(genfunc.NEWTON_MIN)
+
+
+@pytest.mark.parametrize("order", [60, genfunc.NEWTON_MIN + 50])
+@pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED])
+@pytest.mark.parametrize("g", [1, 2])
+def test_single_n_reads_match_the_arrays(order, spec, g):
+    from galledtrees import asym
+
+    genfunc.clear_caches()
+    try:
+        want = genfunc.fixed_g_counts(spec, g, order)
+        genfunc.clear_caches()  # the reads build their own ring
+        got = [asym.exact_fixed_g_count(spec, g, n, order) for n in range(order + 1)]
+    finally:
+        genfunc.clear_caches()
+    assert got == want
+
+
+def test_an_odd_dot_product_raises():
+    genfunc.clear_caches()
+    try:
+        ring = genfunc._array_ring(30)
+        genfunc._inner(ring, False)[5] += 1  # inv[0] = 1 pairs with it at n = 5
+        with pytest.raises(ValueError, match="non-integer count at n=5"):
+            genfunc.unlabeled_fixed_g_count_at(GENERAL_UNLABELED, 2, 5, 30)
+    finally:
+        genfunc.clear_caches()
+
+
+def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypatch):
+    from galledtrees import asym
+
+    order = 2 * genfunc.NEWTON_MIN + 1
+    steps, m = 0, order
+    while m >= genfunc.NEWTON_MIN:
+        steps, m = steps + 1, m // 2
+    calls = {"int_mul": [], "int_geom_inverse": [], "wedderburn_sequence": []}
+    for name, log in calls.items():
+        kernel = getattr(genfunc, name)
+        monkeypatch.setattr(
+            genfunc, name, lambda *a, _k=kernel, _log=log, **kw: _log.append(a) or _k(*a, **kw)
+        )
+    genfunc.clear_caches()
+    try:
+        for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED):
+            for g in (1, 2):
+                asym.exact_fixed_g_count(spec, g, order, order)
+        inv = genfunc._array_ring(order).inv
+    finally:
+        genfunc.clear_caches()
+    # the recurrences run once each, below the cutoff, as the Newton base case
+    assert [a[1] for a in calls["int_geom_inverse"]] == [m]
+    assert [a[0] for a in calls["wedderburn_sequence"]] == [m] and m < genfunc.NEWTON_MIN
+    # 4 products per Newton step, 3 for the ring and 1 per family's `_inner`;
+    # none multiplies by inv
+    assert len(calls["int_mul"]) == 4 * steps + 3 + 2
+    assert not any(x is inv for a in calls["int_mul"] for x in a[:2])
+
+
 def test_fast_path_guards():
     with pytest.raises(ValueError):
         genfunc.fixed_g_counts(GENERAL_UNLABELED, 3, 10)
