@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galledtrees import genfunc
+from galledtrees import asym, genfunc
 from galledtrees.counts import (
     ALL_SPECS,
     GENERAL_LABELED,
@@ -386,10 +386,6 @@ def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, lab
     assert calls == want
 
 
-NEWTON_ORDERS = (0, 1, 2, genfunc.NEWTON_MIN - 1, genfunc.NEWTON_MIN, genfunc.NEWTON_MIN + 1,
-                 2 * genfunc.NEWTON_MIN + 1, 1000)
-
-
 def test_newton_base_series_is_the_counts_recursion():
     # the counts engine derives U by its own recursion; genfunc's Newton
     # iteration must reach the same integers
@@ -397,7 +393,8 @@ def test_newton_base_series_is_the_counts_recursion():
     assert genfunc._base_and_inverse(1000)[0] == wedderburn_sequence(1000)
 
 
-@pytest.mark.parametrize("order", NEWTON_ORDERS)
+@pytest.mark.parametrize("order", [0, 1, 2, genfunc.NEWTON_MIN - 1, genfunc.NEWTON_MIN,
+                                   genfunc.NEWTON_MIN + 1, 2 * genfunc.NEWTON_MIN + 1, 1000])
 def test_ring_inverse_matches_the_recurrence_on_both_sides_of_the_cutoff(order):
     genfunc.clear_caches()
     try:
@@ -426,8 +423,6 @@ def test_an_odd_newton_residual_raises(monkeypatch):
 @pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED])
 @pytest.mark.parametrize("g", [1, 2])
 def test_single_n_reads_match_the_arrays(order, spec, g):
-    from galledtrees import asym
-
     genfunc.clear_caches()
     try:
         want = genfunc.fixed_g_counts(spec, g, order)
@@ -450,8 +445,6 @@ def test_an_odd_dot_product_raises():
 
 
 def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypatch):
-    from galledtrees import asym
-
     order = 2 * genfunc.NEWTON_MIN + 1
     steps, m = 0, order
     while m >= genfunc.NEWTON_MIN:
