@@ -19,13 +19,13 @@ Each family's functional equation is written once, in ``_equation``:
 ``solve_bivariate`` evaluates it over ``BivariateSeries``, and
 ``arbitrary_galls_series`` over ``TruncatedSeries`` at u = 1, counting over
 all gall numbers at once.  The g = 1, 2 closed forms are written once too, in
-``_closed_form``, and evaluated over integer OGF arrays (unlabeled) and
-Laurent polynomials in v = sqrt(1 - 2t) (labeled).  ``fixed_g_counts``, the
-integer fast path for large truncation orders that ``closed_small_g`` wraps as
-a series, reads the labeled arrays off the Laurent terms, as
-``labeled_fixed_g_count_at`` reads one labeled count at a single n;
-``unlabeled_fixed_g_count_at`` reads one unlabeled count off the arrays'
-shared ring with one dot product.
+``_ring``, with the methods the fixed-g ladder runs on, and evaluated
+over ``TruncatedSeries`` (unlabeled) and ``_Laurent`` polynomials in
+v = sqrt(1 - 2t) (labeled).  ``fixed_g_counts``, the integer fast path for
+large truncation orders that ``closed_small_g`` wraps as a series, reads the
+labeled arrays off the Laurent terms, as ``labeled_fixed_g_count_at`` reads
+one labeled count at a single n; ``unlabeled_fixed_g_count_at`` reads one
+unlabeled count off the one held unlabeled ring with one dot product.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
@@ -47,7 +47,6 @@ from .series import (
     int_geom_inverse,
     int_mul,
     int_scale,
-    int_shift_t,
     int_substitute_t_squared,
 )
 
@@ -167,13 +166,14 @@ class _Ladder(list):
     product from the one below it and each kernel and sum built the first
     time a rung reads it, and grown as later rungs need more of them.
     A rung's convolution of lower rungs forms each unordered pair once and
-    reads the middle rung's square from the rung powers."""
+    reads the middle rung's square from the rung powers.  Zero and one come
+    from the base, so it runs over `TruncatedSeries` and `_Laurent` alike."""
 
     __slots__ = ("inv_pows", "inv2_pows", "rung_pows", "kernels", "halves")
 
     def __init__(self, base: TruncatedSeries) -> None:
         super().__init__([base])
-        self.inv_pows = [TruncatedSeries.one(base.order)]
+        self.inv_pows = [base.scale(0) + 1]
         self.inv2_pows = self.inv_pows[:]
         self.rung_pows: Dict[int, List[TruncatedSeries]] = {}
         self.kernels: Dict[int, TruncatedSeries] = {}
@@ -219,7 +219,7 @@ def _wp_product(ladder: _Ladder, wp, squared=False) -> TruncatedSeries:
     factors = [ladder.rung_pow(m, k) for m, k in wp.items()]
     if squared:
         factors = [f.substitute_t_squared() for f in factors]
-    return reduce(operator.mul, factors) if factors else TruncatedSeries.one(ladder[0].order)
+    return reduce(operator.mul, factors) if factors else ladder[0].scale(0) + 1
 
 
 def _by_part_count(ladder: _Ladder, partitions, squared=False) -> Dict[int, TruncatedSeries]:
@@ -242,7 +242,7 @@ def _seq_sum(ladder: _Ladder, weight: int) -> TruncatedSeries:
     acc = ladder.halves.get(weight)
     if acc is None:
         inv2_pows = ladder.inverse_powers(weight + 1, squared=True)
-        acc = TruncatedSeries.zero(ladder[0].order)
+        acc = ladder[0].scale(0)
         for sr, s in _by_part_count(ladder, weighted_partitions(weight // 2), squared=True).items():
             acc = acc + _dxk_seq(sr, inv2_pows) * s
         ladder.halves[weight] = acc
@@ -266,17 +266,17 @@ def fixed_g_series(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
     if ladder is None:
         ladder = _ladder_cache[key] = _Ladder(base_tree_series(spec.labeling, order))
     while len(ladder) <= g:
-        ladder.append(_next_rung(spec, ladder, order))
+        ladder.append(_next_rung(spec, ladder))
     return ladder[g]
 
 
-def _next_rung(spec: TreeClassSpec, ladder: _Ladder, order: int) -> TruncatedSeries:
+def _next_rung(spec: TreeClassSpec, ladder: _Ladder) -> TruncatedSeries:
     g = len(ladder)
     unlabeled = spec.labeling is Labeling.UNLABELED
 
     # half the sum of rung l times rung g - l over 1 <= l < g: each unordered
     # pair once, and the middle rung squared at half weight
-    bracket = TruncatedSeries.zero(order)
+    bracket = ladder[0].scale(0)
     for l in range(1, (g + 1) // 2):
         bracket = bracket + ladder[l] * ladder[g - l]
     if g % 2 == 0:
@@ -338,52 +338,43 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 #   general  e1 = 1/2 (w^3 + 2w^2 + ww2)
 #   simplex  e1 = 1/2 t (w^2 + w2 + w^3 + ww2)
 # `_ring` evaluates these, and each family's g = 2 cofactor (the factor
-# after e1 in e2), over a ring: a namespace with mul, lin (a sum of terms,
-# (c, x) adding c times x), halve, shift (multiply by t) and sq (the t^2
-# substitution, None when labeled).  `_closed_form` finishes g = 2 with two
-# products: `_inner` = e1 cof (+ e1(t^2)), kept on the ring, and
-# 2 e2 = inv `_inner`.  Two kinds of ring:
-# * integer OGF arrays through t^order for the unlabeled families.  One ring
-#   per order is shared by the families.  Below NEWTON_MIN its inv comes from
-#   the two recurrences (`wedderburn_sequence`, `int_geom_inverse`), and the
-#   four arrays cost 7 products and 1 geometric inverse in all; from
-#   NEWTON_MIN on, `_base_and_inverse` lifts U and inv by Newton steps of 4
-#   products each from the recurrences below NEWTON_MIN.  A single count
-#   skips the last product: g = 1 is an entry of e1, and g = 2 half of one
-#   dot product of inv with `_inner` (`unlabeled_fixed_g_count_at`).  The
-#   1/2 is applied by computing twice the series and halving, so everything
-#   stays in exact integer arithmetic.
-# * Laurent polynomials in v = sqrt(1 - 2t) for the labeled families, whose
-#   base series is 1 - v: inv = 1/v, w2 = 0 and t = (1 - v^2) / 2.  Each
-#   form is 4 to 8 terms c_k v^k, and n! [t^n] v^k = prod_{j<n} (2j - k) is
-#   a running product in n, so counts are read off the terms, one or all
+# after e1 in e2), from inv with the methods the ladder runs on, the t^2
+# terms only when squared.  g = 2 takes two more products: `_inner` =
+# e1 cof (+ e1(t^2)), kept on the ring, and 2 e2 = inv `_inner`.  Two
+# classes carry a ring:
+# * `TruncatedSeries` through t^order for the unlabeled families.  One ring,
+#   at the highest order asked for, is held and shared by the families.
+#   Below NEWTON_MIN its inv comes from the two recurrences
+#   (`wedderburn_sequence`, `int_geom_inverse`), and the four series cost 7
+#   products and 1 geometric inverse in all; from NEWTON_MIN on,
+#   `_base_and_inverse` lifts U and inv by Newton steps of 4 products each
+#   from the recurrences below NEWTON_MIN.  A single count skips the last
+#   product: g = 1 is an entry of e1, and g = 2 half of one dot product of
+#   inv with `_inner` (`unlabeled_fixed_g_count_at`).
+# * `_Laurent` polynomials in v = sqrt(1 - 2t) for the labeled families,
+#   whose base series is 1 - v: inv = 1/v and t = (1 - v^2) / 2.  Each form
+#   is 4 to 8 terms c_k v^k, and n! [t^n] v^k = prod_{j<n} (2j - k) is a
+#   running product in n, so counts are read off the terms, one or all
 #   through t^order, without a series product.
 # ---------------------------------------------------------------------------
 
 
-def _ring(inv, one, **ops) -> SimpleNamespace:
-    ring = SimpleNamespace(inv=inv, **ops)
-    w = ring.lin(inv, (-1, one))
-    ww = ring.mul(w, w)
-    www = ring.mul(w, ww)
-    if ring.sq is None:
-        w2 = ww2 = ring.lin((0, w))
-    else:
-        w2 = ring.sq(w)
-        ww2 = ring.mul(w, w2)
-    e1g = ring.halve(ring.lin(www, (2, ww), ww2))
-    e1s = ring.halve(ring.shift(ring.lin(ww, w2, www, ww2)))
-    del ww2  # at large orders these arrays are most of the live memory
-    p = ring.lin(www, (2, ww), w)
+def _ring(inv, squared: bool) -> SimpleNamespace:
+    w = inv - 1
+    ww = w * w
+    www = w * ww
+    w2 = w.substitute_t_squared() if squared else 0
+    ww2 = w * w2
+    e1g = (www + ww.scale(2) + ww2).scale(HALF)
+    e1s = (ww + w2 + www + ww2).shift_by_t().scale(HALF)
+    del ww2  # at large orders these series are most of the live memory
+    p = www + ww.scale(2) + w
     del www
     # keyed by simplex: the g = 1 form, the g = 2 cofactor of e1 and `_inner`
-    ring.e1 = {False: e1g, True: e1s}
-    ring.cof = {
-        False: ring.lin(e1g, ww, w2, (2, w), (2, p)),
-        True: ring.lin(e1s, (2, ring.shift(p))),
-    }
-    ring.inner = {}
-    return ring
+    return SimpleNamespace(
+        inv=inv, squared=squared, e1={False: e1g, True: e1s}, inner={},
+        cof={False: e1g + ww + w2 + w.scale(2) + p.scale(2), True: e1s + p.shift_by_t().scale(2)},
+    )
 
 
 def _inner(ring: SimpleNamespace, simplex: bool):
@@ -392,26 +383,11 @@ def _inner(ring: SimpleNamespace, simplex: bool):
     got = ring.inner.get(simplex)
     if got is None:
         e1 = ring.e1[simplex]
-        got = ring.mul(e1, ring.cof[simplex])
-        if ring.sq is not None:
-            got = ring.lin(got, ring.sq(e1))
+        got = e1 * ring.cof[simplex]
+        if ring.squared:
+            got = got + e1.substitute_t_squared()
         ring.inner[simplex] = got
     return got
-
-
-def _closed_form(ring: SimpleNamespace, simplex: bool, g: int):
-    if g == 1:
-        return ring.e1[simplex]
-    return ring.halve(ring.mul(ring.inv, _inner(ring, simplex)))
-
-
-def _lin(*terms) -> List[int]:
-    """Sum of arrays; a (c, array) term adds c times the array."""
-    out = None
-    for term in terms:
-        c, arr = term if isinstance(term, tuple) else (1, term)
-        out = [c * x for x in arr] if out is None else [x + c * y for x, y in zip(out, arr)]
-    return out
 
 
 # Orders at or above this lift U and 1 / (1 - U) by Newton iteration.  One
@@ -444,19 +420,17 @@ def _base_and_inverse(order: int) -> Tuple[List[int], List[int]]:
     return u, h + int_mul(h, e, order)[k + 1 :]
 
 
-_kit_cache: Dict[int, SimpleNamespace] = {}
+# The one unlabeled ring, at the highest order asked for so far.
+_ring_cache: List[SimpleNamespace] = []
 
 
-def _array_ring(order: int) -> SimpleNamespace:
-    ring = _kit_cache.get(order)
-    if ring is None:
-        ring = _kit_cache[order] = _ring(
-            _base_and_inverse(order)[1], [1] + [0] * order,
-            mul=partial(int_mul, order=order), lin=_lin, halve=partial(int_scale, num=1, den=2),
-            shift=partial(int_shift_t, order=order),
-            sq=partial(int_substitute_t_squared, order=order),
-        )
-    return ring
+def _unlabeled_ring(order: int) -> SimpleNamespace:
+    """The held ring if it reaches t^order, else a new ring at order that
+    replaces it."""
+    if not _ring_cache or _ring_cache[0].inv.order < order:
+        _ring_cache.clear()  # first, so the two rings are never both held
+        _ring_cache.append(_ring(TruncatedSeries._make(_base_and_inverse(order)[1], 1), True))
+    return _ring_cache[0]
 
 
 def _check_closed_form(spec: TreeClassSpec, g: int, order: int) -> None:
@@ -480,53 +454,77 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
                 acc[n] += c
                 c *= 2 * n - k
         return [_exact_count(a, den, n) for n, a in enumerate(acc)]
-    return list(_closed_form(_array_ring(order), spec.network_class is NetworkClass.SIMPLEX_TC, g))
+    ring = _unlabeled_ring(order)
+    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
+    if g == 1:
+        return ring.e1[simplex].truncate(order).integer_coefficients()
+    # the held ring may reach past order; the product stops at t^order
+    return (ring.inv.truncate(order) * _inner(ring, simplex)).scale(HALF).integer_coefficients()
 
 
 def unlabeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) -> int:
     """Exact unlabeled count with g galls (g in {1, 2}) at one n <= order,
-    off the shared ring at that order: an entry of e1 for g = 1, and for
-    g = 2 half the dot product sum_i inv[i] `_inner`[n - i], with no
-    full-length product by inv."""
+    off the held ring: an entry of e1 for g = 1, and for g = 2 half the dot
+    product sum_i inv[i] `_inner`[n - i], with no full-length product by
+    inv."""
     _check_closed_form(spec, g, order)
     if spec.is_labeled or not 0 <= n <= order:
         raise ValueError(f"need an unlabeled family and 0 <= n <= order, got n={n}, order={order}")
-    ring = _array_ring(order)
+    ring = _unlabeled_ring(order)
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
     if g == 1:
-        return ring.e1[simplex][n]
-    twice = sum(map(operator.mul, ring.inv[: n + 1], _inner(ring, simplex)[n::-1]))
-    return _exact_count(twice, 2, n)
+        e1 = ring.e1[simplex]
+        return _exact_count(e1.nums[n], e1.den, n)
+    inv, inner = ring.inv, _inner(ring, simplex)
+    twice = sum(map(operator.mul, inv.nums[: n + 1], inner.nums[n::-1]))
+    return _exact_count(twice, 2 * inv.den * inner.den, n)
 
 
-def _lv_mul(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, Fraction(0)) + x * y
-    return {k: v for k, v in out.items() if v}
+class _Laurent(dict):
+    """A Laurent polynomial in v = sqrt(1 - 2t), {exponent of v: Fraction}
+    with no zero terms, with the ladder's methods.  The labeled base series is
+    1 - v and t = (1 - v^2) / 2, so the closed forms and the ladder evaluate
+    over it exactly (Flajolet & Sedgewick, Analytic Combinatorics, ch. VI)."""
+
+    @classmethod
+    def _sum(cls, terms) -> "_Laurent":
+        acc: Dict[int, Fraction] = {}
+        for k, c in terms:
+            acc[k] = acc.get(k, 0) + c
+        return cls((k, c) for k, c in acc.items() if c)
+
+    def __add__(self, other) -> "_Laurent":
+        more = other.items() if isinstance(other, _Laurent) else [(0, other)]
+        return _Laurent._sum([*self.items(), *more])
+
+    def __sub__(self, other) -> "_Laurent":
+        return self + other * -1
+
+    def __mul__(self, other) -> "_Laurent":
+        if not isinstance(other, _Laurent):
+            return self.scale(other)
+        return _Laurent._sum((i + j, x * y) for i, x in self.items() for j, y in other.items())
+
+    def scale(self, c) -> "_Laurent":
+        return _Laurent._sum((k, c * x) for k, x in self.items())
+
+    def shift_by_t(self) -> "_Laurent":
+        return self * _Laurent({0: HALF, 2: -HALF})
+
+    def geom_inverse(self) -> "_Laurent":
+        """1 / (1 - f) for f = 1 - c v^k: v^(-k) / c."""
+        ((k, c),) = (self * -1 + 1).items()
+        return _Laurent({-k: Fraction(1) / c})
 
 
-def _lv_lin(*terms) -> Dict[int, Fraction]:
-    """`_lin` for Laurent polynomials held as {exponent of v: coefficient}."""
-    out: Dict[int, Fraction] = {}
-    for term in terms:
-        c, a = term if isinstance(term, tuple) else (1, term)
-        for k, x in a.items():
-            out[k] = out.get(k, Fraction(0)) + c * x
-    return {k: v for k, v in out.items() if v}
-
-
-def _labeled_laurent(spec: TreeClassSpec, g: int) -> Dict[int, Fraction]:
+def _labeled_laurent(spec: TreeClassSpec, g: int) -> _Laurent:
     if spec.labeling is not Labeling.LEAF_LABELED or spec.network_class is NetworkClass.TIME_CONSISTENT:
         raise ValueError("laurent closed forms cover labeled general/simplex families")
     if g not in (1, 2):
         raise ValueError(f"need g in {{1, 2}}, got {g}")
-    ring = _ring(
-        {-1: Fraction(1)}, {0: Fraction(1)}, mul=_lv_mul, lin=_lv_lin,
-        halve=lambda a: _lv_lin((HALF, a)), shift=partial(_lv_mul, {0: HALF, 2: -HALF}), sq=None,
-    )
-    return _closed_form(ring, spec.network_class is NetworkClass.SIMPLEX_TC, g)
+    ring = _ring(_Laurent({-1: Fraction(1)}), False)
+    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
+    return ring.e1[simplex] if g == 1 else (ring.inv * _inner(ring, simplex)).scale(HALF)
 
 
 _laurent_cache: Dict[Tuple[str, str, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
@@ -567,5 +565,5 @@ def labeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int) -> int:
 def clear_caches() -> None:
     _base_cache.clear()
     _ladder_cache.clear()
-    _kit_cache.clear()
+    _ring_cache.clear()
     _laurent_cache.clear()

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galledtrees import asym, genfunc
+from galledtrees import asym, genfunc, series
 from galledtrees.counts import (
     ALL_SPECS,
     GENERAL_LABELED,
@@ -25,6 +25,7 @@ from galledtrees.counts import (
     wedderburn_sequence,
 )
 from galledtrees.series import (
+    TruncatedSeries,
     int_geom_inverse,
     int_scale,
     int_shift_t,
@@ -88,16 +89,16 @@ def test_fixed_g_at_or_past_the_order_builds_no_rung(spec, monkeypatch):
     monkeypatch.setattr(genfunc, "_ladder_cache", {})
     real = genfunc._next_rung
 
-    def refuse(s, ladder, order):
-        raise AssertionError(f"built rung {len(ladder)} at order {order}")
+    def refuse(s, ladder):
+        raise AssertionError(f"built rung {len(ladder)} at order {ladder[0].order}")
 
     monkeypatch.setattr(genfunc, "_next_rung", refuse)
     for g, order in [(1, 0), (1, 1), (5, 5), (6, 5), (60, 5), (500, 12)]:
         assert genfunc.fixed_g_series(spec, g, order).coeffs == (0,) * (order + 1), (g, order)
     assert genfunc._ladder_cache == {}
     built = []
-    monkeypatch.setattr(genfunc, "_next_rung", lambda s, ladder, order: (
-        built.append(len(ladder)) or real(s, ladder, order)))
+    monkeypatch.setattr(genfunc, "_next_rung", lambda s, ladder: (
+        built.append(len(ladder)) or real(s, ladder)))
     nf = math.factorial(6) if spec.is_labeled else 1
     assert genfunc.fixed_g_series(spec, 5, 6)[6] * nf == count(spec, 6, 5)
     assert built == [1, 2, 3, 4, 5]
@@ -270,11 +271,39 @@ def test_fast_paths_match_closed_forms_in_any_call_order():
 
 # A copy of the earlier evaluation of the g = 1, 2 closed forms, with 8
 # products and 2 geometric inverses per ring: p = inv (w^2 + w), one product
-# for each e1, and w2 = 1 / (1 - u(t^2)) - 1 from its own inverse.  Its
-# products are plain schoolbook convolutions, so it shares no multiplication
-# kernel with the code under test.  The labeled ring runs on count-form
+# for each e1, and w2 = 1 / (1 - u(t^2)) - 1 from its own inverse.  A ring
+# is a namespace of its operations.  Its products are plain schoolbook
+# convolutions, and its sums and Laurent products are its own, so it shares
+# no kernel with the code under test.  The labeled ring runs on count-form
 # arrays A[n] = n! [t^n] f, with its own schoolbook product, shift and
 # inverse: the code under test reads labeled counts off the Laurent form.
+
+
+def _ref_lin(*terms):
+    """Sum of arrays; a (c, array) term adds c times the array."""
+    out = None
+    for term in terms:
+        c, arr = term if isinstance(term, tuple) else (1, term)
+        out = [c * x for x in arr] if out is None else [x + c * y for x, y in zip(out, arr)]
+    return out
+
+
+def _ref_lv_mul(a, b):
+    out = Counter()
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] += x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_lv_lin(*terms):
+    """`_ref_lin` for Laurent polynomials held as {exponent of v: coefficient}."""
+    out = Counter()
+    for term in terms:
+        c, a = term if isinstance(term, tuple) else (1, term)
+        for k, x in a.items():
+            out[k] += c * x
+    return {k: v for k, v in out.items() if v}
 
 
 def _school_mul(a, b, order):
@@ -327,13 +356,13 @@ def _ref_array_ring(labeling, order):
         mul, shift, inverse = _school_mul, int_shift_t, int_geom_inverse
         sq = partial(int_substitute_t_squared, order=order)
         u = wedderburn_sequence(order)
-        w2 = genfunc._lin(inverse(sq(u), order), (-1, one))
+        w2 = _ref_lin(inverse(sq(u), order), (-1, one))
     else:
         mul, shift, inverse, sq = _school_egf_mul, _school_egf_shift, _school_egf_inverse, None
         u = [0] + [labeled_tree_count(n) for n in range(1, order + 1)]
         w2 = [0] * (order + 1)
     return _ref_ring(
-        inverse(u, order), one, w2, mul=partial(mul, order=order), lin=genfunc._lin,
+        inverse(u, order), one, w2, mul=partial(mul, order=order), lin=_ref_lin,
         halve=partial(int_scale, num=1, den=2), shift=partial(shift, order=order), sq=sq,
     )
 
@@ -356,9 +385,9 @@ def test_closed_forms_match_the_eight_product_evaluation(labeling, order):
 def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
     half = Fraction(1, 2)
     ref = _ref_ring(
-        {-1: Fraction(1)}, {0: Fraction(1)}, {}, mul=genfunc._lv_mul, lin=genfunc._lv_lin,
-        halve=lambda a: genfunc._lv_lin((half, a)),
-        shift=partial(genfunc._lv_mul, {0: half, 2: -half}), sq=None,
+        {-1: Fraction(1)}, {0: Fraction(1)}, {}, mul=_ref_lv_mul, lin=_ref_lv_lin,
+        halve=lambda a: _ref_lv_lin((half, a)),
+        shift=partial(_ref_lv_mul, {0: half, 2: -half}), sq=None,
     )
     simplex = spec is SIMPLEX_LABELED
     assert genfunc._labeled_laurent(spec, g) == _ref_closed_form(ref, simplex, g)
@@ -370,10 +399,11 @@ def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
 ], ids=lambda v: "-".join(f"{k}-{n}" for k, n in v.items()) or "none" if type(v) is dict else None)
 def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, labeling, want):
     calls = Counter()
-    for name in ("int_mul", "int_geom_inverse"):
-        kernel = getattr(genfunc, name)
+    # `TruncatedSeries.__mul__` calls the series module's int_mul
+    for module, name in ((genfunc, "int_mul"), (series, "int_mul"), (genfunc, "int_geom_inverse")):
+        kernel = getattr(module, name)
         monkeypatch.setattr(
-            genfunc, name, lambda *a, _k=kernel, _n=name, **kw: calls.update([_n]) or _k(*a, **kw)
+            module, name, lambda *a, _k=kernel, _n=name, **kw: calls.update([_n]) or _k(*a, **kw)
         )
     genfunc.clear_caches()
     try:
@@ -398,10 +428,10 @@ def test_newton_base_series_is_the_counts_recursion():
 def test_ring_inverse_matches_the_recurrence_on_both_sides_of_the_cutoff(order):
     genfunc.clear_caches()
     try:
-        got = genfunc._array_ring(order).inv
+        got = genfunc._unlabeled_ring(order).inv
     finally:
         genfunc.clear_caches()
-    assert got == int_geom_inverse(wedderburn_sequence(order), order)
+    assert got.nums == tuple(int_geom_inverse(wedderburn_sequence(order), order))
 
 
 def test_an_odd_newton_residual_raises(monkeypatch):
@@ -433,11 +463,34 @@ def test_single_n_reads_match_the_arrays(order, spec, g):
     assert got == want
 
 
+def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it():
+    # with order omitted, each n asks for the ring at order n: each one
+    # replaces the held ring, and a read at a lower order reads the held one
+    spec, top = GENERAL_UNLABELED, 60
+    genfunc.clear_caches()
+    try:
+        swept = {g: [asym.exact_fixed_g_count(spec, g, n) for n in range(top + 1)] for g in (1, 2)}
+        (held,) = genfunc._ring_cache
+        explicit = {g: [asym.exact_fixed_g_count(spec, g, n, n) for n in range(top + 1)]
+                    for g in (1, 2)}
+        arrays = {g: genfunc.fixed_g_counts(spec, g, top // 2) for g in (1, 2)}
+        assert genfunc._ring_cache[0] is held and held.inv.order == top
+        genfunc.clear_caches()
+        fresh = {g: genfunc.fixed_g_counts(spec, g, top) for g in (1, 2)}
+    finally:
+        genfunc.clear_caches()
+    for g in (1, 2):
+        assert swept[g] == explicit[g] == fresh[g], g
+        assert arrays[g] == fresh[g][: top // 2 + 1], g
+
+
 def test_an_odd_dot_product_raises():
     genfunc.clear_caches()
     try:
-        ring = genfunc._array_ring(30)
-        genfunc._inner(ring, False)[5] += 1  # inv[0] = 1 pairs with it at n = 5
+        ring = genfunc._unlabeled_ring(30)
+        inner = genfunc._inner(ring, False).nums
+        # inv[0] = 1 pairs with entry 5 at n = 5
+        ring.inner[False] = TruncatedSeries(inner[:5] + (inner[5] + 1,) + inner[6:])
         with pytest.raises(ValueError, match="non-integer count at n=5"):
             genfunc.unlabeled_fixed_g_count_at(GENERAL_UNLABELED, 2, 5, 30)
     finally:
@@ -450,17 +503,18 @@ def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypa
     while m >= genfunc.NEWTON_MIN:
         steps, m = steps + 1, m // 2
     calls = {"int_mul": [], "int_geom_inverse": [], "wedderburn_sequence": []}
-    for name, log in calls.items():
-        kernel = getattr(genfunc, name)
+    # `TruncatedSeries.__mul__` calls the series module's int_mul
+    for module, name in [(genfunc, name) for name in calls] + [(series, "int_mul")]:
+        kernel, log = getattr(module, name), calls[name]
         monkeypatch.setattr(
-            genfunc, name, lambda *a, _k=kernel, _log=log, **kw: _log.append(a) or _k(*a, **kw)
+            module, name, lambda *a, _k=kernel, _log=log, **kw: _log.append(a) or _k(*a, **kw)
         )
     genfunc.clear_caches()
     try:
         for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED):
             for g in (1, 2):
                 asym.exact_fixed_g_count(spec, g, order, order)
-        inv = genfunc._array_ring(order).inv
+        inv = genfunc._unlabeled_ring(order).inv.nums
     finally:
         genfunc.clear_caches()
     # the recurrences run once each, below the cutoff, as the Newton base case
@@ -556,3 +610,27 @@ def test_labeled_expansion_guards():
         genfunc.labeled_fixed_g_count_at(GENERAL_UNLABELED, 1, 5)
     with pytest.raises(ValueError):
         genfunc.labeled_fixed_g_count_at(GENERAL_LABELED, 3, 5)
+
+
+def _laurent_count(laurent, n):
+    """n! [t^n] of a Laurent polynomial in v = sqrt(1 - 2t)."""
+    return sum(c * math.prod(2 * j - k for j in range(n)) for k, c in laurent.items())
+
+
+@pytest.mark.parametrize("spec", [GENERAL_LABELED, TC_LABELED, SIMPLEX_LABELED])
+def test_the_ladder_over_laurent_polynomials_is_exact(spec):
+    # from the labeled base 1 - v every rung is a Laurent polynomial in v, so
+    # the ladder meets the closed forms as rational identities, and its top
+    # term is the fixed-g leading constant of the labeled family
+    ladder = genfunc._Ladder(genfunc._Laurent({0: Fraction(1), 1: Fraction(-1)}))
+    while len(ladder) <= 8:
+        ladder.append(genfunc._next_rung(spec, ladder))
+    if spec is not TC_LABELED:
+        for g in (1, 2):
+            assert ladder[g] == genfunc._labeled_laurent(spec, g), g
+    for g in range(1, 9):
+        top = asym.beta(g) / 2**g if spec is SIMPLEX_LABELED else asym.beta(g)
+        assert min(ladder[g]) == 1 - 4 * g and ladder[g][1 - 4 * g] == top, g
+    for g in range(1, 7):
+        for n in range(1, 21):
+            assert _laurent_count(ladder[g], n) == count(spec, n, g), (n, g)
