@@ -162,13 +162,11 @@ class AsymptoticEstimate(NamedTuple):
 def asymptotic_estimate(spec: TreeClassSpec, g: int, order: int = 60) -> AsymptoticEstimate:
     """Leading-order estimate of the fixed-g count for the family; g >= 1.
 
-    The time-consistent class is refused: its leading constant has not been
-    derived, and no exact engine checks it at large n.
+    The time-consistent estimate is the general one: the general class's
+    root gall with one empty path moves only the second term.
     """
     if g < 1:
         raise ValueError(f"fixed-gall estimates need g >= 1, got {g}")
-    if spec.network_class is NetworkClass.TIME_CONSISTENT:
-        raise ValueError("no asymptotic estimate is derived for the time-consistent class")
     simplex = spec.network_class is NetworkClass.SIMPLEX_TC
     if spec.labeling is Labeling.UNLABELED:
         sc = solve_rho_gamma(order)
@@ -203,15 +201,13 @@ def second_term_coefficient(spec: TreeClassSpec, g: int) -> float:
     and so does the change of an analytic factor such as t near the
     singularity (t - rho is of order s^2); the factor's value there scales A
     and B alike.  So B / A is the same for both labelings and is read off the
-    labeled Laurent form.
+    class's labeled Laurent form; the general and time-consistent ones share A.
     Since s = gamma sqrt(1 - t/rho) (1 + O(1 - t/rho)), transfer of the two
     top terms gives a = (B/A) gamma Gamma(k/2) / Gamma((k-1)/2), with
     gamma = 1 for the labeled families.
     """
     if g not in (1, 2):
         raise ValueError(f"second-term coefficients cover g in {{1, 2}}, got {g}")
-    if spec.network_class is NetworkClass.TIME_CONSISTENT:
-        raise ValueError("no closed small-g form covers the time-consistent class")
     labeled = TreeClassSpec(spec.network_class, Labeling.LEAF_LABELED)
     laurent = genfunc._labeled_laurent(labeled, g)
     k = 4 * g - 1

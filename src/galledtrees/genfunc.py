@@ -13,7 +13,7 @@ Each (network class, labeling) family gets three routes to the same numbers:
   once per ladder, multiplies its share in one product.  For g >= order the
   series is zero and no rung is built.
 * ``closed_small_g`` -- the closed rational expressions in the base tree
-  series available for g = 1, 2.
+  series available for g = 1, 2, for all three classes.
 
 Each family's functional equation is written once, in ``_equation``:
 ``solve_bivariate`` evaluates it over ``BivariateSeries``, and
@@ -329,23 +329,23 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 # u / (1 - u), and likewise u(t^2) inv(t^2) = w2 = inv(t^2) - 1 = w(t^2), so
 #   general  e1 = 1/2 w (w^2 + 2w + w2)
 #            e2 = 1/2 inv (e1 (e1 + w^2 + w2 + 2w + 2p) + e1(t^2))
+#   tc       e1 = 1/2 w (w^2 + w2)   (time-consistent: general without mark(ffi))
+#            e2 = 1/2 inv (e1 (e1 + 3w^2 + 2w^3 + w2) + e1(t^2))
 #   simplex  e1 = 1/2 t inv (w^2 + w2)
 #            e2 = 1/2 inv (e1 (e1 + 2t p) + e1(t^2))
 # with p = inv (w^2 + w) = w inv^2; w2 and the e1(t^2) terms drop out for
 # the labeled families.  Since inv = 1 + w, the products w^3 = w w^2 and
-# ww2 = w w2 give p and both g = 1 forms as plain sums:
-#   p = w^3 + 2w^2 + w
-#   general  e1 = 1/2 (w^3 + 2w^2 + ww2)
-#   simplex  e1 = 1/2 t (w^2 + w2 + w^3 + ww2)
+# ww2 = w w2 give p = w^3 + 2w^2 + w and the g = 1 forms as plain sums:
+#   tc e1 = 1/2 (w^3 + ww2),  general e1 = tc e1 + w^2,  simplex e1 = t (tc e1 + 1/2 (w^2 + w2))
 # `_ring` evaluates these, and each family's g = 2 cofactor (the factor
 # after e1 in e2), from inv with the methods the ladder runs on, the t^2
 # terms only when squared.  g = 2 takes two more products: `_inner` =
 # e1 cof (+ e1(t^2)), kept on the ring, and 2 e2 = inv `_inner`.  Two
 # classes carry a ring:
 # * `TruncatedSeries` through t^order for the unlabeled families.  One ring,
-#   at the highest order asked for, is held and shared by the families.
-#   Below NEWTON_MIN its inv comes from the two recurrences
-#   (`wedderburn_sequence`, `int_geom_inverse`), and the four series cost 7
+#   at least as high as every order asked for, is held and shared by the
+#   families.  Below NEWTON_MIN its inv comes from the two recurrences
+#   (`wedderburn_sequence`, `int_geom_inverse`), and the six series cost 9
 #   products and 1 geometric inverse in all; from NEWTON_MIN on,
 #   `_base_and_inverse` lifts U and inv by Newton steps of 4 products each
 #   from the recurrences below NEWTON_MIN.  A single count skips the last
@@ -364,29 +364,30 @@ def _ring(inv, squared: bool) -> SimpleNamespace:
     ww = w * w
     www = w * ww
     w2 = w.substitute_t_squared() if squared else 0
-    ww2 = w * w2
-    e1g = (www + ww.scale(2) + ww2).scale(HALF)
-    e1s = (ww + w2 + www + ww2).shift_by_t().scale(HALF)
-    del ww2  # at large orders these series are most of the live memory
+    e1t = (www + w * w2).scale(HALF)
+    e1s = (e1t + (ww + w2).scale(HALF)).shift_by_t()
+    coft = e1t + ww.scale(3) + www.scale(2) + w2
     p = www + ww.scale(2) + w
-    del www
-    # keyed by simplex: the g = 1 form, the g = 2 cofactor of e1 and `_inner`
+    del www  # at large orders these series are most of the live memory
+    # keyed by class value: the g = 1 form, the g = 2 cofactor of e1 and `_inner`
     return SimpleNamespace(
-        inv=inv, squared=squared, e1={False: e1g, True: e1s}, inner={},
-        cof={False: e1g + ww + w2 + w.scale(2) + p.scale(2), True: e1s + p.shift_by_t().scale(2)},
+        inv=inv, squared=squared, inner={},
+        e1={"general": e1t + ww, "time-consistent": e1t, "simplex-tc": e1s},
+        cof={"general": coft + ww.scale(3) + w.scale(4), "time-consistent": coft,
+             "simplex-tc": e1s + p.shift_by_t().scale(2)},
     )
 
 
-def _inner(ring: SimpleNamespace, simplex: bool):
+def _inner(ring: SimpleNamespace, cls: str):
     """e1 cof (+ e1(t^2)), whose product with inv is twice e2; built once
     per ring and family."""
-    got = ring.inner.get(simplex)
+    got = ring.inner.get(cls)
     if got is None:
-        e1 = ring.e1[simplex]
-        got = e1 * ring.cof[simplex]
+        e1 = ring.e1[cls]
+        got = e1 * ring.cof[cls]
         if ring.squared:
             got = got + e1.substitute_t_squared()
-        ring.inner[simplex] = got
+        ring.inner[cls] = got
     return got
 
 
@@ -425,19 +426,18 @@ _ring_cache: List[SimpleNamespace] = []
 
 
 def _unlabeled_ring(order: int) -> SimpleNamespace:
-    """The held ring if it reaches t^order, else a new ring at order that
-    replaces it."""
+    """The held ring if it reaches t^order, else a new ring at max(order,
+    twice the held order) that replaces it: a rising sweep builds few rings."""
     if not _ring_cache or _ring_cache[0].inv.order < order:
+        order = max([order] + [2 * r.inv.order for r in _ring_cache])
         _ring_cache.clear()  # first, so the two rings are never both held
         _ring_cache.append(_ring(TruncatedSeries._make(_base_and_inverse(order)[1], 1), True))
     return _ring_cache[0]
 
 
-def _check_closed_form(spec: TreeClassSpec, g: int, order: int) -> None:
+def _check_closed_form(g: int, order: int) -> None:
     if g not in (1, 2):
         raise ValueError(f"closed forms exist for g in {{1, 2}}, got {g}")
-    if spec.network_class is NetworkClass.TIME_CONSISTENT:
-        raise ValueError("no closed small-g form is wired up for the time-consistent class")
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
 
@@ -445,7 +445,7 @@ def _check_closed_form(spec: TreeClassSpec, g: int, order: int) -> None:
 def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
     """Exact counts with g galls (g in {1, 2}) through t^order, as integers
     (n! times the coefficient for the labeled families)."""
-    _check_closed_form(spec, g, order)
+    _check_closed_form(g, order)
     if spec.is_labeled:
         den, terms = _laurent_terms(spec, g)
         acc = [0] * (order + 1)
@@ -454,12 +454,11 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
                 acc[n] += c
                 c *= 2 * n - k
         return [_exact_count(a, den, n) for n, a in enumerate(acc)]
-    ring = _unlabeled_ring(order)
-    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
+    ring, cls = _unlabeled_ring(order), spec.network_class._value_
     if g == 1:
-        return ring.e1[simplex].truncate(order).integer_coefficients()
+        return ring.e1[cls].truncate(order).integer_coefficients()
     # the held ring may reach past order; the product stops at t^order
-    return (ring.inv.truncate(order) * _inner(ring, simplex)).scale(HALF).integer_coefficients()
+    return (ring.inv.truncate(order) * _inner(ring, cls)).scale(HALF).integer_coefficients()
 
 
 def unlabeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) -> int:
@@ -467,15 +466,14 @@ def unlabeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) 
     off the held ring: an entry of e1 for g = 1, and for g = 2 half the dot
     product sum_i inv[i] `_inner`[n - i], with no full-length product by
     inv."""
-    _check_closed_form(spec, g, order)
+    _check_closed_form(g, order)
     if spec.is_labeled or not 0 <= n <= order:
         raise ValueError(f"need an unlabeled family and 0 <= n <= order, got n={n}, order={order}")
-    ring = _unlabeled_ring(order)
-    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
+    ring, cls = _unlabeled_ring(order), spec.network_class._value_
     if g == 1:
-        e1 = ring.e1[simplex]
+        e1 = ring.e1[cls]
         return _exact_count(e1.nums[n], e1.den, n)
-    inv, inner = ring.inv, _inner(ring, simplex)
+    inv, inner = ring.inv, _inner(ring, cls)
     twice = sum(map(operator.mul, inv.nums[: n + 1], inner.nums[n::-1]))
     return _exact_count(twice, 2 * inv.den * inner.den, n)
 
@@ -518,13 +516,12 @@ class _Laurent(dict):
 
 
 def _labeled_laurent(spec: TreeClassSpec, g: int) -> _Laurent:
-    if spec.labeling is not Labeling.LEAF_LABELED or spec.network_class is NetworkClass.TIME_CONSISTENT:
-        raise ValueError("laurent closed forms cover labeled general/simplex families")
+    if spec.labeling is not Labeling.LEAF_LABELED:
+        raise ValueError("laurent closed forms cover the labeled families")
     if g not in (1, 2):
         raise ValueError(f"need g in {{1, 2}}, got {g}")
-    ring = _ring(_Laurent({-1: Fraction(1)}), False)
-    simplex = spec.network_class is NetworkClass.SIMPLEX_TC
-    return ring.e1[simplex] if g == 1 else (ring.inv * _inner(ring, simplex)).scale(HALF)
+    ring, cls = _ring(_Laurent({-1: Fraction(1)}), False), spec.network_class._value_
+    return ring.e1[cls] if g == 1 else (ring.inv * _inner(ring, cls)).scale(HALF)
 
 
 _laurent_cache: Dict[Tuple[str, str, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}

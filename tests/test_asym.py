@@ -77,15 +77,13 @@ def test_estimate_guards_and_log_form():
     assert abs(est.log_value(n) - want) < 1e-12
 
 
-def test_estimate_refuses_time_consistent():
-    from galledtrees.counts import Labeling, NetworkClass, TreeClassSpec
-
-    for labeling in Labeling:
-        spec = TreeClassSpec(NetworkClass.TIME_CONSISTENT, labeling)
-        with pytest.raises(ValueError):
-            asym.asymptotic_estimate(spec, 1)
-        with pytest.raises(ValueError):
-            asym.estimate_log(spec, 2, 100)
+def test_time_consistent_estimate_is_the_general_one():
+    # the general class's root gall with one empty path moves only the
+    # second term, so the leading estimates agree at every g
+    for tc, general in ((TC_UNLABELED, GENERAL_UNLABELED), (TC_LABELED, GENERAL_LABELED)):
+        for g in (1, 2, 3):
+            assert asym.asymptotic_estimate(tc, g) == asym.asymptotic_estimate(general, g)
+        assert asym.estimate_log(tc, 2, 100) == asym.estimate_log(general, 2, 100)
 
 
 def test_simplex_estimate_carries_rho_and_half_powers():
@@ -315,7 +313,8 @@ def test_second_term_coefficient_shrinks_the_residual():
     # exact/estimate = 1 + a/sqrt(n) + O(1/n): once the a/sqrt(n) term is
     # divided out, the residual must fall like 1/n, so doubling n should about
     # halve it (a wrong a leaves an n^(-1/2) remainder, a factor near 0.71).
-    for spec in (GENERAL_UNLABELED, GENERAL_LABELED, SIMPLEX_UNLABELED, SIMPLEX_LABELED):
+    for spec in (GENERAL_UNLABELED, GENERAL_LABELED, SIMPLEX_UNLABELED, SIMPLEX_LABELED,
+                 TC_UNLABELED, TC_LABELED):
         for g in (1, 2):
             a = asym.second_term_coefficient(spec, g)
             res = []
@@ -333,8 +332,14 @@ def test_second_term_coefficient_guards():
 
     for labeling in Labeling:
         spec = TreeClassSpec(NetworkClass.TIME_CONSISTENT, labeling)
-        with pytest.raises(ValueError):
-            asym.second_term_coefficient(spec, 1)
+        # B/A of the time-consistent Laurent form is three times the general one
+        general = TreeClassSpec(NetworkClass.GENERAL, labeling)
+        for g in (1, 2):
+            a = asym.second_term_coefficient(spec, g)
+            assert a == pytest.approx(3 * asym.second_term_coefficient(general, g), rel=1e-14)
+        for g in (0, 3):
+            with pytest.raises(ValueError):
+                asym.second_term_coefficient(spec, g)
     for g in (0, 3):
         with pytest.raises(ValueError):
             asym.second_term_coefficient(GENERAL_UNLABELED, g)

@@ -256,10 +256,15 @@ def test_asym_ratio_terms_refusals(capsys):
     for terms in ("0", "3"):
         code, out, err = run(capsys, "asym", "ratio", "-g", "1", "-n", "50", "--terms", terms)
         assert code == 2 and out == "" and "--terms" in err
-    for labeling in ("unlabeled", "labeled"):
-        code, out, err = run(capsys, "asym", "ratio", "--class", "time-consistent",
-                             "--labeling", labeling, "-g", "1", "-n", "50", "--terms", "2")
-        assert code == 4 and out == "" and "asymptotics solver failed" in err
+    # the time-consistent class answers, and like the others is refused only
+    # where its two-term estimate is not positive (a = -7.98 labeled and
+    # -9.01 unlabeled at g = 2)
+    for labeling, a in (("unlabeled", "a = -9.013197"), ("labeled", "a = -7.976042")):
+        argv = ("asym", "ratio", "--class", "time-consistent", "--labeling", labeling, "-n", "50")
+        code, out, _ = run(capsys, *argv, "-g", "1", "--terms", "2")
+        assert code == 0 and float(out.split()[1]) > 0
+        code, out, err = run(capsys, *argv, "-g", "2", "--terms", "2")
+        assert code == 4 and out == "" and a in err
     # a = -5.32 for labeled simplex at g = 2, so 1 + a / sqrt(n) <= 0 up to
     # n = 28, also at n = 3, where no such network exists
     argv = ("asym", "ratio", "--class", "simplex-tc", "--labeling", "labeled", "-g", "2")
@@ -294,12 +299,24 @@ def test_asym_estimate(capsys):
     assert code == 0 and out.startswith("log-estimate")
 
 
-def test_asym_estimate_refuses_time_consistent(capsys):
+def test_asym_estimate_of_time_consistent_is_the_general_one(capsys):
     for labeling in ("unlabeled", "labeled"):
-        code, out, err = run(capsys, "asym", "estimate", "--class", "time-consistent",
-                             "--labeling", labeling, "-g", "1", "-n", "100")
-        assert code == 4 and out == ""
-        assert "asymptotics solver failed" in err
+        argv = ("asym", "estimate", "--labeling", labeling, "-g", "1", "-n", "100")
+        code, out, err = run(capsys, *argv, "--class", "time-consistent")
+        assert code == 0 and err == "" and out.startswith("log-estimate")
+        assert run(capsys, *argv, "--class", "general") == (0, out, "")
+
+
+def test_asym_ratio_refuses_an_unlabeled_order_past_the_limit(capsys, monkeypatch):
+    # refused before any series is built; the labeled reads are not bounded
+    monkeypatch.setattr(genfunc, "_base_and_inverse", lambda order: pytest.fail("built"))
+    for extra in (("-n", "8001"), ("-n", "100", "--order", "8001")):
+        code, out, err = run(capsys, "asym", "ratio", "--class", "general", "--labeling",
+                             "unlabeled", "-g", "2", *extra)
+        assert code == 3 and out == "" and "8001" in err and "limit (8000)" in err, extra
+    code, out, _ = run(capsys, "asym", "ratio", "--class", "general", "--labeling", "labeled",
+                       "-g", "1", "-n", "8001")
+    assert code == 0 and out.startswith("ratio ")
 
 
 def test_verify_scopes(capsys):

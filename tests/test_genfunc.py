@@ -32,7 +32,8 @@ from galledtrees.series import (
     int_substitute_t_squared,
 )
 
-CLOSED_FORM_SPECS = (GENERAL_UNLABELED, GENERAL_LABELED, SIMPLEX_UNLABELED, SIMPLEX_LABELED)
+CLOSED_FORM_SPECS = (GENERAL_UNLABELED, GENERAL_LABELED, SIMPLEX_UNLABELED, SIMPLEX_LABELED,
+                     TC_UNLABELED, TC_LABELED)
 
 
 def test_base_tree_series():
@@ -147,8 +148,7 @@ def test_one_ladder_builds_each_kernel_once_per_part_count(spec, monkeypatch):
 def test_warm_fixed_g_lookups_hash_no_enum(monkeypatch):
     # the base, ladder and Laurent caches are keyed by the members' values, so
     # a warm lookup hashes no Enum member
-    labeled = [s for s in ALL_SPECS
-               if s.is_labeled and s.network_class is not NetworkClass.TIME_CONSISTENT]
+    labeled = [s for s in ALL_SPECS if s.is_labeled]
 
     def lookups():
         got = [genfunc.base_tree_series(lab, 10).coeffs for lab in Labeling]
@@ -184,7 +184,7 @@ def test_closed_small_g_guards():
     with pytest.raises(ValueError):
         genfunc.closed_small_g(GENERAL_UNLABELED, 3, 10)
     with pytest.raises(ValueError):
-        genfunc.closed_small_g(TC_UNLABELED, 1, 10)
+        genfunc.closed_small_g(TC_UNLABELED, 3, 10)
 
 
 def test_arbitrary_galls_spot_values():
@@ -334,15 +334,20 @@ def _ref_ring(inv, one, w2, **ops):
     return ring
 
 
-def _ref_closed_form(ring, simplex, g):
-    if simplex:
+def _ref_closed_form(ring, cls, g):
+    if cls is NetworkClass.SIMPLEX_TC:
         e1 = ring.halve(ring.shift(ring.mul(ring.inv, ring.lin(ring.ww, ring.w2))))
+    elif cls is NetworkClass.TIME_CONSISTENT:
+        e1 = ring.halve(ring.mul(ring.w, ring.lin(ring.ww, ring.w2)))
     else:
         e1 = ring.halve(ring.mul(ring.w, ring.lin(ring.ww, (2, ring.w), ring.w2)))
     if g == 1:
         return e1
-    if simplex:
+    if cls is NetworkClass.SIMPLEX_TC:
         inner = ring.mul(e1, ring.lin(e1, (2, ring.shift(ring.p))))
+    elif cls is NetworkClass.TIME_CONSISTENT:
+        www = ring.mul(ring.w, ring.ww)
+        inner = ring.mul(e1, ring.lin(e1, (3, ring.ww), (2, www), ring.w2))
     else:
         inner = ring.mul(e1, ring.lin(e1, ring.ww, ring.w2, (2, ring.w), (2, ring.p)))
     if ring.sq is not None:
@@ -374,13 +379,12 @@ def test_closed_forms_match_the_eight_product_evaluation(labeling, order):
     ref = _ref_array_ring(labeling, order)
     for spec in CLOSED_FORM_SPECS:
         if spec.labeling is labeling:
-            simplex = spec.network_class is NetworkClass.SIMPLEX_TC
             for g in (1, 2):
-                want = _ref_closed_form(ref, simplex, g)
+                want = _ref_closed_form(ref, spec.network_class, g)
                 assert genfunc.fixed_g_counts(spec, g, order) == want, (spec, g)
 
 
-@pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED])
+@pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED, TC_LABELED])
 @pytest.mark.parametrize("g", [1, 2])
 def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
     half = Fraction(1, 2)
@@ -389,12 +393,12 @@ def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
         halve=lambda a: _ref_lv_lin((half, a)),
         shift=partial(_ref_lv_mul, {0: half, 2: -half}), sq=None,
     )
-    simplex = spec is SIMPLEX_LABELED
-    assert genfunc._labeled_laurent(spec, g) == _ref_closed_form(ref, simplex, g)
+    assert genfunc._labeled_laurent(spec, g) == _ref_closed_form(ref, spec.network_class, g)
 
 
 @pytest.mark.parametrize("labeling, want", [
-    (Labeling.UNLABELED, {"int_mul": 7, "int_geom_inverse": 1}),
+    # 3 products shared by the ring, and 2 for each family's g = 2 array
+    (Labeling.UNLABELED, {"int_mul": 9, "int_geom_inverse": 1}),
     (Labeling.LEAF_LABELED, {}),  # read off the Laurent terms: no series product
 ], ids=lambda v: "-".join(f"{k}-{n}" for k, n in v.items()) or "none" if type(v) is dict else None)
 def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, labeling, want):
@@ -450,7 +454,7 @@ def test_an_odd_newton_residual_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [60, genfunc.NEWTON_MIN + 50])
-@pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED])
+@pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED, TC_UNLABELED])
 @pytest.mark.parametrize("g", [1, 2])
 def test_single_n_reads_match_the_arrays(order, spec, g):
     genfunc.clear_caches()
@@ -463,10 +467,14 @@ def test_single_n_reads_match_the_arrays(order, spec, g):
     assert got == want
 
 
-def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it():
-    # with order omitted, each n asks for the ring at order n: each one
-    # replaces the held ring, and a read at a lower order reads the held one
+def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it(monkeypatch):
+    # with order omitted, each n asks for the ring at order n: a ring that
+    # does not reach n is replaced by one at max(n, twice its order), so the
+    # sweep builds the rings at orders 0, 1, 2, 4, ..., 64, and a read at a
+    # lower order reads the held one
     spec, top = GENERAL_UNLABELED, 60
+    builds, build = [], genfunc._base_and_inverse
+    monkeypatch.setattr(genfunc, "_base_and_inverse", lambda m: builds.append(m) or build(m))
     genfunc.clear_caches()
     try:
         swept = {g: [asym.exact_fixed_g_count(spec, g, n) for n in range(top + 1)] for g in (1, 2)}
@@ -474,7 +482,8 @@ def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it():
         explicit = {g: [asym.exact_fixed_g_count(spec, g, n, n) for n in range(top + 1)]
                     for g in (1, 2)}
         arrays = {g: genfunc.fixed_g_counts(spec, g, top // 2) for g in (1, 2)}
-        assert genfunc._ring_cache[0] is held and held.inv.order == top
+        assert genfunc._ring_cache[0] is held and held.inv.order >= top
+        assert builds == [0, 1, 2, 4, 8, 16, 32, 64]
         genfunc.clear_caches()
         fresh = {g: genfunc.fixed_g_counts(spec, g, top) for g in (1, 2)}
     finally:
@@ -488,9 +497,9 @@ def test_an_odd_dot_product_raises():
     genfunc.clear_caches()
     try:
         ring = genfunc._unlabeled_ring(30)
-        inner = genfunc._inner(ring, False).nums
+        inner = genfunc._inner(ring, "general").nums
         # inv[0] = 1 pairs with entry 5 at n = 5
-        ring.inner[False] = TruncatedSeries(inner[:5] + (inner[5] + 1,) + inner[6:])
+        ring.inner["general"] = TruncatedSeries(inner[:5] + (inner[5] + 1,) + inner[6:])
         with pytest.raises(ValueError, match="non-integer count at n=5"):
             genfunc.unlabeled_fixed_g_count_at(GENERAL_UNLABELED, 2, 5, 30)
     finally:
@@ -511,7 +520,7 @@ def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypa
         )
     genfunc.clear_caches()
     try:
-        for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED):
+        for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED, TC_UNLABELED):
             for g in (1, 2):
                 asym.exact_fixed_g_count(spec, g, order, order)
         inv = genfunc._unlabeled_ring(order).inv.nums
@@ -522,7 +531,7 @@ def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypa
     assert [a[0] for a in calls["wedderburn_sequence"]] == [m] and m < genfunc.NEWTON_MIN
     # 4 products per Newton step, 3 for the ring and 1 per family's `_inner`;
     # none multiplies by inv
-    assert len(calls["int_mul"]) == 4 * steps + 3 + 2
+    assert len(calls["int_mul"]) == 4 * steps + 3 + 3
     assert not any(x is inv for a in calls["int_mul"] for x in a[:2])
 
 
@@ -530,7 +539,7 @@ def test_fast_path_guards():
     with pytest.raises(ValueError):
         genfunc.fixed_g_counts(GENERAL_UNLABELED, 3, 10)
     with pytest.raises(ValueError):
-        genfunc.fixed_g_counts(TC_UNLABELED, 1, 10)
+        genfunc.fixed_g_counts(TC_LABELED, 3, 10)
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
@@ -587,7 +596,7 @@ def test_engines_agree_with_the_recursion_at_random_points(spec, n, g):
         assert ladder[g][n] * nf == count(spec, n, g)
 
 
-@pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED])
+@pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED, TC_LABELED])
 @pytest.mark.parametrize("g", [1, 2])
 def test_labeled_singular_expansion_counts(spec, g):
     for n in list(range(13)) + [40]:
@@ -625,9 +634,8 @@ def test_the_ladder_over_laurent_polynomials_is_exact(spec):
     ladder = genfunc._Ladder(genfunc._Laurent({0: Fraction(1), 1: Fraction(-1)}))
     while len(ladder) <= 8:
         ladder.append(genfunc._next_rung(spec, ladder))
-    if spec is not TC_LABELED:
-        for g in (1, 2):
-            assert ladder[g] == genfunc._labeled_laurent(spec, g), g
+    for g in (1, 2):
+        assert ladder[g] == genfunc._labeled_laurent(spec, g), g
     for g in range(1, 9):
         top = asym.beta(g) / 2**g if spec is SIMPLEX_LABELED else asym.beta(g)
         assert min(ladder[g]) == 1 - 4 * g and ladder[g][1 - 4 * g] == top, g
