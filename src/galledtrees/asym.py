@@ -421,16 +421,15 @@ def simplex_labeled_closed_delta() -> float:
 
 def exact_fixed_g_count(spec: TreeClassSpec, g: int, n: int, order: Optional[int] = None) -> int:
     """Exact count at one n through the large-order engines (g in {1, 2}),
-    order >= n >= 0: off the labeled Laurent form term by term, or off the
-    unlabeled closed forms' shared ring at that order."""
+    order >= n >= 0 (`genfunc.fixed_g_count_at`): off the labeled Laurent
+    form term by term, or off the unlabeled closed forms' shared ring at
+    that order."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     order = n if order is None else order
     if order < n:
         raise ValueError("truncation order below requested n")
-    if spec.labeling is Labeling.LEAF_LABELED:
-        return genfunc.labeled_fixed_g_count_at(spec, g, n)
-    return genfunc.unlabeled_fixed_g_count_at(spec, g, n, order)
+    return genfunc.fixed_g_count_at(spec, g, n, order)
 
 
 def ratio_exact_to_estimate(

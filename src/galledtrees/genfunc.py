@@ -15,17 +15,21 @@ Each (network class, labeling) family gets three routes to the same numbers:
 * ``closed_small_g`` -- the closed rational expressions in the base tree
   series available for g = 1, 2, for all three classes.
 
+All three start from the gall-free base series, derived once per labeling:
+the unlabeled U = t + 1/2 (U^2 + U(t^2)) by the Newton lift
+``_base_and_inverse``, and the labeled 1 - sqrt(1 - 2t) as the Laurent
+polynomial ``_LABELED_BASE`` = 1 - v, v = sqrt(1 - 2t).
 Each family's functional equation is written once, in ``_equation``:
 ``solve_bivariate`` evaluates it over ``BivariateSeries``, and
 ``arbitrary_galls_series`` over ``TruncatedSeries`` at u = 1, counting over
 all gall numbers at once.  The g = 1, 2 closed forms are written once too, in
 ``_ring``, with the methods the fixed-g ladder runs on, and evaluated
-over ``TruncatedSeries`` (unlabeled) and ``_Laurent`` polynomials in
-v = sqrt(1 - 2t) (labeled).  ``fixed_g_counts``, the integer fast path for
-large truncation orders that ``closed_small_g`` wraps as a series, reads the
-labeled arrays off the Laurent terms, as ``labeled_fixed_g_count_at`` reads
-one labeled count at a single n; ``unlabeled_fixed_g_count_at`` reads one
-unlabeled count off the one held unlabeled ring with one dot product.
+over ``TruncatedSeries`` (unlabeled) and ``_Laurent`` polynomials in v
+(labeled).  ``fixed_g_counts``, the integer fast path for large truncation
+orders that ``closed_small_g`` wraps as a series, reads the labeled arrays
+off the Laurent terms; ``fixed_g_count_at`` reads one count at a single n,
+labeled off the same terms and unlabeled off the one held unlabeled ring with
+one dot product.
 """
 
 from __future__ import annotations
@@ -38,13 +42,12 @@ from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from .comb import partition_multinomial, weighted_partitions
-from .counts import Labeling, NetworkClass, TreeClassSpec, _cache_key, wedderburn_sequence
+from .counts import Labeling, NetworkClass, TreeClassSpec, _cache_key
 from .series import (
     BivariateSeries,
     TruncatedSeries,
     bivariate_fixed_point,
     fixed_point_solve,
-    int_geom_inverse,
     int_mul,
     int_scale,
     int_substitute_t_squared,
@@ -59,20 +62,17 @@ _ladder_cache: Dict[Tuple[str, str, int], "_Ladder"] = {}
 
 
 def base_tree_series(labeling: Labeling, order: int) -> TruncatedSeries:
-    """Series of gall-free trees: OGF of unlabeled shapes or EGF of labeled trees."""
+    """Series of gall-free trees: OGF of unlabeled shapes (the Newton lift's
+    U) or EGF of labeled trees (the counts of `_LABELED_BASE` over n!)."""
+    if order < 0:
+        raise ValueError(f"need order >= 0, got {order}")
     key = (labeling._value_, order)
     got = _base_cache.get(key)
     if got is None:
         if labeling is Labeling.UNLABELED:
-            got = fixed_point_solve(
-                lambda f: (f.substitute_t_squared() + f * f).scale(HALF)
-                + TruncatedSeries.t(order),
-                order,
-            )
+            got = TruncatedSeries._make(_base_and_inverse(order)[0], 1)
         else:
-            got = fixed_point_solve(
-                lambda f: (f * f).scale(HALF) + TruncatedSeries.t(order), order
-            )
+            got = _egf_series(_laurent_counts(_LABELED_BASE, order))
         _base_cache[key] = got
     return got
 
@@ -183,9 +183,9 @@ class _Ladder(list):
         """(1 / (1 - b))^k for k = 0..top at least, b the base series or,
         squared, base(t^2)."""
         pows = self.inv2_pows if squared else self.inv_pows
-        if len(pows) == 1:
-            b = self[0].substitute_t_squared() if squared else self[0]
-            pows.append(b.geom_inverse())
+        if len(pows) == 1:  # 1 / (1 - b(t^2)) is (1 / (1 - b))(t^2)
+            pows.append(self.inverse_powers(1)[1].substitute_t_squared() if squared
+                        else self[0].geom_inverse())
         while len(pows) <= top:
             pows.append(pows[-1] * pows[1])
         return pows
@@ -303,9 +303,12 @@ def closed_small_g(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
     """Closed rational expression in the base tree series, g in {1, 2} only:
     the `fixed_g_counts` array as a series, divided by n! when labeled."""
     counts = fixed_g_counts(spec, g, order)
-    if spec.is_labeled:
-        counts = [Fraction(c, math.factorial(n)) for n, c in enumerate(counts)]
-    return TruncatedSeries(counts)
+    return _egf_series(counts) if spec.is_labeled else TruncatedSeries(counts)
+
+
+def _egf_series(counts: List[int]) -> TruncatedSeries:
+    """sum counts[n] t^n / n!."""
+    return TruncatedSeries([Fraction(c, math.factorial(n)) for n, c in enumerate(counts)])
 
 
 def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
@@ -344,18 +347,15 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 # classes carry a ring:
 # * `TruncatedSeries` through t^order for the unlabeled families.  One ring,
 #   at least as high as every order asked for, is held and shared by the
-#   families.  Below NEWTON_MIN its inv comes from the two recurrences
-#   (`wedderburn_sequence`, `int_geom_inverse`), and the six series cost 9
-#   products and 1 geometric inverse in all; from NEWTON_MIN on,
-#   `_base_and_inverse` lifts U and inv by Newton steps of 4 products each
-#   from the recurrences below NEWTON_MIN.  A single count skips the last
-#   product: g = 1 is an entry of e1, and g = 2 half of one dot product of
-#   inv with `_inner` (`unlabeled_fixed_g_count_at`).
+#   families.  Its inv comes from `_base_and_inverse`, which lifts U and inv
+#   from t by Newton steps of 4 products each; the six series then cost 9
+#   products.  A single count skips the last product: g = 1 is an entry of
+#   e1, and g = 2 half of one dot product of inv with `_inner`
+#   (`fixed_g_count_at`).
 # * `_Laurent` polynomials in v = sqrt(1 - 2t) for the labeled families,
-#   whose base series is 1 - v: inv = 1/v and t = (1 - v^2) / 2.  Each form
-#   is 4 to 8 terms c_k v^k, and n! [t^n] v^k = prod_{j<n} (2j - k) is a
-#   running product in n, so counts are read off the terms, one or all
-#   through t^order, without a series product.
+#   whose base series is `_LABELED_BASE` = 1 - v: inv = 1/v and
+#   t = (1 - v^2) / 2.  Each form is 4 to 8 terms c_k v^k, read off as
+#   counts by `_laurent_counts` without a series product.
 # ---------------------------------------------------------------------------
 
 
@@ -391,27 +391,19 @@ def _inner(ring: SimpleNamespace, cls: str):
     return got
 
 
-# Orders at or above this lift U and 1 / (1 - U) by Newton iteration.  One
-# Newton step from half the order first beat the two recurrences by 10% or
-# more at order 400 (fastest of 31 interleaved runs per order, 250 to 450;
-# 2-vCPU Xeon, CPython 3.11); from 300 to 400 the two were within noise.
-NEWTON_MIN = 400
-
-
 def _base_and_inverse(order: int) -> Tuple[List[int], List[int]]:
     """(U, H) through t^order, U = t + 1/2 (U^2 + U(t^2)) the unlabeled base
-    series and H = 1 / (1 - U): below NEWTON_MIN from the recurrences, and
-    from NEWTON_MIN on by one coupled Newton step (Pivoteau, Salvy & Soria,
-    JCTA 119(8), 2012) from (U, H) through t^k, k = order // 2.  With r the
-    t^(k+1..order) part of 1/2 (U^2 + U(t^2)),
+    series and H = 1 / (1 - U): (t, 1 + t) through t^1, and above that one
+    coupled Newton step (Pivoteau, Salvy & Soria, JCTA 119(8), 2012) from
+    (U, H) through t^k, k = order // 2.  With r the t^(k+1..order) part of
+    1/2 (U^2 + U(t^2)),
         U <- U + r H,    H <- H + H e,
     e the t^(k+1..order) part of U H for the new U.  Both are exact through
     t^(2k+1) >= t^order, since U's error has valuation k + 1 and enters the
     equation squared or at t^2.  Every operand is nonnegative, so each
     product can run on the Kronecker kernel."""
-    if order < NEWTON_MIN:
-        u = wedderburn_sequence(order)
-        return u, int_geom_inverse(u, order)
+    if order < 2:
+        return [0, 1][: order + 1], [1, 1][: order + 1]
     k = order // 2
     u, h = _base_and_inverse(k)
     sq, u2 = int_mul(u, u, order), int_substitute_t_squared(u, order)
@@ -447,13 +439,7 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
     (n! times the coefficient for the labeled families)."""
     _check_closed_form(g, order)
     if spec.is_labeled:
-        den, terms = _laurent_terms(spec, g)
-        acc = [0] * (order + 1)
-        for k, c in terms:  # c n! [t^n] v^k, one factor per step in n
-            for n in range(order + 1):
-                acc[n] += c
-                c *= 2 * n - k
-        return [_exact_count(a, den, n) for n, a in enumerate(acc)]
+        return _laurent_counts(_labeled_laurent(spec, g), order)
     ring, cls = _unlabeled_ring(order), spec.network_class._value_
     if g == 1:
         return ring.e1[cls].truncate(order).integer_coefficients()
@@ -461,14 +447,16 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
     return (ring.inv.truncate(order) * _inner(ring, cls)).scale(HALF).integer_coefficients()
 
 
-def unlabeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) -> int:
-    """Exact unlabeled count with g galls (g in {1, 2}) at one n <= order,
-    off the held ring: an entry of e1 for g = 1, and for g = 2 half the dot
-    product sum_i inv[i] `_inner`[n - i], with no full-length product by
-    inv."""
+def fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) -> int:
+    """Exact count with g galls (g in {1, 2}) at one n, 0 <= n <= order, with
+    no full-length product: labeled, off the Laurent terms through t^n;
+    unlabeled, off the held ring, an entry of e1 for g = 1 and for g = 2 half
+    the dot product sum_i inv[i] `_inner`[n - i]."""
     _check_closed_form(g, order)
-    if spec.is_labeled or not 0 <= n <= order:
-        raise ValueError(f"need an unlabeled family and 0 <= n <= order, got n={n}, order={order}")
+    if not 0 <= n <= order:
+        raise ValueError(f"need 0 <= n <= order, got n={n}, order={order}")
+    if spec.is_labeled:
+        return _laurent_counts(_labeled_laurent(spec, g), n, n)[0]
     ring, cls = _unlabeled_ring(order), spec.network_class._value_
     if g == 1:
         e1 = ring.e1[cls]
@@ -515,30 +503,40 @@ class _Laurent(dict):
         return _Laurent({-k: Fraction(1) / c})
 
 
+# The labeled base series 1 - sqrt(1 - 2t).
+_LABELED_BASE = _Laurent({0: Fraction(1), 1: Fraction(-1)})
+
+_laurent_cache: Dict[Tuple[str, str, int], _Laurent] = {}
+
+
 def _labeled_laurent(spec: TreeClassSpec, g: int) -> _Laurent:
+    """The labeled g = 1, 2 closed form over `_LABELED_BASE`, built once per
+    (family, g)."""
     if spec.labeling is not Labeling.LEAF_LABELED:
         raise ValueError("laurent closed forms cover the labeled families")
     if g not in (1, 2):
         raise ValueError(f"need g in {{1, 2}}, got {g}")
-    ring, cls = _ring(_Laurent({-1: Fraction(1)}), False), spec.network_class._value_
-    return ring.e1[cls] if g == 1 else (ring.inv * _inner(ring, cls)).scale(HALF)
-
-
-_laurent_cache: Dict[Tuple[str, str, int], Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
-
-
-def _laurent_terms(spec: TreeClassSpec, g: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """(den, ((k, den c_k), ...)): the labeled Laurent form sum c_k v^k over
-    the lcm den of its denominators, so its counts accumulate as integers.
-    Built once per (family, g)."""
     key = _cache_key(spec, g)
     got = _laurent_cache.get(key)
     if got is None:
-        laurent = _labeled_laurent(spec, g)
-        den = math.lcm(*(c.denominator for c in laurent.values()))
-        terms = tuple((k, c.numerator * (den // c.denominator)) for k, c in laurent.items())
-        got = _laurent_cache[key] = (den, terms)
+        ring, cls = _ring(_LABELED_BASE.geom_inverse(), False), spec.network_class._value_
+        got = ring.e1[cls] if g == 1 else (ring.inv * _inner(ring, cls)).scale(HALF)
+        _laurent_cache[key] = got
     return got
+
+
+def _laurent_counts(laurent: _Laurent, order: int, first: int = 0) -> List[int]:
+    """n! [t^n] of sum c_k v^k for n = first..order, exact integers.  Over
+    the lcm den of the c_k's denominators each term den c_k n! [t^n] v^k =
+    den c_k prod_{j<n} (2j - k) is a running int product in n."""
+    den = math.lcm(*(c.denominator for c in laurent.values()))
+    acc = [0] * (order + 1 - first)
+    for k, c in laurent.items():
+        c = c.numerator * (den // c.denominator) * math.prod(range(-k, 2 * first - k, 2))
+        for n in range(first, order + 1):  # one factor per step in n
+            acc[n - first] += c
+            c *= 2 * n - k
+    return [_exact_count(a, den, n) for n, a in enumerate(acc, first)]
 
 
 def _exact_count(acc: int, den: int, n: int) -> int:
@@ -546,17 +544,6 @@ def _exact_count(acc: int, den: int, n: int) -> int:
     if r:
         raise ValueError(f"non-integer count at n={n}: {Fraction(acc, den)}")
     return q
-
-
-def labeled_fixed_g_count_at(spec: TreeClassSpec, g: int, n: int) -> int:
-    """Exact labeled count at a single n via the closed singular expansion."""
-    den, terms = _laurent_terms(spec, g)
-    acc = 0
-    for k, c in terms:
-        for j in range(n):  # n! [t^n] (1 - 2t)^(k/2)
-            c *= 2 * j - k
-        acc += c
-    return _exact_count(acc, den, n)
 
 
 def clear_caches() -> None:

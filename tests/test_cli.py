@@ -308,15 +308,25 @@ def test_asym_estimate_of_time_consistent_is_the_general_one(capsys):
 
 
 def test_asym_ratio_refuses_an_unlabeled_order_past_the_limit(capsys, monkeypatch):
-    # refused before any series is built; the labeled reads are not bounded
+    # refused before any series is built
     monkeypatch.setattr(genfunc, "_base_and_inverse", lambda order: pytest.fail("built"))
     for extra in (("-n", "8001"), ("-n", "100", "--order", "8001")):
         code, out, err = run(capsys, "asym", "ratio", "--class", "general", "--labeling",
                              "unlabeled", "-g", "2", *extra)
         assert code == 3 and out == "" and "8001" in err and "limit (8000)" in err, extra
+
+
+def test_asym_ratio_refuses_a_labeled_order_past_the_limit(capsys, monkeypatch):
+    # a labeled read costs about 4x per doubling of n: n = 8000 answers, and
+    # past it the ratio is refused before any count is read
     code, out, _ = run(capsys, "asym", "ratio", "--class", "general", "--labeling", "labeled",
-                       "-g", "1", "-n", "8001")
+                       "-g", "1", "-n", "8000")
     assert code == 0 and out.startswith("ratio ")
+    monkeypatch.setattr(genfunc, "_laurent_counts", lambda *a: pytest.fail("read"))
+    for extra in (("-n", "8001"), ("-n", "100", "--order", "8001")):
+        code, out, err = run(capsys, "asym", "ratio", "--class", "simplex-tc", "--labeling",
+                             "labeled", "-g", "1", *extra)
+        assert code == 3 and out == "" and "8001" in err and "limit (8000)" in err, extra
 
 
 def test_verify_scopes(capsys):

@@ -41,6 +41,12 @@ def test_base_tree_series():
     assert u.integer_coefficients() == [0, 1, 1, 1, 2, 3, 6, 11, 23]
     ul = genfunc.base_tree_series(Labeling.LEAF_LABELED, 5)
     assert ul.integer_coefficients(scale_factorials=True) == [0, 1, 1, 3, 15, 105]
+    # far out, the counts engine's own sequences
+    u = genfunc.base_tree_series(Labeling.UNLABELED, 300)
+    assert u.integer_coefficients() == wedderburn_sequence(300)
+    ul = genfunc.base_tree_series(Labeling.LEAF_LABELED, 300)
+    assert ul.coeffs == (0, *(Fraction(labeled_tree_count(n), math.factorial(n))
+                              for n in range(1, 301)))
 
 
 def test_bivariate_spot_values():
@@ -153,7 +159,7 @@ def test_warm_fixed_g_lookups_hash_no_enum(monkeypatch):
     def lookups():
         got = [genfunc.base_tree_series(lab, 10).coeffs for lab in Labeling]
         got += [genfunc.fixed_g_series(spec, 3, 10).coeffs for spec in ALL_SPECS]
-        got += [genfunc.labeled_fixed_g_count_at(spec, g, 9) for spec in labeled for g in (1, 2)]
+        got += [genfunc.fixed_g_count_at(spec, g, 9, 9) for spec in labeled for g in (1, 2)]
         return got
 
     cold = lookups()
@@ -396,15 +402,24 @@ def test_laurent_forms_match_the_eight_product_evaluation(spec, g):
     assert genfunc._labeled_laurent(spec, g) == _ref_closed_form(ref, spec.network_class, g)
 
 
+def _newton_steps(order):
+    """Newton steps `_base_and_inverse` takes from order 1 up to order."""
+    steps = 0
+    while order >= 2:
+        steps, order = steps + 1, order // 2
+    return steps
+
+
 @pytest.mark.parametrize("labeling, want", [
-    # 3 products shared by the ring, and 2 for each family's g = 2 array
-    (Labeling.UNLABELED, {"int_mul": 9, "int_geom_inverse": 1}),
+    # 4 products per Newton step of the base series and its inverse, 3 shared
+    # by the ring and 2 for each family's g = 2 array; no geometric inverse
+    (Labeling.UNLABELED, {"int_mul": 4 * _newton_steps(30) + 9}),
     (Labeling.LEAF_LABELED, {}),  # read off the Laurent terms: no series product
 ], ids=lambda v: "-".join(f"{k}-{n}" for k, n in v.items()) or "none" if type(v) is dict else None)
 def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, labeling, want):
     calls = Counter()
-    # `TruncatedSeries.__mul__` calls the series module's int_mul
-    for module, name in ((genfunc, "int_mul"), (series, "int_mul"), (genfunc, "int_geom_inverse")):
+    # `TruncatedSeries.__mul__` and `geom_inverse` call the series module's kernels
+    for module, name in ((genfunc, "int_mul"), (series, "int_mul"), (series, "int_geom_inverse")):
         kernel = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, _k=kernel, _n=name, **kw: calls.update([_n]) or _k(*a, **kw)
@@ -422,13 +437,17 @@ def test_closed_form_arrays_take_seven_products_and_one_inverse(monkeypatch, lab
 
 def test_newton_base_series_is_the_counts_recursion():
     # the counts engine derives U by its own recursion; genfunc's Newton
-    # iteration must reach the same integers
-    assert 1000 >= genfunc.NEWTON_MIN
-    assert genfunc._base_and_inverse(1000)[0] == wedderburn_sequence(1000)
+    # iteration, run from t at every order, must reach the same integers, and
+    # its inverse those of the geometric-inverse recurrence
+    for order in [*range(131), 1000]:
+        u, h = genfunc._base_and_inverse(order)
+        assert u == wedderburn_sequence(order), order
+        assert h == int_geom_inverse(u, order), order
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, genfunc.NEWTON_MIN - 1, genfunc.NEWTON_MIN,
-                                   genfunc.NEWTON_MIN + 1, 2 * genfunc.NEWTON_MIN + 1, 1000])
+# small odd and even orders, whose Newton products run schoolbook, and orders
+# past twice `series.KRONECKER_MIN`, whose top steps run on the Kronecker kernel
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6, 7, 399, 400, 401, 801, 1000])
 def test_ring_inverse_matches_the_recurrence_on_both_sides_of_the_cutoff(order):
     genfunc.clear_caches()
     try:
@@ -450,10 +469,10 @@ def test_an_odd_newton_residual_raises(monkeypatch):
 
     monkeypatch.setattr(genfunc, "int_mul", off_by_one)
     with pytest.raises(ValueError, match="non-integer"):
-        genfunc._base_and_inverse(genfunc.NEWTON_MIN)
+        genfunc._base_and_inverse(100)
 
 
-@pytest.mark.parametrize("order", [60, genfunc.NEWTON_MIN + 50])
+@pytest.mark.parametrize("order", [60, 450])
 @pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED, TC_UNLABELED])
 @pytest.mark.parametrize("g", [1, 2])
 def test_single_n_reads_match_the_arrays(order, spec, g):
@@ -473,8 +492,8 @@ def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it(monkeypatch):
     # sweep builds the rings at orders 0, 1, 2, 4, ..., 64, and a read at a
     # lower order reads the held one
     spec, top = GENERAL_UNLABELED, 60
-    builds, build = [], genfunc._base_and_inverse
-    monkeypatch.setattr(genfunc, "_base_and_inverse", lambda m: builds.append(m) or build(m))
+    builds, build = [], genfunc._ring  # `_base_and_inverse` recurses: count the rings
+    monkeypatch.setattr(genfunc, "_ring", lambda *a: builds.append(a[0].order) or build(*a))
     genfunc.clear_caches()
     try:
         swept = {g: [asym.exact_fixed_g_count(spec, g, n) for n in range(top + 1)] for g in (1, 2)}
@@ -501,19 +520,16 @@ def test_an_odd_dot_product_raises():
         # inv[0] = 1 pairs with entry 5 at n = 5
         ring.inner["general"] = TruncatedSeries(inner[:5] + (inner[5] + 1,) + inner[6:])
         with pytest.raises(ValueError, match="non-integer count at n=5"):
-            genfunc.unlabeled_fixed_g_count_at(GENERAL_UNLABELED, 2, 5, 30)
+            genfunc.fixed_g_count_at(GENERAL_UNLABELED, 2, 5, 30)
     finally:
         genfunc.clear_caches()
 
 
 def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypatch):
-    order = 2 * genfunc.NEWTON_MIN + 1
-    steps, m = 0, order
-    while m >= genfunc.NEWTON_MIN:
-        steps, m = steps + 1, m // 2
-    calls = {"int_mul": [], "int_geom_inverse": [], "wedderburn_sequence": []}
-    # `TruncatedSeries.__mul__` calls the series module's int_mul
-    for module, name in [(genfunc, name) for name in calls] + [(series, "int_mul")]:
+    order = 801
+    calls = {"int_mul": [], "int_geom_inverse": []}
+    # `TruncatedSeries.__mul__` and `geom_inverse` call the series module's kernels
+    for module, name in ((genfunc, "int_mul"), (series, "int_mul"), (series, "int_geom_inverse")):
         kernel, log = getattr(module, name), calls[name]
         monkeypatch.setattr(
             module, name, lambda *a, _k=kernel, _log=log, **kw: _log.append(a) or _k(*a, **kw)
@@ -526,12 +542,10 @@ def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypa
         inv = genfunc._unlabeled_ring(order).inv.nums
     finally:
         genfunc.clear_caches()
-    # the recurrences run once each, below the cutoff, as the Newton base case
-    assert [a[1] for a in calls["int_geom_inverse"]] == [m]
-    assert [a[0] for a in calls["wedderburn_sequence"]] == [m] and m < genfunc.NEWTON_MIN
-    # 4 products per Newton step, 3 for the ring and 1 per family's `_inner`;
-    # none multiplies by inv
-    assert len(calls["int_mul"]) == 4 * steps + 3 + 3
+    # no recurrence runs: 4 products per Newton step from t, 3 for the ring
+    # and 1 per family's `_inner`; none multiplies by inv
+    assert calls["int_geom_inverse"] == []
+    assert len(calls["int_mul"]) == 4 * _newton_steps(order) + 3 + 3
     assert not any(x is inv for a in calls["int_mul"] for x in a[:2])
 
 
@@ -607,18 +621,19 @@ def test_labeled_singular_expansion_counts(spec, g):
             if n
             else 0
         )
-        assert genfunc.labeled_fixed_g_count_at(spec, g, n) == want
+        assert genfunc.fixed_g_count_at(spec, g, n, n) == want
     # the whole array and the single-n extraction agree far out
     counts = genfunc.fixed_g_counts(spec, g, 700)
     for n in (350, 700):
-        assert counts[n] == genfunc.labeled_fixed_g_count_at(spec, g, n), n
+        assert counts[n] == genfunc.fixed_g_count_at(spec, g, n, 700), n
 
 
 def test_labeled_expansion_guards():
-    with pytest.raises(ValueError):
-        genfunc.labeled_fixed_g_count_at(GENERAL_UNLABELED, 1, 5)
-    with pytest.raises(ValueError):
-        genfunc.labeled_fixed_g_count_at(GENERAL_LABELED, 3, 5)
+    # both labelings refuse a g without a closed form and an n outside 0..order
+    for spec in (GENERAL_LABELED, GENERAL_UNLABELED):
+        for g, n, order in ((3, 5, 5), (1, -1, 5), (2, 6, 5), (1, 0, -1)):
+            with pytest.raises(ValueError):
+                genfunc.fixed_g_count_at(spec, g, n, order)
 
 
 def _laurent_count(laurent, n):
@@ -631,7 +646,7 @@ def test_the_ladder_over_laurent_polynomials_is_exact(spec):
     # from the labeled base 1 - v every rung is a Laurent polynomial in v, so
     # the ladder meets the closed forms as rational identities, and its top
     # term is the fixed-g leading constant of the labeled family
-    ladder = genfunc._Ladder(genfunc._Laurent({0: Fraction(1), 1: Fraction(-1)}))
+    ladder = genfunc._Ladder(genfunc._LABELED_BASE)
     while len(ladder) <= 8:
         ladder.append(genfunc._next_rung(spec, ladder))
     for g in (1, 2):
