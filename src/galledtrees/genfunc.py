@@ -17,7 +17,8 @@ Each (network class, labeling) family gets three routes to the same numbers:
 
 All three start from the gall-free base series, derived once per labeling:
 the unlabeled U = t + 1/2 (U^2 + U(t^2)) by the Newton lift
-``_base_and_inverse``, and the labeled 1 - sqrt(1 - 2t) as the Laurent
+``_base_and_inverse``, which gives the ladder and the ring 1/(1 - U) beside
+it, and the labeled 1 - sqrt(1 - 2t) as the Laurent
 polynomial ``_LABELED_BASE`` = 1 - v, v = sqrt(1 - 2t).
 Each family's functional equation is written once, in ``_equation``:
 ``solve_bivariate`` evaluates it over ``BivariateSeries``, and
@@ -39,7 +40,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 from types import SimpleNamespace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .comb import partition_multinomial, weighted_partitions
 from .counts import Labeling, NetworkClass, TreeClassSpec, _cache_key
@@ -57,22 +58,29 @@ HALF = Fraction(1, 2)
 
 # The caches are keyed by the members' string values (`counts._cache_key`),
 # which hash in C, not by Enum members, whose hash runs in Python.
-_base_cache: Dict[Tuple[str, int], TruncatedSeries] = {}
+_base_cache: Dict[Tuple[str, int], Tuple[TruncatedSeries, Optional[TruncatedSeries]]] = {}
 _ladder_cache: Dict[Tuple[str, str, int], "_Ladder"] = {}
 
 
 def base_tree_series(labeling: Labeling, order: int) -> TruncatedSeries:
     """Series of gall-free trees: OGF of unlabeled shapes (the Newton lift's
     U) or EGF of labeled trees (the counts of `_LABELED_BASE` over n!)."""
+    return _base_pair(labeling, order)[0]
+
+
+def _base_pair(labeling: Labeling, order: int) -> Tuple[TruncatedSeries, Optional[TruncatedSeries]]:
+    """The base series and, unlabeled, the 1 / (1 - U) its Newton lift
+    derives beside it (None when labeled)."""
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
     key = (labeling._value_, order)
     got = _base_cache.get(key)
     if got is None:
         if labeling is Labeling.UNLABELED:
-            got = TruncatedSeries._make(_base_and_inverse(order)[0], 1)
+            u, h = _base_and_inverse(order)
+            got = TruncatedSeries._make(u, 1), TruncatedSeries._make(h, 1)
         else:
-            got = _egf_series(_laurent_counts(_LABELED_BASE, order))
+            got = _egf_series(_laurent_counts(_LABELED_BASE, order)), None
         _base_cache[key] = got
     return got
 
@@ -171,10 +179,13 @@ class _Ladder(list):
 
     __slots__ = ("inv_pows", "inv2_pows", "rung_pows", "kernels", "halves")
 
-    def __init__(self, base: TruncatedSeries) -> None:
+    def __init__(self, base: TruncatedSeries, inv: Optional[TruncatedSeries] = None) -> None:
+        """inv is 1 / (1 - base) when the caller has it; else the first rung
+        that reads it takes it from the base by `geom_inverse`."""
         super().__init__([base])
-        self.inv_pows = [base.scale(0) + 1]
-        self.inv2_pows = self.inv_pows[:]
+        one = base.scale(0) + 1
+        self.inv_pows = [one] if inv is None else [one, inv]
+        self.inv2_pows = [one]
         self.rung_pows: Dict[int, List[TruncatedSeries]] = {}
         self.kernels: Dict[int, TruncatedSeries] = {}
         self.halves: Dict[int, TruncatedSeries] = {}
@@ -264,7 +275,7 @@ def fixed_g_series(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
     key = _cache_key(spec, order)
     ladder = _ladder_cache.get(key)
     if ladder is None:
-        ladder = _ladder_cache[key] = _Ladder(base_tree_series(spec.labeling, order))
+        ladder = _ladder_cache[key] = _Ladder(*_base_pair(spec.labeling, order))
     while len(ladder) <= g:
         ladder.append(_next_rung(spec, ladder))
     return ladder[g]

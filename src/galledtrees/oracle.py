@@ -21,10 +21,12 @@ something that knows nothing about them.
 The DAG is a flat list of per-node records in preorder, each the node's
 parent and child offsets relative to itself.  Relative offsets make a
 subtree's records the same wherever it sits, so each node used as a child
-keeps its expansion and a parent's expansion is its own records joined with
-its children's.  Expansions belong to node objects, which fix the plane
-orientation, and are never shared by canonical key: a mirror image has the
-same key but other node numbers.
+keeps its expansion, with its records interned, and a parent's expansion is
+its own records joined with its children's.  A structure validated on its
+own is not kept: its new records stay plain tuples and are dropped with it.
+Expansions belong to node objects, which fix the plane orientation, and are
+never shared by canonical key: a mirror image has the same key but other
+node numbers.
 
 Preorder numbering gives every node with exactly one parent a parent with a
 smaller number; only a reticulation's parents (the ends of its two paths)
@@ -66,12 +68,10 @@ LEAF = Leaf()
 
 
 # Internal and GallTop are frozen: their fields are set once, in __init__,
-# through object.__setattr__.  The stored key, tallies, automorphism order and
-# DAG expansion stay out of ==, hash and repr, which compare and show the
-# structure alone.  The expansion is filled lazily, the first time the node is
-# expanded as a child.
-
-_set = object.__setattr__
+# through the slot descriptors' own __set__ methods, bound once below each
+# class.  The stored key, tallies, automorphism order and DAG expansion stay
+# out of ==, hash and repr, which compare and show the structure alone.  The
+# expansion is filled lazily, the first time the node is expanded as a child.
 
 
 class _Frozen:
@@ -84,18 +84,25 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _slot_setters(cls):
+    """The __set__ of each of cls's slot descriptors, in slot order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 class Internal(_Frozen):
     __slots__ = ("left", "right", "key", "n_leaves", "n_galls", "aut", "expansion")
 
     def __init__(self, left, right):
-        a, b = sorted((left.key, right.key))
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "key", b"I" + _blob(a) + _blob(b))
-        _set(self, "n_leaves", left.n_leaves + right.n_leaves)
-        _set(self, "n_galls", left.n_galls + right.n_galls)
-        _set(self, "aut", left.aut * right.aut * (2 if a == b else 1))
-        _set(self, "expansion", None)
+        a, b = left.key, right.key
+        if b < a:
+            a, b = b, a
+        _i_left(self, left)
+        _i_right(self, right)
+        _i_key(self, b"I" + len(a).to_bytes(4, "big") + a + len(b).to_bytes(4, "big") + b)
+        _i_leaves(self, left.n_leaves + right.n_leaves)
+        _i_galls(self, left.n_galls + right.n_galls)
+        _i_aut(self, left.aut * right.aut * (2 if a == b else 1))
+        _i_expansion(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not Internal:
@@ -112,6 +119,9 @@ class Internal(_Frozen):
         return Internal, (self.left, self.right)
 
 
+_i_left, _i_right, _i_key, _i_leaves, _i_galls, _i_aut, _i_expansion = _slot_setters(Internal)
+
+
 class GallTop(_Frozen):
     __slots__ = ("left_seq", "right_seq", "ret_child", "key", "n_leaves", "n_galls", "aut",
                  "expansion")
@@ -122,14 +132,15 @@ class GallTop(_Frozen):
         if paths is None:
             paths = _encode_paths(left_seq, right_seq)
         body, n_leaves, n_galls, aut = paths
-        _set(self, "left_seq", left_seq)
-        _set(self, "right_seq", right_seq)
-        _set(self, "ret_child", ret_child)
-        _set(self, "key", b"G" + body + _blob(ret_child.key))
-        _set(self, "n_leaves", n_leaves + ret_child.n_leaves)
-        _set(self, "n_galls", 1 + n_galls + ret_child.n_galls)
-        _set(self, "aut", aut * ret_child.aut)
-        _set(self, "expansion", None)
+        rk = ret_child.key
+        _g_left_seq(self, left_seq)
+        _g_right_seq(self, right_seq)
+        _g_ret_child(self, ret_child)
+        _g_key(self, b"G" + body + len(rk).to_bytes(4, "big") + rk)
+        _g_leaves(self, n_leaves + ret_child.n_leaves)
+        _g_galls(self, 1 + n_galls + ret_child.n_galls)
+        _g_aut(self, aut * ret_child.aut)
+        _g_expansion(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not GallTop:
@@ -146,6 +157,10 @@ class GallTop(_Frozen):
 
     def __reduce__(self):
         return GallTop, (self.left_seq, self.right_seq, self.ret_child)
+
+
+(_g_left_seq, _g_right_seq, _g_ret_child, _g_key, _g_leaves, _g_galls, _g_aut,
+ _g_expansion) = _slot_setters(GallTop)
 
 
 _Paths = Tuple[bytes, int, int, int]
@@ -344,10 +359,11 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
 # made.  Relative offsets make a subtree's records the same wherever it sits,
 # so a node's expansion is its own records joined with its children's, each
 # child's root record gaining its one parent offset.  A node used as a child
-# keeps its expansion in its `expansion` slot, as a tuple; a top-level
-# structure's expansion is built for the call and dropped.  The records, and
-# with them their offset tuples, are interned: few distinct ones occur (307
-# records over 83 offset tuples for every structure with n <= 7).
+# keeps its expansion in its `expansion` slot, as a tuple of interned records
+# (and with them their offset tuples): few distinct ones occur (307 records
+# over 83 offset tuples for every structure with n <= 7).  A top-level
+# structure's expansion is built for the call and dropped, so its own new
+# records are left as plain tuples and never interned.
 
 _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
 _RECORDS: Dict[_Record, _Record] = {}
@@ -370,29 +386,30 @@ def _expansion(s) -> Sequence[_Record]:
 
 
 def _child_expansion(s) -> Tuple[_Record, ...]:
-    """The expansion of a node used as a child, built once and kept on it."""
+    """The expansion of a node used as a child, built once, its records
+    interned, and kept on it."""
     e = s.expansion
     if e is None:
-        e = tuple(_expand(s))
+        e = tuple(map(_record, _expand(s)))
         object.__setattr__(s, "expansion", e)
     return e
 
 
-def _record(parents: Tuple[int, ...], children: Tuple[int, ...]) -> _Record:
-    rec = (parents, children)
+def _record(rec: _Record) -> _Record:
     return _RECORDS.setdefault(rec, rec)
 
 
 def _join(out: List[_Record], child: Tuple[_Record, ...], offset: int) -> None:
     """Append a child's records, its root gaining the parent offset."""
-    out.append(_record((offset,), child[0][1]))
-    out += child[1:]
+    i = len(out)
+    out += child
+    out[i] = ((offset,), child[0][1])
 
 
 def _expand(s) -> List[_Record]:
     if isinstance(s, Internal):
         a, b = _child_expansion(s.left), _child_expansion(s.right)
-        out = [_record((), (1, 1 + len(a)))]
+        out = [((), (1, 1 + len(a)))]
         _join(out, a, 1)
         _join(out, b, 1 + len(a))
         return out
@@ -407,13 +424,13 @@ def _expand(s) -> List[_Record]:
             w = len(out)
             e = _child_expansion(piece)
             nxt = w + 1 + len(e) if i + 1 < len(seq) else 1
-            out.append(_record((w - prev,), (1, nxt - w)))
+            out.append(((w - prev,), (1, nxt - w)))
             _join(out, e, 1)
             prev = w
         tails.append(prev)
     k = len(out) - 1
-    out[0] = _record((), tuple(heads))
-    out[1] = _record((1 - tails[0], 1 - tails[1]), (k,))
+    out[0] = ((), tuple(heads))
+    out[1] = ((1 - tails[0], 1 - tails[1]), (k,))
     _join(out, _child_expansion(s.ret_child), k)
     return out
 
@@ -444,7 +461,8 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     never per key."""
     recs = _expansion(s)
     n_nodes = len(recs)
-    report = ValidationReport(leaves(s), galls(s), [])
+    n_leaves, n_galls = s.n_leaves, s.n_galls
+    report = ValidationReport(n_leaves, n_galls, [])
     bad = report.violations.append
 
     # A repeated edge repeats a parent of its head, so only nodes with two or
@@ -478,41 +496,43 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     report.violations.extend(degree_faults)
 
     expected_leaves = 1 if n_nodes == 1 else n_leaf_nodes
-    if expected_leaves != report.n_leaves:
-        bad(f"leaf tally {expected_leaves} != structural {report.n_leaves}")
-    if len(ret_nodes) != report.n_galls:
-        bad(f"reticulation tally {len(ret_nodes)} != structural {report.n_galls}")
+    if expected_leaves != n_leaves:
+        bad(f"leaf tally {expected_leaves} != structural {n_leaves}")
+    if len(ret_nodes) != n_galls:
+        bad(f"reticulation tally {len(ret_nodes)} != structural {n_galls}")
 
     # The merge walk up each reticulation's two parent chains.  A chain climbs
-    # while its node has exactly one parent; once the chain at the higher
-    # node cannot step, the two never meet.  The reticulation cycle is the
+    # while its node has exactly one parent: the step unpacks that one parent
+    # offset, and a ValueError, raised once the chain at the higher node
+    # cannot step, means the two never meet.  The reticulation cycle is the
     # reticulation and both chains up to the top they meet at.
+    check_paths = network_class is not NetworkClass.GENERAL
     cycles: List[Tuple[int, List[int], List[int]]] = []
     cycle_nodes: List[int] = []
-    path_lengths: List[Tuple[int, int]] = []
+    short_paths: List[int] = []
     for r in ret_nodes:
         pa, pb = recs[r - 1][0]
         a, b = r - pa, r - pb
         chain_a, chain_b = [a], [b]
-        while a != b:
-            if a > b:
-                if len(p := recs[a - 1][0]) != 1:
-                    break
-                a -= p[0]
-                chain_a.append(a)
-            else:
-                if len(p := recs[b - 1][0]) != 1:
-                    break
-                b -= p[0]
-                chain_b.append(b)
-        if a != b:
+        try:
+            while a != b:
+                if a > b:
+                    (o,) = recs[a - 1][0]
+                    a -= o
+                    chain_a.append(a)
+                else:
+                    (o,) = recs[b - 1][0]
+                    b -= o
+                    chain_b.append(b)
+        except ValueError:
             bad(f"reticulation {r}: parent paths never meet")
             continue
         cycles.append((r, chain_a, chain_b))
         cycle_nodes.append(r)
         cycle_nodes += chain_a
         cycle_nodes += chain_b[:-1]  # the top, already in chain_a
-        path_lengths.append((len(chain_a), len(chain_b)))
+        if check_paths and (len(chain_a) < 2 or len(chain_b) < 2):
+            short_paths.append(r)
 
     # Only a node in two cycles repeats in cycle_nodes; the per-cycle sets,
     # whose order the messages follow, are built only then.
@@ -524,10 +544,8 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
                     bad(f"node {v} lies in two reticulation cycles")
                 seen[v] = i
 
-    if network_class is not NetworkClass.GENERAL:
-        for (la, lb), r in zip(path_lengths, ret_nodes):
-            if min(la, lb) < 2:
-                bad(f"reticulation {r}: a gall path has fewer than 2 edges")
+    for r in short_paths:
+        bad(f"reticulation {r}: a gall path has fewer than 2 edges")
     if network_class is NetworkClass.SIMPLEX_TC:
         for r in ret_nodes:
             below = r + recs[r - 1][1][0]

@@ -445,6 +445,29 @@ def test_newton_base_series_is_the_counts_recursion():
         assert h == int_geom_inverse(u, order), order
 
 
+@pytest.mark.parametrize("spec", [GENERAL_UNLABELED, SIMPLEX_UNLABELED, TC_UNLABELED])
+def test_unlabeled_ladder_takes_its_inverse_from_the_newton_lift(monkeypatch, spec):
+    # the referee is a ladder seeded with U alone, which takes 1/(1 - U) by
+    # one geometric-inverse recurrence; fixed_g_series reads it off the lift
+    order, top = 200, 4
+    calls = []
+    kernel = series.int_geom_inverse
+    monkeypatch.setattr(series, "int_geom_inverse", lambda *a: calls.append(a) or kernel(*a))
+    genfunc.clear_caches()
+    try:
+        ref = genfunc._Ladder(genfunc.base_tree_series(Labeling.UNLABELED, order))
+        while len(ref) <= top:
+            ref.append(genfunc._next_rung(spec, ref))
+        assert len(calls) == 1  # the spy sees the referee's inverse
+        calls.clear()
+        genfunc.clear_caches()
+        got = [genfunc.fixed_g_series(spec, g, order) for g in range(1, top + 1)]
+    finally:
+        genfunc.clear_caches()
+    assert calls == []
+    assert [r.coeffs for r in got] == [r.coeffs for r in ref[1:]]
+
+
 # small odd and even orders, whose Newton products run schoolbook, and orders
 # past twice `series.KRONECKER_MIN`, whose top steps run on the Kronecker kernel
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6, 7, 399, 400, 401, 801, 1000])

@@ -513,6 +513,45 @@ def test_flat_expansion_matches_the_recursive_one():
     assert checked == 12714
 
 
+def test_flat_expansion_matches_the_recursive_one_at_seven_leaves():
+    # the benchmark's n: every time-consistent and simplex-tc structure and
+    # its mirror image, against every class
+    checked = 0
+    for cls in (NetworkClass.TIME_CONSISTENT, NetworkClass.SIMPLEX_TC):
+        for s in generate_all(cls, 7):
+            for x in (s, parse_text(_mirror_text(s))):
+                _assert_matches_reference(x)
+                checked += len(NetworkClass)
+    assert checked == 430 * 2 * 3
+
+
+def test_unkept_and_kept_expansions_agree():
+    # a structure expanded on its own leaves its new records plain tuples;
+    # once it is a child its expansion is kept, its records interned, and it
+    # must describe the same DAG
+    import galledtrees.oracle as oracle_module
+
+    oracle_module.clear_cache()
+    try:
+        for s in _generated():
+            if s is LEAF:  # its one record is a class constant, kept from the start
+                continue
+            unkept = _build_dag(s)
+            assert s.expansion is None, dump_text(s)
+            parent = Internal(s, LEAF)
+            validate(parent, NetworkClass.GENERAL)
+            assert all(oracle_module._RECORDS[r] is r for r in s.expansion), dump_text(s)
+            assert _build_dag(s) == unkept, dump_text(s)
+            # every child of s and of these parents is kept now: no new record
+            records = len(oracle_module._RECORDS)
+            for c in NetworkClass:
+                for x in (s, parent, Internal(LEAF, s), GallTop((s,), (LEAF,), LEAF)):
+                    validate(x, c)
+            assert len(oracle_module._RECORDS) == records, dump_text(s)
+    finally:
+        oracle_module.clear_cache()
+
+
 def test_flat_expansion_reports_invalid_structures_like_the_recursive_one():
     cases = {
         # both gall paths empty: a doubled top-reticulation edge
