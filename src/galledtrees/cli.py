@@ -25,6 +25,7 @@ from .counts import (
     count,
     total,
 )
+from .genfunc import RATIO_MAX_ORDER
 from .series import SeriesDivergenceError
 
 EXIT_OK = 0
@@ -33,9 +34,14 @@ EXIT_USAGE = 2
 EXIT_ENGINE_LIMIT = 3
 EXIT_NUMERIC = 4
 
-# an unlabeled ratio at order 8000 took 42 s and 202 MB, and a labeled one at
-# n = 8000 0.15 s, about 4x per doubling of n (2-vCPU Xeon, CPython 3.11)
-RATIO_MAX_ORDER = 8000
+# The -N past which `series` refuses, so that the slowest family, general
+# labeled, answers in about 30 s (2-vCPU Xeon, CPython 3.11): 23 s for the
+# arbitrary-gall totals at N = 1200 and 24 s for the bivariate table at
+# N = 120.  The fixed-g ladder's cost grows with -g too, so its limit is set
+# per band of -g, each (g, N) reading "for -g up to g, -N up to N": 6.5, 19,
+# 22 and 28 s at the four limits.
+SERIES_MAX_ORDER = {"arbitrary": 1200, "bivariate": 120}
+FIXED_G_MAX_ORDER = ((5, 1200), (10, 900), (20, 240), (30, 90))
 
 _CLASSES = {
     "general": NetworkClass.GENERAL,
@@ -140,10 +146,15 @@ def cmd_series(args, parser) -> int:
         parser.error("-N must be at least 1")
     if args.max_g is not None and args.max_g < 0:
         parser.error("--max-g must be nonnegative")
+    if args.mode == "fixed-g" and (args.g is None or args.g < 1):
+        parser.error("--mode fixed-g needs -g >= 1")
+    if _over_series_limit(args):
+        return EXIT_ENGINE_LIMIT
     spec = _spec_of(args)
     try:
         if args.mode == "bivariate":
-            max_g = args.order if args.max_g is None else args.max_g
+            # no family has N galls on N leaves, so a larger cap reads nothing more
+            max_g = args.order if args.max_g is None else min(args.max_g, args.order)
             bv = genfunc.solve_bivariate(spec, args.order, max_g)
             scale = (
                 (lambda n, c: c * math.factorial(n)) if spec.is_labeled else (lambda n, c: c)
@@ -154,12 +165,6 @@ def cmd_series(args, parser) -> int:
                 print(f"n={n}: " + ",".join(str(v) for v in row))
             return EXIT_OK
         if args.mode == "fixed-g":
-            if args.g is None or args.g < 1:
-                parser.error("--mode fixed-g needs -g >= 1")
-            # The last rung below -N sums every weighted partition of g - 1.
-            if args.g < args.order and _over_exact_limit(
-                    "-g", args.g, "fixed-g ladder", "a -g at or past -N prints zeros"):
-                return EXIT_ENGINE_LIMIT
             s = genfunc.fixed_g_series(spec, args.g, args.order)
         else:
             s = genfunc.arbitrary_galls_series(spec, args.order)
@@ -173,6 +178,22 @@ def cmd_series(args, parser) -> int:
     else:
         print(",".join(str(v) for v in counts[1:]))
     return EXIT_OK
+
+
+def _over_series_limit(args) -> bool:
+    """Say so on stderr and return True when -N (or -g) is past its limit."""
+    advice = "lower -N"
+    if args.mode != "fixed-g":
+        engine, limit = f"{args.mode} series", SERIES_MAX_ORDER[args.mode]
+    elif args.g >= args.order:  # zeros: no rung is built
+        engine, limit = "fixed-g series", FIXED_G_MAX_ORDER[0][1]
+    # The last rung below -N sums every weighted partition of g - 1.
+    elif _over_exact_limit("-g", args.g, "fixed-g ladder", "a -g at or past -N prints zeros"):
+        return True
+    else:
+        top, limit = next(band for band in FIXED_G_MAX_ORDER if args.g <= band[0])
+        engine, advice = f"fixed-g (-g <= {top})", "lower -N or -g"
+    return _over_exact_limit("-N", args.order, engine, advice, limit)
 
 
 def cmd_asym(args, parser) -> int:

@@ -15,21 +15,21 @@ Each (network class, labeling) family gets three routes to the same numbers:
 * ``closed_small_g`` -- the closed rational expressions in the base tree
   series available for g = 1, 2, for all three classes.
 
-All three start from the gall-free base series, derived once per labeling:
-the unlabeled U = t + 1/2 (U^2 + U(t^2)) by the Newton lift
-``_base_and_inverse``, which gives the ladder and the ring 1/(1 - U) beside
-it, and the labeled 1 - sqrt(1 - 2t) as the Laurent
-polynomial ``_LABELED_BASE`` = 1 - v, v = sqrt(1 - 2t).
+All three start from the gall-free base series and 1 / (1 - base), held
+once per labeling (`_context`) and seeding every ladder: unlabeled, U = t +
+1/2 (U^2 + U(t^2)) and its inverse from one Newton lift ``_base_and_inverse``
+at the highest order asked for; labeled, the Laurent constants
+``_LABELED_BASE`` = 1 - v and 1/v in v = sqrt(1 - 2t).
 Each family's functional equation is written once, in ``_equation``:
 ``solve_bivariate`` evaluates it over ``BivariateSeries``, and
 ``arbitrary_galls_series`` over ``TruncatedSeries`` at u = 1, counting over
 all gall numbers at once.  The g = 1, 2 closed forms are written once too, in
-``_ring``, with the methods the fixed-g ladder runs on, and evaluated
-over ``TruncatedSeries`` (unlabeled) and ``_Laurent`` polynomials in v
-(labeled).  ``fixed_g_counts``, the integer fast path for large truncation
-orders that ``closed_small_g`` wraps as a series, reads the labeled arrays
-off the Laurent terms; ``fixed_g_count_at`` reads one count at a single n,
-labeled off the same terms and unlabeled off the one held unlabeled ring with
+``_ring``, with the methods the fixed-g ladder runs on, and evaluated over
+each held context's inverse: ``TruncatedSeries`` (unlabeled) and ``_Laurent``
+polynomials in v (labeled).  ``fixed_g_counts``, the integer fast path for
+large truncation orders that ``closed_small_g`` wraps as a series, reads the
+labeled arrays off the Laurent terms; ``fixed_g_count_at`` reads one count at
+a single n, labeled off the same terms and unlabeled off the held ring with
 one dot product.
 """
 
@@ -40,7 +40,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .comb import partition_multinomial, weighted_partitions
 from .counts import Labeling, NetworkClass, TreeClassSpec, _cache_key
@@ -56,9 +56,14 @@ from .series import (
 
 HALF = Fraction(1, 2)
 
-# The caches are keyed by the members' string values (`counts._cache_key`),
-# which hash in C, not by Enum members, whose hash runs in Python.
-_base_cache: Dict[Tuple[str, int], Tuple[TruncatedSeries, Optional[TruncatedSeries]]] = {}
+# an unlabeled ratio at order 8000 took 42 s and 202 MB, and a labeled one at
+# n = 8000 0.15 s, about 4x per doubling of n (2-vCPU Xeon, CPython 3.11); the
+# held unlabeled context grows on its own no further than this order
+RATIO_MAX_ORDER = 8000
+
+# One context per labeling and one ladder per family and order, keyed by the
+# members' string values (`counts._cache_key`), which hash in C, not in Python.
+_base_cache: Dict[str, SimpleNamespace] = {}
 _ladder_cache: Dict[Tuple[str, str, int], "_Ladder"] = {}
 
 
@@ -68,21 +73,37 @@ def base_tree_series(labeling: Labeling, order: int) -> TruncatedSeries:
     return _base_pair(labeling, order)[0]
 
 
-def _base_pair(labeling: Labeling, order: int) -> Tuple[TruncatedSeries, Optional[TruncatedSeries]]:
-    """The base series and, unlabeled, the 1 / (1 - U) its Newton lift
-    derives beside it (None when labeled)."""
+def _base_pair(labeling: Labeling, order: int) -> Tuple[TruncatedSeries, TruncatedSeries]:
+    """The base series and 1 / (1 - base) through t^order off the held
+    context: unlabeled, truncated; labeled, the EGFs of its Laurent terms."""
     if order < 0:
         raise ValueError(f"need order >= 0, got {order}")
-    key = (labeling._value_, order)
-    got = _base_cache.get(key)
-    if got is None:
-        if labeling is Labeling.UNLABELED:
-            u, h = _base_and_inverse(order)
-            got = TruncatedSeries._make(u, 1), TruncatedSeries._make(h, 1)
+    ctx = _context(labeling, order)
+    if labeling is Labeling.UNLABELED:
+        return ctx.base.truncate(order), ctx.inv.truncate(order)
+    return tuple(_egf_series(_laurent_counts(f, order)) for f in (ctx.base, ctx.inv))
+
+
+def _context(labeling: Labeling, order: int) -> SimpleNamespace:
+    """The labeling's held base series, its 1 / (1 - base) and the g = 1, 2
+    ring over that inverse (`_held_ring`), None until a closed form reads it.
+    Labeled, the pair is the Laurent constants 1 - v and 1/v, exact at every
+    order.  Unlabeled, it is U and 1 / (1 - U) from one Newton lift at the
+    highest order asked for so far; an order past it drops the context, ring
+    and all, and lifts again at max(order, min(twice the held order,
+    `RATIO_MAX_ORDER`)), so a rising sweep lifts few times."""
+    key = labeling._value_
+    ctx = _base_cache.get(key)
+    if ctx is None or labeling is Labeling.UNLABELED and ctx.base.order < order:
+        if labeling is Labeling.LEAF_LABELED:
+            pair = _LABELED_BASE, _LABELED_BASE.geom_inverse()
         else:
-            got = _egf_series(_laurent_counts(_LABELED_BASE, order)), None
-        _base_cache[key] = got
-    return got
+            if ctx is not None:
+                order = max(order, min(2 * ctx.base.order, RATIO_MAX_ORDER))
+                del _base_cache[key], ctx  # first, so two lifts are never both held
+            pair = [TruncatedSeries._make(x, 1) for x in _base_and_inverse(order)]
+        ctx = _base_cache[key] = SimpleNamespace(base=pair[0], inv=pair[1], ring=None)
+    return ctx
 
 
 def _equation(spec: TreeClassSpec, f, f2, t, mark):
@@ -167,24 +188,23 @@ def _dxk_seq(k: int, inv_pows) -> TruncatedSeries:
 
 class _Ladder(list):
     """Rungs 0..g of one family's fixed-g ladder at one order, rung 0 being
-    the base tree series.  Every rung reads powers of 1 / (1 - base) (and,
-    unlabeled, of 1 / (1 - base(t^2))), powers of lower rungs, the family's
-    root-gall kernel for each part count ls and, unlabeled, the
-    symmetric-half sum for each weight; those are kept here, each power one
-    product from the one below it and each kernel and sum built the first
-    time a rung reads it, and grown as later rungs need more of them.
-    A rung's convolution of lower rungs forms each unordered pair once and
-    reads the middle rung's square from the rung powers.  Zero and one come
-    from the base, so it runs over `TruncatedSeries` and `_Laurent` alike."""
+    the base tree series, seeded with 1 / (1 - base).  Every rung reads its
+    powers (and, unlabeled, those of 1 / (1 - base(t^2))), powers of lower
+    rungs, the family's root-gall kernel for each part count ls and,
+    unlabeled, the symmetric-half sum for each weight; those are kept here,
+    each power one product from the one below it and each kernel and sum
+    built the first time a rung reads it, and grown as later rungs need more
+    of them.  A rung's convolution of lower rungs forms each unordered pair
+    once and reads the middle rung's square from the rung powers.  Zero and
+    one come from the base, so it runs over `TruncatedSeries` and `_Laurent`
+    alike."""
 
     __slots__ = ("inv_pows", "inv2_pows", "rung_pows", "kernels", "halves")
 
-    def __init__(self, base: TruncatedSeries, inv: Optional[TruncatedSeries] = None) -> None:
-        """inv is 1 / (1 - base) when the caller has it; else the first rung
-        that reads it takes it from the base by `geom_inverse`."""
+    def __init__(self, base: TruncatedSeries, inv: TruncatedSeries) -> None:
         super().__init__([base])
         one = base.scale(0) + 1
-        self.inv_pows = [one] if inv is None else [one, inv]
+        self.inv_pows = [one, inv]
         self.inv2_pows = [one]
         self.rung_pows: Dict[int, List[TruncatedSeries]] = {}
         self.kernels: Dict[int, TruncatedSeries] = {}
@@ -195,8 +215,7 @@ class _Ladder(list):
         squared, base(t^2)."""
         pows = self.inv2_pows if squared else self.inv_pows
         if len(pows) == 1:  # 1 / (1 - b(t^2)) is (1 / (1 - b))(t^2)
-            pows.append(self.inverse_powers(1)[1].substitute_t_squared() if squared
-                        else self[0].geom_inverse())
+            pows.append(self.inv_pows[1].substitute_t_squared())
         while len(pows) <= top:
             pows.append(pows[-1] * pows[1])
         return pows
@@ -307,7 +326,7 @@ def _next_rung(spec: TreeClassSpec, ladder: _Ladder) -> TruncatedSeries:
             for b in range(0, (g - 1) // 2 + 1):
                 bracket = bracket + (ladder[g - 2 * b - 1] * _seq_sum(ladder, 2 * b)).scale(HALF)
 
-    return ladder.inverse_powers(1)[1] * bracket
+    return ladder.inv_pows[1] * bracket
 
 
 def closed_small_g(spec: TreeClassSpec, g: int, order: int) -> TruncatedSeries:
@@ -354,15 +373,14 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 # `_ring` evaluates these, and each family's g = 2 cofactor (the factor
 # after e1 in e2), from inv with the methods the ladder runs on, the t^2
 # terms only when squared.  g = 2 takes two more products: `_inner` =
-# e1 cof (+ e1(t^2)), kept on the ring, and 2 e2 = inv `_inner`.  Two
-# classes carry a ring:
-# * `TruncatedSeries` through t^order for the unlabeled families.  One ring,
-#   at least as high as every order asked for, is held and shared by the
-#   families.  Its inv comes from `_base_and_inverse`, which lifts U and inv
-#   from t by Newton steps of 4 products each; the six series then cost 9
-#   products.  A single count skips the last product: g = 1 is an entry of
-#   e1, and g = 2 half of one dot product of inv with `_inner`
-#   (`fixed_g_count_at`).
+# e1 cof (+ e1(t^2)), kept on the ring, and 2 e2 = inv `_inner`.  Each
+# labeling's held context carries one ring over its inv (`_held_ring`):
+# * `TruncatedSeries` through the held order for the unlabeled families,
+#   shared by the families and read, truncated, at lower orders.  Its inv
+#   comes from `_base_and_inverse`, which lifts U and inv from t by Newton
+#   steps of 4 products each; the six series then cost 9 products.  A
+#   single count skips the last product: g = 1 is an entry of e1, and g = 2
+#   half of one dot product of inv with `_inner` (`fixed_g_count_at`).
 # * `_Laurent` polynomials in v = sqrt(1 - 2t) for the labeled families,
 #   whose base series is `_LABELED_BASE` = 1 - v: inv = 1/v and
 #   t = (1 - v^2) / 2.  Each form is 4 to 8 terms c_k v^k, read off as
@@ -392,14 +410,10 @@ def _ring(inv, squared: bool) -> SimpleNamespace:
 def _inner(ring: SimpleNamespace, cls: str):
     """e1 cof (+ e1(t^2)), whose product with inv is twice e2; built once
     per ring and family."""
-    got = ring.inner.get(cls)
-    if got is None:
+    if cls not in ring.inner:
         e1 = ring.e1[cls]
-        got = e1 * ring.cof[cls]
-        if ring.squared:
-            got = got + e1.substitute_t_squared()
-        ring.inner[cls] = got
-    return got
+        ring.inner[cls] = e1 * ring.cof[cls] + (e1.substitute_t_squared() if ring.squared else 0)
+    return ring.inner[cls]
 
 
 def _base_and_inverse(order: int) -> Tuple[List[int], List[int]]:
@@ -424,18 +438,12 @@ def _base_and_inverse(order: int) -> Tuple[List[int], List[int]]:
     return u, h + int_mul(h, e, order)[k + 1 :]
 
 
-# The one unlabeled ring, at the highest order asked for so far.
-_ring_cache: List[SimpleNamespace] = []
-
-
-def _unlabeled_ring(order: int) -> SimpleNamespace:
-    """The held ring if it reaches t^order, else a new ring at max(order,
-    twice the held order) that replaces it: a rising sweep builds few rings."""
-    if not _ring_cache or _ring_cache[0].inv.order < order:
-        order = max([order] + [2 * r.inv.order for r in _ring_cache])
-        _ring_cache.clear()  # first, so the two rings are never both held
-        _ring_cache.append(_ring(TruncatedSeries._make(_base_and_inverse(order)[1], 1), True))
-    return _ring_cache[0]
+def _held_ring(labeling: Labeling, order: int) -> SimpleNamespace:
+    """The ring on the held context reaching t^order, built when first read."""
+    ctx = _context(labeling, order)
+    if ctx.ring is None:
+        ctx.ring = _ring(ctx.inv, labeling is Labeling.UNLABELED)
+    return ctx.ring
 
 
 def _check_closed_form(g: int, order: int) -> None:
@@ -451,7 +459,7 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
     _check_closed_form(g, order)
     if spec.is_labeled:
         return _laurent_counts(_labeled_laurent(spec, g), order)
-    ring, cls = _unlabeled_ring(order), spec.network_class._value_
+    ring, cls = _held_ring(Labeling.UNLABELED, order), spec.network_class._value_
     if g == 1:
         return ring.e1[cls].truncate(order).integer_coefficients()
     # the held ring may reach past order; the product stops at t^order
@@ -468,7 +476,7 @@ def fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) -> int:
         raise ValueError(f"need 0 <= n <= order, got n={n}, order={order}")
     if spec.is_labeled:
         return _laurent_counts(_labeled_laurent(spec, g), n, n)[0]
-    ring, cls = _unlabeled_ring(order), spec.network_class._value_
+    ring, cls = _held_ring(Labeling.UNLABELED, order), spec.network_class._value_
     if g == 1:
         e1 = ring.e1[cls]
         return _exact_count(e1.nums[n], e1.den, n)
@@ -517,23 +525,14 @@ class _Laurent(dict):
 # The labeled base series 1 - sqrt(1 - 2t).
 _LABELED_BASE = _Laurent({0: Fraction(1), 1: Fraction(-1)})
 
-_laurent_cache: Dict[Tuple[str, str, int], _Laurent] = {}
-
 
 def _labeled_laurent(spec: TreeClassSpec, g: int) -> _Laurent:
-    """The labeled g = 1, 2 closed form over `_LABELED_BASE`, built once per
-    (family, g)."""
+    """The labeled g = 1, 2 closed form over `_LABELED_BASE`, off its ring."""
     if spec.labeling is not Labeling.LEAF_LABELED:
         raise ValueError("laurent closed forms cover the labeled families")
-    if g not in (1, 2):
-        raise ValueError(f"need g in {{1, 2}}, got {g}")
-    key = _cache_key(spec, g)
-    got = _laurent_cache.get(key)
-    if got is None:
-        ring, cls = _ring(_LABELED_BASE.geom_inverse(), False), spec.network_class._value_
-        got = ring.e1[cls] if g == 1 else (ring.inv * _inner(ring, cls)).scale(HALF)
-        _laurent_cache[key] = got
-    return got
+    _check_closed_form(g, 0)
+    ring, cls = _held_ring(Labeling.LEAF_LABELED, 0), spec.network_class._value_
+    return ring.e1[cls] if g == 1 else (ring.inv * _inner(ring, cls)).scale(HALF)
 
 
 def _laurent_counts(laurent: _Laurent, order: int, first: int = 0) -> List[int]:
@@ -560,5 +559,3 @@ def _exact_count(acc: int, den: int, n: int) -> int:
 def clear_caches() -> None:
     _base_cache.clear()
     _ladder_cache.clear()
-    _ring_cache.clear()
-    _laurent_cache.clear()

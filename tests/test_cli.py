@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,9 +6,9 @@ import sys
 
 import pytest
 
-from galledtrees.cli import main
+from galledtrees.cli import FIXED_G_MAX_ORDER, _over_series_limit, main
 from galledtrees import genfunc, golden
-from galledtrees.counts import GENERAL_UNLABELED
+from galledtrees.counts import EXACT_ENGINE_LIMIT, GENERAL_UNLABELED
 
 
 def run(capsys, *argv):
@@ -156,6 +157,32 @@ def test_series_fixed_g_ladder_limit(capsys):
     assert code == 0 and out.strip() == "0,0,0,5,76"
 
 
+@pytest.mark.parametrize("mode, extra, limit", [
+    ("arbitrary", (), 1200),
+    ("bivariate", (), 120),
+    ("fixed-g", ("-g", "2"), 1200),
+    ("fixed-g", ("-g", "10"), 900),
+    ("fixed-g", ("-g", "30"), 90),
+    ("fixed-g", ("-g", "5000"), 1200),  # g >= N would print zeros
+])
+def test_series_refuses_an_order_past_the_mode_limit(capsys, monkeypatch, mode, extra, limit):
+    # refused before any engine runs
+    for name in ("solve_bivariate", "fixed_g_series", "arbitrary_galls_series"):
+        monkeypatch.setattr(genfunc, name, lambda *a: pytest.fail("ran"))
+    argv = ("series", "--class", "general", "--labeling", "labeled", "--mode", mode, *extra)
+    code, out, err = run(capsys, *argv, "-N", str(limit + 1))
+    assert code == 3 and out == ""
+    assert err.startswith(f"-N {limit + 1} exceeds the ") and f"limit ({limit}); lower -N" in err
+    at_limit = argparse.Namespace(mode=mode, order=limit, g=int(extra[1]) if extra else None)
+    assert not _over_series_limit(at_limit)
+
+
+def test_fixed_g_order_limits_fall_as_g_rises_and_cover_every_ladder_g():
+    tops, limits = zip(*FIXED_G_MAX_ORDER)
+    assert list(tops) == sorted(tops) and list(limits) == sorted(limits, reverse=True)
+    assert tops[-1] == EXACT_ENGINE_LIMIT  # a larger -g below -N is refused on its own
+
+
 def test_series_bivariate(capsys):
     code, out, _ = run(capsys, "series", "--class", "simplex-tc", "--labeling", "unlabeled",
                        "--mode", "bivariate", "-N", "5")
@@ -163,7 +190,7 @@ def test_series_bivariate(capsys):
     assert "n=5: 3,11,1" in out
 
 
-def test_series_bivariate_max_g(capsys):
+def test_series_bivariate_max_g(capsys, monkeypatch):
     argv = ("series", "--class", "general", "--labeling", "unlabeled",
             "--mode", "bivariate", "-N", "4", "--max-g")
     code, out, _ = run(capsys, *argv, "0")
@@ -174,6 +201,12 @@ def test_series_bivariate_max_g(capsys):
     assert out.splitlines()[-1] == "n=4: 2,16,20"  # g = 3 (5) is past the cap, not 0
     code, _, err = run(capsys, *argv, "-1")
     assert code == 2 and "--max-g" in err
+    # a cap past N solves no further in u than N, and prints the same rows
+    real = genfunc.solve_bivariate
+    monkeypatch.setattr(genfunc, "solve_bivariate", lambda s, t, u: (
+        real(s, t, u) if u <= t else pytest.fail(f"solved to u^{u}")))
+    code, out, _ = run(capsys, *argv, str(10**9))
+    assert (code, out) == run(capsys, *argv, "4")[:2]
 
 
 def test_series_usage(capsys):

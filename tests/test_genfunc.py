@@ -455,7 +455,8 @@ def test_unlabeled_ladder_takes_its_inverse_from_the_newton_lift(monkeypatch, sp
     monkeypatch.setattr(series, "int_geom_inverse", lambda *a: calls.append(a) or kernel(*a))
     genfunc.clear_caches()
     try:
-        ref = genfunc._Ladder(genfunc.base_tree_series(Labeling.UNLABELED, order))
+        base = genfunc.base_tree_series(Labeling.UNLABELED, order)
+        ref = genfunc._Ladder(base, base.geom_inverse())
         while len(ref) <= top:
             ref.append(genfunc._next_rung(spec, ref))
         assert len(calls) == 1  # the spy sees the referee's inverse
@@ -474,7 +475,7 @@ def test_unlabeled_ladder_takes_its_inverse_from_the_newton_lift(monkeypatch, sp
 def test_ring_inverse_matches_the_recurrence_on_both_sides_of_the_cutoff(order):
     genfunc.clear_caches()
     try:
-        got = genfunc._unlabeled_ring(order).inv
+        got = genfunc._held_ring(Labeling.UNLABELED, order).inv
     finally:
         genfunc.clear_caches()
     assert got.nums == tuple(int_geom_inverse(wedderburn_sequence(order), order))
@@ -520,11 +521,11 @@ def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it(monkeypatch):
     genfunc.clear_caches()
     try:
         swept = {g: [asym.exact_fixed_g_count(spec, g, n) for n in range(top + 1)] for g in (1, 2)}
-        (held,) = genfunc._ring_cache
+        held = genfunc._base_cache["unlabeled"].ring
         explicit = {g: [asym.exact_fixed_g_count(spec, g, n, n) for n in range(top + 1)]
                     for g in (1, 2)}
         arrays = {g: genfunc.fixed_g_counts(spec, g, top // 2) for g in (1, 2)}
-        assert genfunc._ring_cache[0] is held and held.inv.order >= top
+        assert genfunc._base_cache["unlabeled"].ring is held and held.inv.order >= top
         assert builds == [0, 1, 2, 4, 8, 16, 32, 64]
         genfunc.clear_caches()
         fresh = {g: genfunc.fixed_g_counts(spec, g, top) for g in (1, 2)}
@@ -535,10 +536,71 @@ def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it(monkeypatch):
         assert arrays[g] == fresh[g][: top // 2 + 1], g
 
 
+def _spy_on_lifts(monkeypatch):
+    """The orders of the top-level `_base_and_inverse` calls, one per lift;
+    its recursive calls to lower orders are not recorded."""
+    lifts, real, depth = [], genfunc._base_and_inverse, [0]
+
+    def spy(order):
+        if not depth[0]:
+            lifts.append(order)
+        depth[0] += 1
+        try:
+            return real(order)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(genfunc, "_base_and_inverse", spy)
+    return lifts
+
+
+def test_the_ring_and_the_ladder_share_one_lift(monkeypatch):
+    lifts = _spy_on_lifts(monkeypatch)
+    genfunc.clear_caches()
+    try:
+        counts = genfunc.fixed_g_counts(GENERAL_UNLABELED, 2, 300)
+        ladder = [genfunc.fixed_g_series(GENERAL_UNLABELED, g, 300) for g in (3, 2)]
+    finally:
+        genfunc.clear_caches()
+    assert lifts == [300]
+    assert ladder[1].integer_coefficients() == counts
+    assert ladder[0][12] == count(GENERAL_UNLABELED, 12, 3)
+
+
+def test_a_rising_sweep_stops_doubling_at_the_order_cap(monkeypatch):
+    # past the cap each lift is at the order asked for, not twice the held one
+    monkeypatch.setattr(genfunc, "RATIO_MAX_ORDER", 10)
+    lifts = _spy_on_lifts(monkeypatch)
+    genfunc.clear_caches()
+    try:
+        swept = [asym.exact_fixed_g_count(GENERAL_UNLABELED, 1, n) for n in range(21)]
+    finally:
+        genfunc.clear_caches()
+    assert lifts == [0, 1, 2, 4, 8, 10, *range(11, 21)]
+    assert swept == genfunc.fixed_g_counts(GENERAL_UNLABELED, 1, 20)
+
+
+@pytest.mark.parametrize("spec", [GENERAL_LABELED, SIMPLEX_LABELED, TC_LABELED])
+def test_labeled_ladder_takes_its_inverse_from_the_laurent_context(monkeypatch, spec):
+    # 1/(1 - (1 - v)) = 1/v: its EGF is read off the Laurent term, with no
+    # geometric-inverse recurrence
+    calls = []
+    kernel = series.int_geom_inverse
+    monkeypatch.setattr(series, "int_geom_inverse", lambda *a: calls.append(a) or kernel(*a))
+    genfunc.clear_caches()
+    try:
+        column = genfunc.fixed_g_series(spec, 4, 40)
+    finally:
+        genfunc.clear_caches()
+    assert calls == []
+    for n in range(1, 17):
+        assert column[n] * math.factorial(n) == count(spec, n, 4), n
+
+
 def test_an_odd_dot_product_raises():
     genfunc.clear_caches()
     try:
-        ring = genfunc._unlabeled_ring(30)
+        ring = genfunc._held_ring(Labeling.UNLABELED, 30)
         inner = genfunc._inner(ring, "general").nums
         # inv[0] = 1 pairs with entry 5 at n = 5
         ring.inner["general"] = TruncatedSeries(inner[:5] + (inner[5] + 1,) + inner[6:])
@@ -562,7 +624,7 @@ def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypa
         for spec in (GENERAL_UNLABELED, SIMPLEX_UNLABELED, TC_UNLABELED):
             for g in (1, 2):
                 asym.exact_fixed_g_count(spec, g, order, order)
-        inv = genfunc._unlabeled_ring(order).inv.nums
+        inv = genfunc._held_ring(Labeling.UNLABELED, order).inv.nums
     finally:
         genfunc.clear_caches()
     # no recurrence runs: 4 products per Newton step from t, 3 for the ring
@@ -669,7 +731,7 @@ def test_the_ladder_over_laurent_polynomials_is_exact(spec):
     # from the labeled base 1 - v every rung is a Laurent polynomial in v, so
     # the ladder meets the closed forms as rational identities, and its top
     # term is the fixed-g leading constant of the labeled family
-    ladder = genfunc._Ladder(genfunc._LABELED_BASE)
+    ladder = genfunc._Ladder(genfunc._LABELED_BASE, genfunc._LABELED_BASE.geom_inverse())
     while len(ladder) <= 8:
         ladder.append(genfunc._next_rung(spec, ladder))
     for g in (1, 2):

@@ -83,7 +83,7 @@ def test_shift_and_pow():
     f = TruncatedSeries([1, 2, 3])
     assert f.shift_by_t().coeffs == TruncatedSeries([0, 1, 2]).coeffs
     # the fixed-g ladder keeps the powers of its rungs, here of rung 0
-    ladder = genfunc._Ladder(U8)
+    ladder = genfunc._Ladder(U8, U8.geom_inverse())
     assert ladder.rung_pow(0, 3) == U8 * U8 * U8
     assert ladder.rung_pow(0, 1) is U8
 
