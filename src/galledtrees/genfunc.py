@@ -30,7 +30,7 @@ polynomials in v (labeled).  ``fixed_g_counts``, the integer fast path for
 large truncation orders that ``closed_small_g`` wraps as a series, reads the
 labeled arrays off the Laurent terms; ``fixed_g_count_at`` reads one count at
 a single n, labeled off the same terms and unlabeled off the held ring with
-one dot product.
+at most two dot products.
 """
 
 from __future__ import annotations
@@ -256,9 +256,16 @@ def _by_part_count(ladder: _Ladder, partitions, squared=False) -> Dict[int, Trun
     """{ls: sum of multinomial(wp) * `_wp_product`(wp)} over the partitions
     wp with ls parts, so each part count's kernel multiplies its sum once
     (the split of a partition sum by part count, the partial Bell
-    polynomials)."""
+    polynomials).  A partition is skipped when its product vanishes through
+    the ladder's order, the sum of k val(rung m) (doubled when squared)
+    passing it; a `_Laurent` ladder has no order and skips none."""
+    top = getattr(ladder[0], "order", None)
+    if top is not None:
+        vals = [next((i for i, x in enumerate(r.nums) if x), top + 1) for r in ladder]
     sums: Dict[int, TruncatedSeries] = {}
     for wp in partitions:
+        if top is not None and (1 + squared) * sum(k * vals[m] for m, k in wp.items()) > top:
+            continue
         ls = sum(wp.values())
         term = _wp_product(ladder, wp, squared).scale(partition_multinomial(wp))
         sums[ls] = sums[ls] + term if ls in sums else term
@@ -372,15 +379,21 @@ def arbitrary_galls_series(spec: TreeClassSpec, order: int) -> TruncatedSeries:
 #   tc e1 = 1/2 (w^3 + ww2),  general e1 = tc e1 + w^2,  simplex e1 = t (tc e1 + 1/2 (w^2 + w2))
 # `_ring` evaluates these, and each family's g = 2 cofactor (the factor
 # after e1 in e2), from inv with the methods the ladder runs on, the t^2
-# terms only when squared.  g = 2 takes two more products: `_inner` =
-# e1 cof (+ e1(t^2)), kept on the ring, and 2 e2 = inv `_inner`.  Each
-# labeling's held context carries one ring over its inv (`_held_ring`):
+# terms only when squared.  With y = inv e1, twice e2 is
+#   2 e2 = inv (e1 cof + e1(t^2)) = y cof + inv e1(t^2),
+# and y needs no product of its own: inv = 1 + w makes the time-consistent
+# yt = e1t + w e1t, and the other two sums of yt and the ring's series
+# (`_inv_e1`), so one product, w e1t, serves all three.  Each labeling's
+# held context carries one ring over its inv (`_held_ring`):
 # * `TruncatedSeries` through the held order for the unlabeled families,
 #   shared by the families and read, truncated, at lower orders.  Its inv
 #   comes from `_base_and_inverse`, which lifts U and inv from t by Newton
-#   steps of 4 products each; the six series then cost 9 products.  A
-#   single count skips the last product: g = 1 is an entry of e1, and g = 2
-#   half of one dot product of inv with `_inner` (`fixed_g_count_at`).
+#   steps of 4 products each; the ring then costs 3 products.  An array
+#   (`fixed_g_counts`) takes 2 more per g = 2 family, e1 cof and inv times
+#   the bracket; y cof and inv e1(t^2) would take as many, and w e1t too.
+#   A single count (`fixed_g_count_at`) takes none past w e1t: g = 1 is an
+#   entry of e1, and g = 2 half the dot product of y with cof plus the
+#   half-length one of inv with e1(t^2).
 # * `_Laurent` polynomials in v = sqrt(1 - 2t) for the labeled families,
 #   whose base series is `_LABELED_BASE` = 1 - v: inv = 1/v and
 #   t = (1 - v^2) / 2.  Each form is 4 to 8 terms c_k v^k, read off as
@@ -398,22 +411,29 @@ def _ring(inv, squared: bool) -> SimpleNamespace:
     coft = e1t + ww.scale(3) + www.scale(2) + w2
     p = www + ww.scale(2) + w
     del www  # at large orders these series are most of the live memory
-    # keyed by class value: the g = 1 form, the g = 2 cofactor of e1 and `_inner`
+    # keyed by class value: the g = 1 form, the g = 2 cofactor of e1 and `_inv_e1`
     return SimpleNamespace(
-        inv=inv, squared=squared, inner={},
+        inv=inv, squared=squared, y={},
         e1={"general": e1t + ww, "time-consistent": e1t, "simplex-tc": e1s},
         cof={"general": coft + ww.scale(3) + w.scale(4), "time-consistent": coft,
              "simplex-tc": e1s + p.shift_by_t().scale(2)},
     )
 
 
-def _inner(ring: SimpleNamespace, cls: str):
-    """e1 cof (+ e1(t^2)), whose product with inv is twice e2; built once
-    per ring and family."""
-    if cls not in ring.inner:
-        e1 = ring.e1[cls]
-        ring.inner[cls] = e1 * ring.cof[cls] + (e1.substitute_t_squared() if ring.squared else 0)
-    return ring.inner[cls]
+def _inv_e1(ring: SimpleNamespace, cls: str) -> TruncatedSeries:
+    """y = inv e1 of the family cls.  The first g = 2 read of any family
+    builds all three from one product, w e1t, and the ring's series:
+        tc       yt = e1t + w e1t
+        general  yt + inv ww,  inv ww = ww + www = 1/2 (cof tc - e1 general - w2)
+        simplex  e1s + t yt,   as w e1s / t = w e1t + 1/2 (www + ww2) = w e1t + e1t."""
+    if not ring.y:
+        e1, cof = ring.e1, ring.cof
+        yt = e1["time-consistent"] + (ring.inv - 1) * e1["time-consistent"]
+        w2 = ring.inv.substitute_t_squared() - 1 if ring.squared else 0
+        inv_ww = (cof["time-consistent"] - e1["general"] - w2).scale(HALF)
+        ring.y = {"general": yt + inv_ww, "time-consistent": yt,
+                  "simplex-tc": e1["simplex-tc"] + yt.shift_by_t()}
+    return ring.y[cls]
 
 
 def _base_and_inverse(order: int) -> Tuple[List[int], List[int]]:
@@ -460,29 +480,34 @@ def fixed_g_counts(spec: TreeClassSpec, g: int, order: int) -> List[int]:
     if spec.is_labeled:
         return _laurent_counts(_labeled_laurent(spec, g), order)
     ring, cls = _held_ring(Labeling.UNLABELED, order), spec.network_class._value_
+    # the held ring may reach past order; every product stops at t^order
+    e1 = ring.e1[cls].truncate(order)
     if g == 1:
-        return ring.e1[cls].truncate(order).integer_coefficients()
-    # the held ring may reach past order; the product stops at t^order
-    return (ring.inv.truncate(order) * _inner(ring, cls)).scale(HALF).integer_coefficients()
+        return e1.integer_coefficients()
+    inner = e1 * ring.cof[cls].truncate(order) + e1.substitute_t_squared()
+    return (ring.inv.truncate(order) * inner).scale(HALF).integer_coefficients()
 
 
 def fixed_g_count_at(spec: TreeClassSpec, g: int, n: int, order: int) -> int:
     """Exact count with g galls (g in {1, 2}) at one n, 0 <= n <= order, with
-    no full-length product: labeled, off the Laurent terms through t^n;
+    no product of its own: labeled, off the Laurent terms through t^n;
     unlabeled, off the held ring, an entry of e1 for g = 1 and for g = 2 half
-    the dot product sum_i inv[i] `_inner`[n - i]."""
+    of 2 e2 = y cof + inv e1(t^2) at n, y = inv e1 (`_inv_e1`): the dot
+    product sum_i y[i] cof[n - i] plus the half-length sum_j inv[n - 2j] e1[j]."""
     _check_closed_form(g, order)
     if not 0 <= n <= order:
         raise ValueError(f"need 0 <= n <= order, got n={n}, order={order}")
     if spec.is_labeled:
         return _laurent_counts(_labeled_laurent(spec, g), n, n)[0]
     ring, cls = _held_ring(Labeling.UNLABELED, order), spec.network_class._value_
+    e1 = ring.e1[cls]
     if g == 1:
-        e1 = ring.e1[cls]
         return _exact_count(e1.nums[n], e1.den, n)
-    inv, inner = ring.inv, _inner(ring, cls)
-    twice = sum(map(operator.mul, inv.nums[: n + 1], inner.nums[n::-1]))
-    return _exact_count(twice, 2 * inv.den * inner.den, n)
+    y, cof, inv = _inv_e1(ring, cls), ring.cof[cls], ring.inv
+    a = sum(map(operator.mul, y.nums[: n + 1], cof.nums[n::-1]))
+    b = sum(map(operator.mul, inv.nums[n::-2], e1.nums[: n // 2 + 1]))
+    da, db = y.den * cof.den, inv.den * e1.den
+    return _exact_count(a * db + b * da, 2 * da * db, n)
 
 
 class _Laurent(dict):
@@ -532,17 +557,26 @@ def _labeled_laurent(spec: TreeClassSpec, g: int) -> _Laurent:
         raise ValueError("laurent closed forms cover the labeled families")
     _check_closed_form(g, 0)
     ring, cls = _held_ring(Labeling.LEAF_LABELED, 0), spec.network_class._value_
-    return ring.e1[cls] if g == 1 else (ring.inv * _inner(ring, cls)).scale(HALF)
+    return ring.e1[cls] if g == 1 else (_inv_e1(ring, cls) * ring.cof[cls]).scale(HALF)
 
 
 def _laurent_counts(laurent: _Laurent, order: int, first: int = 0) -> List[int]:
     """n! [t^n] of sum c_k v^k for n = first..order, exact integers.  Over
     the lcm den of the c_k's denominators each term den c_k n! [t^n] v^k =
-    den c_k prod_{j<n} (2j - k) is a running int product in n."""
+    den c_k prod_{j<n} (2j - k) is a running int product in n.  Its head
+    at n = first comes, going down in k, from the term with k + 2's head
+    times (2 first - 2 - k) / (-k - 2); a new product starts where that
+    neighbour is missing or zero, or k = -2."""
     den = math.lcm(*(c.denominator for c in laurent.values()))
     acc = [0] * (order + 1 - first)
-    for k, c in laurent.items():
-        c = c.numerator * (den // c.denominator) * math.prod(range(-k, 2 * first - k, 2))
+    heads: Dict[int, int] = {}
+    for k, c in sorted(laurent.items(), reverse=True):
+        up = heads.get(k + 2)
+        if up and k != -2:
+            heads[k] = up * (2 * first - 2 - k) // (-k - 2)
+        else:
+            heads[k] = math.prod(range(-k, 2 * first - k, 2))
+        c = c.numerator * (den // c.denominator) * heads[k]
         for n in range(first, order + 1):  # one factor per step in n
             acc[n - first] += c
             c *= 2 * n - k

@@ -138,6 +138,21 @@ def test_charsys_truncation_insensitive():
     assert abs(c.r - d.r) < 1e-5
 
 
+@pytest.mark.parametrize("labeling", ["UNLABELED", "LABELED"])
+def test_unrestricted_gall_growth_orders_simplex_below_tc_below_general(labeling):
+    # the abstract's claim with the number of galls free: simplex
+    # time-consistent galled trees grow slowest and general galled trees
+    # fastest, 1/r being each family's exponential growth rate
+    fams = [CharFamily[f"{cls}_{labeling}"] for cls in ("SIMPLEX", "TIME_CONSISTENT", "GENERAL")]
+    r = {fam: asym.solve_charsys(fam, 25).r for fam in fams}
+    for fam in fams:
+        assert abs(asym.solve_charsys(fam, 50).r - r[fam]) <= 1e-9, fam
+    simplex, tc, general = (1 / r[fam] for fam in fams)
+    assert simplex < tc < general
+    # 3.80 < 4.20 < 8.00 labeled, 4.27 < 4.82 < 8.59 unlabeled
+    assert general - tc > 3.5 and tc - simplex > 0.35
+
+
 def test_charsys_simplex_labeled_closed_forms():
     sol = asym.solve_charsys(CharFamily.SIMPLEX_LABELED)
     assert abs(sol.r - (3 + math.sqrt(3)) / 18) < 1e-12

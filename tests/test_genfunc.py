@@ -144,11 +144,18 @@ def test_one_ladder_builds_each_kernel_once_per_part_count(spec, monkeypatch):
         NetworkClass.TIME_CONSISTENT: {"_dxk_both_paths"},
         NetworkClass.SIMPLEX_TC: {"_dxk_pinned_leaf"},
     }[spec.network_class]
-    # rung g reads the part counts 0..g - 1, each kernel built on first use
-    assert built == Counter({(name, ls): 1 for name in names for ls in range(11)})
+    # rung g reads the part counts 0..g - 1, each kernel built on first use,
+    # but a partition of g - 1 into ls rungs vanishes through t^12 past
+    # valuation 12: rung m starts at t^(m + 1) for the general families, so
+    # no rung reads ls > 6, and at t^(2m + 1) for the others, so none ls > 4
+    top = 6 if spec.network_class is NetworkClass.GENERAL else 4
+    assert built == Counter({(name, ls): 1 for name in names for ls in range(top + 1)})
     assert all(len(srs) == len(set(srs)) for srs in seq_sums)
-    # unlabeled, each symmetric-half sum (even weights 0..10) is built once
-    assert sum(1 for srs in seq_sums if srs) == (6 if spec.labeling is Labeling.UNLABELED else 0)
+    # unlabeled, each symmetric-half sum (even weights 0..10) is built once;
+    # read at t^2, every partition of weight 6..10 vanishes through t^12 when
+    # rung m starts at t^(2m + 1), so those three sums take no `_dxk_seq`
+    sums = 6 if spec.network_class is NetworkClass.GENERAL else 3
+    assert sum(1 for srs in seq_sums if srs) == (sums if spec.labeling is Labeling.UNLABELED else 0)
 
 
 def test_warm_fixed_g_lookups_hash_no_enum(monkeypatch):
@@ -510,6 +517,25 @@ def test_single_n_reads_match_the_arrays(order, spec, g):
     assert got == want
 
 
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+@pytest.mark.parametrize("g", [1, 2])
+def test_single_reads_match_the_arrays_at_every_n_through_300(spec, g):
+    # unlabeled, the reads (y = inv e1 off one shared product, two dot
+    # products) against the arrays (two products per family), on the
+    # Kronecker kernel at this order; labeled, each read's head products
+    # passed down in k, restarted where the neighbour is missing or zero,
+    # against the running products from n = 0
+    order = 300
+    genfunc.clear_caches()
+    try:
+        want = genfunc.fixed_g_counts(spec, g, order)
+        genfunc.clear_caches()  # the reads build their own ring
+        got = [genfunc.fixed_g_count_at(spec, g, n, order) for n in range(order + 1)]
+    finally:
+        genfunc.clear_caches()
+    assert got == want
+
+
 def test_an_order_sweep_holds_one_ring_and_lower_orders_read_it(monkeypatch):
     # with order omitted, each n asks for the ring at order n: a ring that
     # does not reach n is replaced by one at max(n, twice its order), so the
@@ -601,9 +627,10 @@ def test_an_odd_dot_product_raises():
     genfunc.clear_caches()
     try:
         ring = genfunc._held_ring(Labeling.UNLABELED, 30)
-        inner = genfunc._inner(ring, "general").nums
-        # inv[0] = 1 pairs with entry 5 at n = 5
-        ring.inner["general"] = TruncatedSeries(inner[:5] + (inner[5] + 1,) + inner[6:])
+        y = genfunc._inv_e1(ring, "general").nums
+        # cof[2] = 15 pairs with entry 3 at n = 5
+        assert ring.cof["general"].nums[2] == 15
+        ring.y["general"] = TruncatedSeries(y[:3] + (y[3] + 1,) + y[4:])
         with pytest.raises(ValueError, match="non-integer count at n=5"):
             genfunc.fixed_g_count_at(GENERAL_UNLABELED, 2, 5, 30)
     finally:
@@ -628,9 +655,9 @@ def test_single_n_reads_above_the_cutoff_stay_within_the_product_budget(monkeypa
     finally:
         genfunc.clear_caches()
     # no recurrence runs: 4 products per Newton step from t, 3 for the ring
-    # and 1 per family's `_inner`; none multiplies by inv
+    # and 1, w e1t, shared by every family's y = inv e1; none multiplies by inv
     assert calls["int_geom_inverse"] == []
-    assert len(calls["int_mul"]) == 4 * _newton_steps(order) + 3 + 3
+    assert len(calls["int_mul"]) == 4 * _newton_steps(order) + 3 + 1
     assert not any(x is inv for a in calls["int_mul"] for x in a[:2])
 
 
