@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 from enum import Enum
@@ -22,6 +23,7 @@ from galledtrees.oracle import (
     GallTop,
     _build_dag,
     _expansion,
+    _report,
     Internal,
     LEAF,
     Leaf,
@@ -336,7 +338,8 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     # the slots are the structural fields, then the stored ones
     for cls, structural in ((Internal, ("left", "right")),
                             (GallTop, ("left_seq", "right_seq", "ret_child"))):
-        assert cls.__slots__ == structural + ("key", "n_leaves", "n_galls", "aut", "expansion")
+        assert cls.__slots__ == structural + ("key", "n_leaves", "n_galls", "aut", "expansion",
+                                              "scan")
     cherry = Internal(LEAF, LEAF)
     assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
     assert not hasattr(cherry, "__dict__")
@@ -580,6 +583,121 @@ def test_flat_expansion_reports_invalid_structures_like_the_recursive_one():
         _assert_matches_reference(parse_text(_mirror_text(s)))
         for c, violations in want.items():
             assert validate(s, c).violations == violations, (dump_text(s), c)
+
+
+# -- validation from kept scans ------------------------------------------------
+
+
+def test_validate_matches_the_full_pass():
+    # every n <= 6 structure and its mirror image, and invalid shapes alone,
+    # below a split and on a gall path, against every class: the verdict read
+    # off the own records and the children's scans is the full pass's report
+    broken = GallTop((), (), LEAF)
+    invalid = [broken, Internal(broken, LEAF), GallTop((broken,), (LEAF,), LEAF),
+               GallTop((LEAF,), (LEAF,), GallTop((LEAF,), (), Internal(LEAF, LEAF)))]
+    checked = 0
+    for s in itertools.chain(_generated(), invalid):
+        for x in (s, parse_text(_mirror_text(s))):
+            for c in NetworkClass:
+                assert validate(x, c) == _report(x, c, _expansion(x)), (dump_text(x), c)
+                checked += 1
+    assert checked == 12714 + 6 * len(invalid)
+
+
+def test_kept_scans_match_a_survey_of_the_kept_records(monkeypatch):
+    # a kept node's scan is summed from its own records and its children's
+    # scans, with no survey of all its records unless that fails; such a
+    # survey must find the same
+    import galledtrees.oracle as oracle_module
+
+    full_survey = oracle_module._scan
+    surveyed = []
+    monkeypatch.setattr(oracle_module, "_scan", lambda e: surveyed.append(e) or full_survey(e))
+    oracle_module.clear_cache()
+    try:
+        for s in _generated():
+            if s is LEAF:
+                continue
+            validate(Internal(s, LEAF), NetworkClass.GENERAL)
+            assert surveyed == [] and s.scan == full_survey(s.expansion), dump_text(s)
+            assert oracle_module._SCANS[s.scan] is s.scan
+        broken = GallTop((), (), LEAF)  # its doubled top-reticulation edge fails the own checks
+        validate(GallTop((broken,), (LEAF,), LEAF), NetworkClass.GENERAL)
+        assert surveyed == [broken.expansion] and not broken.scan[0]
+    finally:
+        oracle_module.clear_cache()
+
+
+def test_a_walk_must_stay_within_the_records_given():
+    # node 3 is a reticulation whose chains meet at node 1, which is not among
+    # the records surveyed: its walk does not meet within them
+    import galledtrees.oracle as oracle_module
+
+    recs = {1: ((1,), (1, 5)), 2: ((1, 2), (1,))}
+    _, ret_nodes, faults, _, cycles, unmet, _, _ = oracle_module._survey(recs, recs, False)
+    assert (ret_nodes, faults, cycles, unmet) == ([3], [], [], [3])
+    recs[0] = ((), (1, 2))
+    assert oracle_module._survey(recs, recs, True)[4] == [(3, [2, 1], [1])]
+
+
+def test_a_second_validation_reads_only_the_own_records(monkeypatch):
+    # once a structure's children are kept, validating it again runs the
+    # checks over the records its own node makes and nothing else, and
+    # interns no new scan
+    import galledtrees.oracle as oracle_module
+
+    surveyed = []
+    survey = oracle_module._survey
+
+    def counted(recs, indices, rooted):
+        surveyed.append(len(recs))
+        return survey(recs, indices, rooted)
+
+    monkeypatch.setattr(oracle_module, "_survey", counted)
+    checked = 0
+    for cls in NetworkClass:
+        for n in range(2, 7):
+            for s in generate_all(cls, n):
+                assert validate(s, cls).ok
+                surveyed.clear()
+                scans = len(oracle_module._SCANS)
+                assert validate(s, cls).ok
+                own = 1 if isinstance(s, Internal) else 2 + len(s.left_seq) + len(s.right_seq)
+                assert surveyed == [own] and own < len(_expansion(s)), dump_text(s)
+                assert len(oracle_module._SCANS) == scans
+                checked += 1
+    assert checked == sum(len(generate_all(c, n)) for c in NetworkClass for n in range(2, 7))
+
+
+def test_deep_structures_validate():
+    # expansions are kept from an explicit stack, so validation does not
+    # recurse: 600-deep splits and galls validate, and text nested past the
+    # parser's recursion is refused with its depth
+    import galledtrees.oracle as oracle_module
+
+    try:
+        for text, want in (("(x," * 600 + "x" + ")" * 600, (601, 0, [])),
+                           ("[x|x;" * 600 + "x" + "]" * 600, (1201, 600, []))):
+            s = parse_text(text)
+            for c in (NetworkClass.GENERAL, NetworkClass.TIME_CONSISTENT):
+                assert validate(s, c) == want
+        with pytest.raises(ValueError, match="3000 levels deep"):
+            parse_text("(x," * 3000 + "x" + ")" * 3000)
+        with pytest.raises(ValueError, match="3000 levels deep"):
+            parse_text("[x|x;" * 3000 + "x" + "]" * 3000)
+    finally:
+        oracle_module.clear_cache()
+
+
+def test_explicit_labeling_refuses_a_wrong_or_unguarded_n(monkeypatch):
+    cherry = Internal(LEAF, LEAF)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="leaf count"):
+            count_labelings_explicit(cherry, n)
+    assert count_labelings_explicit(cherry, 2) == 1
+    monkeypatch.setenv("GALLED_MAX_N", "3")
+    with pytest.raises(ValueError, match="brute-force guard"):
+        count_labelings_explicit(parse_text("((x,x),(x,x))"), 4)
 
 
 # -- generation by (n, g) ------------------------------------------------------
