@@ -25,11 +25,14 @@ keeps its expansion, with its records interned, and a parent's expansion is
 its own records joined with its children's.  Beside its expansion each kept
 child carries its scan, what the checks find in its records: whether they
 are clean, its leaf and reticulation tallies, and whether a gall path is
-short or a reticulation's child is not a leaf.  Validation runs the checks
-over the records a structure's own node makes and adds up its children's
-scans; the full pass over the whole expansion runs only for a report that
-is not clean, to word it.  A structure validated on its own is not kept:
-the full pass's new records stay plain tuples and are dropped with it.
+short or a reticulation's child is not a leaf.  The records a structure's
+own node makes depend only on its shape: its kind and its children's
+expansion lengths.  So the checks over them run once per shape, and a table
+keeps what they found.  Validation reads a structure's own check from that
+table and adds up its children's scans; the full pass over the whole
+expansion runs only for a report that is not clean, to word it.  A
+structure validated on its own is not kept: the full pass's new records
+stay plain tuples and are dropped with it.
 Expansions belong to node objects, which fix the plane orientation, and are
 never shared by canonical key: a mirror image has the same key but other
 node numbers.
@@ -76,10 +79,12 @@ LEAF = Leaf()
 
 # Internal and GallTop are frozen: their fields are set once, in __init__,
 # through the slot descriptors' own __set__ methods, bound once below each
-# class.  The stored key, tallies, automorphism order, DAG expansion and scan
-# stay out of ==, hash and repr, which compare and show the structure alone.
-# The expansion and its scan are filled lazily, together, the first time the
-# node is expanded as a child.
+# class.  The stored tallies, automorphism order, DAG expansion and scan stay
+# out of ==, hash and repr, which compare and show the structure alone; hash
+# reads the stored key, which equal structures share (a mirror image shares
+# it too, and only collides), so that no depth is out of its reach.  The
+# expansion and its scan are filled lazily, together, the first time the node
+# is expanded as a child.
 
 
 class _Frozen:
@@ -119,7 +124,7 @@ class Internal(_Frozen):
         return (self.left, self.right) == (other.left, other.right)
 
     def __hash__(self):
-        return hash((self.left, self.right))
+        return hash(self.key)
 
     def __repr__(self):
         return f"Internal(left={self.left!r}, right={self.right!r})"
@@ -160,7 +165,7 @@ class GallTop(_Frozen):
                 == (other.left_seq, other.right_seq, other.ret_child))
 
     def __hash__(self):
-        return hash((self.left_seq, self.right_seq, self.ret_child))
+        return hash(self.key)
 
     def __repr__(self):
         return (f"GallTop(left_seq={self.left_seq!r}, right_seq={self.right_seq!r}, "
@@ -224,20 +229,32 @@ def _keys(seq) -> Tuple[bytes, ...]:
 
 
 def canonicalize(s):
-    """Structurally reorder children into the canonical orientation."""
-    if isinstance(s, Leaf):
-        return LEAF
-    if isinstance(s, Internal):
-        a, b = canonicalize(s.left), canonicalize(s.right)
-        if b.key < a.key:
-            a, b = b, a
-        return Internal(a, b)
-    ls = tuple(canonicalize(x) for x in s.left_seq)
-    rs = tuple(canonicalize(x) for x in s.right_seq)
-    kls, krs = _keys(ls), _keys(rs)
-    if krs < kls:
-        ls, rs, kls, krs = rs, ls, krs, kls
-    return GallTop(ls, rs, canonicalize(s.ret_child), _encode_paths(ls, rs, kls, krs))
+    """Structurally reorder children into the canonical orientation.  The
+    walk keeps its own stack, so no depth is out of its reach."""
+    done = []  # the canonical forms of the nodes finished so far, in order
+    stack = [(s, False)]
+    while stack:
+        x, ready = stack.pop()
+        if isinstance(x, Leaf):
+            done.append(LEAF)
+        elif not ready:  # its children first; they finish in preorder
+            stack.append((x, True))
+            stack.extend((c, False) for c in reversed(_children(x)))
+        elif isinstance(x, Internal):
+            b, a = done.pop(), done.pop()
+            if b.key < a.key:
+                a, b = b, a
+            done.append(Internal(a, b))
+        else:
+            k = len(x.left_seq) + len(x.right_seq) + 1
+            *pieces, rc = done[-k:]
+            del done[-k:]
+            ls, rs = tuple(pieces[:len(x.left_seq)]), tuple(pieces[len(x.left_seq):])
+            kls, krs = _keys(ls), _keys(rs)
+            if krs < kls:
+                ls, rs, kls, krs = rs, ls, krs, kls
+            done.append(GallTop(ls, rs, rc, _encode_paths(ls, rs, kls, krs)))
+    return done[0]
 
 
 # -- generation ---------------------------------------------------------------
@@ -378,10 +395,19 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
 # n <= 7 is validated).  Beside it, its `scan` slot keeps what the checks
 # find in those records, its root read with one parent: scans are interned
 # too, and the n = 7 validation of every class keeps 2,116 of them with 45
-# distinct values.  A scan is summed up from the checks over the node's own records
-# and its children's scans (`_tally`), and `validate` reads a structure the
-# same way.  Only a structure they do not pass gets the full pass over its
-# whole expansion (`_report`), which words the report; that expansion is
+# distinct values.  A scan is summed up from the node's own check and its
+# children's scans (`_tally`), and `validate` reads a structure the same way.
+# The own check is what the checks find in the records the node itself
+# makes, and those records follow from its shape alone: a split's root is
+# ((), (1, 1 + len(left.expansion))), and a gall's top, reticulation and path
+# nodes follow from its left path's piece count and its pieces' expansion
+# lengths, in order.  So `_OWN`, keyed by (rooted, shape), holds each own
+# check, `_own_check` filling an entry from `_layout`'s records the first
+# time its shape is seen.  Validating every structure with n <= 7 against
+# its class fills 491 entries, 360 rooted and 131 for kept children;
+# `_CHECKS` interns the 12 distinct checks among them, so the table costs
+# little memory.  Only a structure they do not pass gets the full pass over
+# its whole expansion (`_report`), which words the report; that expansion is
 # built for the call and dropped, its new records plain tuples, never
 # interned.
 
@@ -389,6 +415,10 @@ _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
 _RECORDS: Dict[_Record, _Record] = {}
 _Scan = Tuple[bool, int, int, bool, bool]  # clean, leaves, reticulations, short, below
 _SCANS: Dict[_Scan, _Scan] = {}
+_OwnCheck = Tuple[int, int, bool, Tuple[int, ...]]  # leaves, reticulations, short, below at
+_OWN: Dict[Tuple, Optional[_OwnCheck]] = {}
+_CHECKS: Dict[Optional[_OwnCheck], Optional[_OwnCheck]] = {}
+_UNSEEN = object()
 _GENERAL, _TIME_CONSISTENT = NetworkClass.GENERAL, NetworkClass.TIME_CONSISTENT
 
 
@@ -408,6 +438,13 @@ def _expansion(s) -> Sequence[_Record]:
     return _join(*_layout(s)) if e is None else e
 
 
+def _children(s) -> Tuple:
+    """The children of a split or gall node, in preorder."""
+    if s.__class__ is Internal:
+        return s.left, s.right
+    return s.left_seq + s.right_seq + (s.ret_child,)
+
+
 def _kept(s) -> Tuple[_Record, ...]:
     """The expansion of s, a node used as a child, kept on it with its scan.
     Every descendant still without them is kept first, from an explicit
@@ -421,8 +458,8 @@ def _kept(s) -> Tuple[_Record, ...]:
             stack.pop()
             continue
         depth = len(stack)
-        for c in ((x.left, x.right) if x.__class__ is Internal
-                  else x.left_seq + x.right_seq + (x.ret_child,)):
+        cs = _children(x)
+        for c in cs:
             if c.expansion is None:
                 stack.append(c)
         if len(stack) > depth:
@@ -437,8 +474,7 @@ def _kept(s) -> Tuple[_Record, ...]:
         for i, _, _ in placed:
             out[i] = intern(out[i], out[i])
         e = tuple(out)
-        own[0] = ((1,), own[0][1])  # the root's one parent, outside its records
-        scan = _tally(own, placed, False) or _scan(e)
+        scan = _tally(x, cs, False) or _scan(e)
         object.__setattr__(x, "expansion", e)
         object.__setattr__(x, "scan", _SCANS.setdefault(scan, scan))
     return s.expansion
@@ -600,31 +636,68 @@ def _scan(e: Tuple[_Record, ...]) -> _Scan:
     return clean, n_leaf_nodes, len(ret_nodes), bool(short), below
 
 
-def _tally(own: Dict[int, _Record], placed, rooted: bool) -> Optional[_Scan]:
-    """The scan `_scan` finds, read off the checks over a node's own records
-    (laid out as own, placed) and its children's scans; rooted as in
-    `_survey`.  None unless the own records pass the checks, the own
-    reticulation's walk stays on them, its child is a child's root and every
-    child is clean: the full survey or pass then decides."""
+def _own_check(s, rooted: bool) -> Optional[_OwnCheck]:
+    """What the checks find in the records s's own node makes, laid out by
+    `_layout`; rooted as in `_survey`.  (leaf tally, reticulation tally,
+    short, the positions among s's children of those whose roots are an own
+    reticulation's child), or None unless the own records pass the checks,
+    each own reticulation's walk stays on them and its child is a child's
+    root: the full survey or pass then decides."""
+    own, placed = _layout(s)
+    if not rooted:
+        own[0] = ((1,), own[0][1])  # the root's one parent, outside its records
     n_leaf_nodes, ret_nodes, faults, parallel, _, unmet, shared, short = _survey(
         own, own, rooted)
     if faults or parallel or unmet or shared:
         return None
-    n_ret_nodes, short, below = len(ret_nodes), bool(short), False
-    ret_children = {r - 1 + own[r - 1][1][0] for r in ret_nodes} if ret_nodes else ()
-    for i, _, c in placed:
+    roots = [i for i, _, _ in placed]
+    below = []
+    for r in ret_nodes:
+        i = r - 1 + own[r - 1][1][0]
+        if i not in roots:
+            return None
+        below.append(roots.index(i))
+    return n_leaf_nodes, len(ret_nodes), bool(short), tuple(below)
+
+
+def _tally(s, cs, rooted: bool, short_ok: bool = True, below_ok: bool = True) -> Optional[_Scan]:
+    """The scan `_scan` finds, read off s's own check and the scans of cs,
+    its kept children; rooted as in `_survey`.  The own check comes from
+    `_OWN` by s's shape, `_own_check` filling the entry the first time that
+    shape is seen.  None unless the own check passes and every child is
+    clean; None too as soon as a short path shows, unless short_ok, or a
+    non-leaf below a reticulation, unless below_ok: the full survey or pass
+    then decides."""
+    # A split's shape is its left child's length, never 0; a gall's is the
+    # piece count of its left path, then each piece's length.  The two kinds
+    # never share a shape.
+    if s.__class__ is Internal:
+        shape = rooted, len(cs[0].expansion)
+    else:
+        shape = rooted, len(s.left_seq), *[len(c.expansion) for c in cs[:-1]]
+    check = _OWN.get(shape, _UNSEEN)
+    if check is _UNSEEN:
+        check = _own_check(s, rooted)
+        check = _OWN[shape] = _CHECKS.setdefault(check, check)
+    if check is None:
+        return None
+    n_leaf_nodes, n_ret_nodes, short, below_at = check
+    if short and not short_ok:
+        return None
+    below = False
+    for c in cs:
         clean, c_leaves, c_rets, c_short, c_below = c.scan
-        if not clean:
+        if not clean or c_short and not short_ok or c_below and not below_ok:
             return None
         n_leaf_nodes += c_leaves
         n_ret_nodes += c_rets
         short = short or c_short
         below = below or c_below
-        if i in ret_children:
-            ret_children.discard(i)
-            below = below or bool(c.expansion[0][1])
-    if ret_children:
-        return None
+    for k in below_at:
+        if cs[k].expansion[0][1]:
+            if not below_ok:
+                return None
+            below = True
     return True, n_leaf_nodes, n_ret_nodes, short, below
 
 
@@ -638,24 +711,27 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     offset, so parent chains strictly decrease, and a gall's top is found by
     a merge walk up the reticulation's two chains that steps the one at the
     higher node number until they meet; no chain is climbed past the top.
-    The checks run over the records s's own node makes, and its children's
-    scans stand in for their kept records; the full pass over the whole
-    expansion runs only for a report that is not clean.  The flags decide
-    the class: general ignores short paths and non-leaves below a
-    reticulation, time-consistent rejects the first, simplex both.
+    The checks over the records s's own node makes are read from a table
+    keyed by s's shape, and its children's scans stand in for their kept
+    records; the full pass over the whole expansion runs only for a report
+    that is not clean.  The flags decide the class: general ignores short
+    paths and non-leaves below a reticulation, time-consistent rejects the
+    first, simplex both.
     Violation texts quote node numbers, and these follow the structure's own
     orientation: a mirror image has the same canonical key but numbers its
     nodes differently, which is why expansions are kept per node object and
     never per key."""
     if s.__class__ is Leaf:
         return _report(s, network_class, s.expansion)
-    own, placed = _layout(s)
-    scan = _tally(own, placed, True)
-    if (scan is not None and scan[1] == s.n_leaves and scan[2] == s.n_galls
-            and (network_class is _GENERAL or not scan[3]
-                 and (network_class is _TIME_CONSISTENT or not scan[4]))):
+    cs = _children(s)
+    for c in cs:
+        if c.expansion is None:
+            _kept(c)
+    short_ok = network_class is _GENERAL
+    scan = _tally(s, cs, True, short_ok, short_ok or network_class is _TIME_CONSISTENT)
+    if scan is not None and scan[1] == s.n_leaves and scan[2] == s.n_galls:
         return ValidationReport(s.n_leaves, s.n_galls, [])
-    return _report(s, network_class, _join(own, placed))
+    return _report(s, network_class, _expansion(s))
 
 
 def _report(s, network_class: NetworkClass, recs: Sequence[_Record]) -> ValidationReport:
@@ -775,14 +851,28 @@ def count_labelings_explicit(s, n: int) -> int:
 
 
 def dump_text(s) -> str:
-    """Parenthesized form: leaf 'x', split '(A,B)', gall '[A,...|B,...;R]'."""
-    if isinstance(s, Leaf):
-        return "x"
-    if isinstance(s, Internal):
-        return f"({dump_text(s.left)},{dump_text(s.right)})"
-    ls = ",".join(dump_text(x) for x in s.left_seq)
-    rs = ",".join(dump_text(x) for x in s.right_seq)
-    return f"[{ls}|{rs};{dump_text(s.ret_child)}]"
+    """Parenthesized form: leaf 'x', split '(A,B)', gall '[A,...|B,...;R]'.
+    The walk keeps its own stack, so no depth is out of its reach."""
+    out = []
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+        elif isinstance(x, Leaf):
+            out.append("x")
+        elif isinstance(x, Internal):
+            out.append("(")
+            stack += ")", x.right, ",", x.left
+        else:
+            out.append("[")
+            stack += "]", x.ret_child, ";", *_commas(x.right_seq), "|", *_commas(x.left_seq)
+    return "".join(out)
+
+
+def _commas(seq) -> List:
+    """seq's items with commas between them, reversed for a stack."""
+    return [t for x in reversed(seq) for t in (x, ",")][:-1]
 
 
 def parse_text(text: str):
@@ -846,4 +936,6 @@ def clear_cache() -> None:
     _all_cache.clear()
     _RECORDS.clear()
     _SCANS.clear()
+    _OWN.clear()
+    _CHECKS.clear()
     _seq_cache.clear()

@@ -161,6 +161,9 @@ def test_canonicalization_idempotent_and_key_stable():
             c = canonicalize(parse_text(dump_text(s)))
             assert canonical_key(c) == canonical_key(s)
             assert canonical_key(canonicalize(c)) == canonical_key(s)
+            # the mirror image, split children and gall paths swapped,
+            # reorders to the same structure
+            assert canonicalize(parse_text(_mirror_text(s))) == c, dump_text(s)
 
 
 def test_gall_orientation_is_single_canonical_form():
@@ -343,12 +346,13 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     cherry = Internal(LEAF, LEAF)
     assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
     assert not hasattr(cherry, "__dict__")
-    # equal trees built separately: equal, with equal hashes over the structure alone
+    # equal trees built separately: equal, with equal hashes, read off the
+    # canonical key so that no depth is out of hash's reach
     a = parse_text("[(x,x)|x;[x|;x]]")
     b = GallTop((Internal(LEAF, LEAF),), (LEAF,), GallTop((LEAF,), (), LEAF))
     assert a is not b and a == b and hash(a) == hash(b)
-    assert hash(b) == hash((b.left_seq, b.right_seq, b.ret_child))
-    assert hash(cherry) == hash((LEAF, LEAF))
+    assert hash(b) == hash(canonical_key(b))
+    assert hash(cherry) == hash(canonical_key(cherry))
     assert repr(b) == (
         "GallTop(left_seq=(Internal(left=Leaf(), right=Leaf()),), right_seq=(Leaf(),), "
         "ret_child=GallTop(left_seq=(Leaf(),), right_seq=(), ret_child=Leaf()))"
@@ -640,33 +644,61 @@ def test_a_walk_must_stay_within_the_records_given():
     assert oracle_module._survey(recs, recs, True)[4] == [(3, [2, 1], [1])]
 
 
-def test_a_second_validation_reads_only_the_own_records(monkeypatch):
-    # once a structure's children are kept, validating it again runs the
-    # checks over the records its own node makes and nothing else, and
-    # interns no new scan
+def test_each_own_check_is_surveyed_once_per_shape(monkeypatch):
+    # validating every n <= 6 structure surveys the records a structure's own
+    # node makes once per entry of the table of own checks, which is keyed by
+    # shape; a second pass surveys nothing and interns no scan
     import galledtrees.oracle as oracle_module
 
     surveyed = []
     survey = oracle_module._survey
 
     def counted(recs, indices, rooted):
-        surveyed.append(len(recs))
+        surveyed.append(rooted)
         return survey(recs, indices, rooted)
 
     monkeypatch.setattr(oracle_module, "_survey", counted)
-    checked = 0
-    for cls in NetworkClass:
-        for n in range(2, 7):
-            for s in generate_all(cls, n):
-                assert validate(s, cls).ok
-                surveyed.clear()
-                scans = len(oracle_module._SCANS)
-                assert validate(s, cls).ok
-                own = 1 if isinstance(s, Internal) else 2 + len(s.left_seq) + len(s.right_seq)
-                assert surveyed == [own] and own < len(_expansion(s)), dump_text(s)
-                assert len(oracle_module._SCANS) == scans
-                checked += 1
-    assert checked == sum(len(generate_all(c, n)) for c in NetworkClass for n in range(2, 7))
+    oracle_module.clear_cache()
+    try:
+        pairs = [(s, cls) for cls in NetworkClass for n in range(2, 7)
+                 for s in generate_all(cls, n)]
+        assert all(validate(s, cls).ok for s, cls in pairs)
+        own = len(oracle_module._OWN)
+        assert len(surveyed) == own and True in surveyed and False in surveyed
+        surveyed.clear()
+        scans = len(oracle_module._SCANS)
+        assert all(validate(s, cls).ok for s, cls in pairs)
+        assert surveyed == [] and len(oracle_module._SCANS) == scans
+        assert len(oracle_module._OWN) == own < len(pairs)
+    finally:
+        oracle_module.clear_cache()
+
+
+def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
+    # the own records of [x|x;x] and [x|x;(x,x)] are the same, so the second
+    # reads the first's own check; the subtree below the reticulation still
+    # decides the simplex verdict
+    import galledtrees.oracle as oracle_module
+
+    checked = []
+    own_check = oracle_module._own_check
+
+    def counted(s, rooted):
+        checked.append((dump_text(s), rooted))
+        return own_check(s, rooted)
+
+    monkeypatch.setattr(oracle_module, "_own_check", counted)
+    oracle_module.clear_cache()
+    try:
+        a, b = parse_text("[x|x;x]"), parse_text("[x|x;(x,x)]")
+        assert validate(a, NetworkClass.SIMPLEX_TC).ok
+        assert validate(b, NetworkClass.SIMPLEX_TC).violations == [
+            "reticulation 2: subtree below it is not a single leaf"]
+        assert validate(b, NetworkClass.TIME_CONSISTENT).ok
+        assert checked == [("[x|x;x]", True), ("(x,x)", False)]
+        assert sum(rooted for rooted, *_ in oracle_module._OWN) == 1
+    finally:
+        oracle_module.clear_cache()
 
 
 def test_deep_structures_validate():
@@ -687,6 +719,23 @@ def test_deep_structures_validate():
             parse_text("[x|x;" * 3000 + "x" + "]" * 3000)
     finally:
         oracle_module.clear_cache()
+
+
+def test_deep_structures_print_canonicalize_and_hash():
+    # dump_text, canonicalize and hash keep no recursion of their own, so
+    # 1500-deep split and gall chains, past the interpreter's recursion limit,
+    # go through them; parse_text still refuses the text with its depth
+    split, gall = LEAF, LEAF
+    for _ in range(1500):
+        split, gall = Internal(split, LEAF), GallTop((LEAF,), (LEAF,), gall)
+    for s, text in ((split, "(" * 1500 + "x" + ",x)" * 1500),
+                    (gall, "[x|x;" * 1500 + "x" + "]" * 1500)):
+        assert dump_text(s) == text
+        c = canonicalize(s)
+        assert canonical_key(c) == canonical_key(s) and dump_text(c) == text
+        assert hash(c) == hash(s) == hash(canonical_key(s))
+        with pytest.raises(ValueError, match="1500 levels deep"):
+            parse_text(text)
 
 
 def test_explicit_labeling_refuses_a_wrong_or_unguarded_n(monkeypatch):
