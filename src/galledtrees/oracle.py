@@ -9,9 +9,9 @@ galls, a split dividing g between its two subtrees and a root gall spending
 one gall and dividing the rest between its reticulation subtree and its two
 paths.  A caller that asks for one gall count builds only the buckets that
 count reaches, and `generate_all(cls, n)` merges the buckets of one n.  Each
-node carries its canonical key, its leaf and gall tallies and its
-automorphism order, computed once when it is built from its children's
-stored fields.
+node carries its canonical key, its leaf and gall tallies, its automorphism
+order and its DAG's record count, computed once when it is built from its
+children's stored fields.
 Validation is deliberately independent of that algebra: a structure is
 expanded to an explicit node/edge DAG and checked against the degree and
 reticulation-cycle conditions directly, so the halving factors and
@@ -20,21 +20,17 @@ something that knows nothing about them.
 
 The DAG is a flat list of per-node records in preorder, each the node's
 parent and child offsets relative to itself.  Relative offsets make a
-subtree's records the same wherever it sits, so each node used as a child
-keeps its expansion, with its records interned, and a parent's expansion is
-its own records joined with its children's.  Beside its expansion each kept
-child carries its scan, what the checks find in its records: whether they
-are clean, its leaf and reticulation tallies, and whether a gall path is
-short or a reticulation's child is not a leaf.  The records a structure's
-own node makes depend only on its shape: its kind and its children's
-expansion lengths.  So the checks over them run once per shape, and a table
-keeps what they found.  Validation reads a structure's own check from that
-table and adds up its children's scans; the full pass over the whole
-expansion runs only for a report that is not clean, to word it.  A
-structure validated on its own is not kept: the full pass's new records
-stay plain tuples and are dropped with it.
-Expansions belong to node objects, which fix the plane orientation, and are
-never shared by canonical key: a mirror image has the same key but other
+subtree's records the same wherever it sits, and the records a structure's
+own node makes depend only on its shape: its kind and its children's record
+counts.  So the checks over them run once per shape, and a table keeps what
+they found.  Each node used as a child keeps no records, only its scan, what
+the checks find in its records: whether they are clean, its leaf and
+reticulation tallies, and whether a gall path is short or a reticulation's
+child is not a leaf.  Validation reads a structure's own check from that
+table and adds up its children's scans.  The full pass lays out the whole
+DAG, and drops it after the call, only to word a report that is not clean
+or to scan a child that is not clean.  Its node numbers follow the plane
+orientation of the node objects: a mirror image has the same key but other
 node numbers.
 
 Preorder numbering gives every node with exactly one parent a parent with a
@@ -64,7 +60,7 @@ class Leaf:
     n_leaves = 1
     n_galls = 0
     aut = 1
-    expansion = (((), ()),)
+    size = 1
     scan = (True, 1, 0, False, False)
 
     def __repr__(self):
@@ -79,16 +75,25 @@ LEAF = Leaf()
 
 # Internal and GallTop are frozen: their fields are set once, in __init__,
 # through the slot descriptors' own __set__ methods, bound once below each
-# class.  The stored tallies, automorphism order, DAG expansion and scan stay
-# out of ==, hash and repr, which compare and show the structure alone; hash
+# class.  The stored tallies, automorphism order, record count and scan stay
+# out of ==, hash and repr, which compare and show the structure alone.  hash
 # reads the stored key, which equal structures share (a mirror image shares
-# it too, and only collides), so that no depth is out of its reach.  The
-# expansion and its scan are filled lazily, together, the first time the node
-# is expanded as a child.
+# it too, and only collides); == compares the key, then `dump_text`, which
+# keeps each orientation, so a mirror image stays unequal.  Neither recurses,
+# so no depth is out of their reach.  The scan is filled lazily, the first
+# time the node is validated as a child.
 
 
 class _Frozen:
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key and dump_text(self) == dump_text(other)
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -103,7 +108,7 @@ def _slot_setters(cls):
 
 
 class Internal(_Frozen):
-    __slots__ = ("left", "right", "key", "n_leaves", "n_galls", "aut", "expansion", "scan")
+    __slots__ = ("left", "right", "key", "n_leaves", "n_galls", "aut", "size", "scan")
 
     def __init__(self, left, right):
         a, b = left.key, right.key
@@ -115,16 +120,8 @@ class Internal(_Frozen):
         _i_leaves(self, left.n_leaves + right.n_leaves)
         _i_galls(self, left.n_galls + right.n_galls)
         _i_aut(self, left.aut * right.aut * (2 if a == b else 1))
-        _i_expansion(self, None)
+        _i_size(self, 1 + left.size + right.size)
         _i_scan(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is not Internal:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"Internal(left={self.left!r}, right={self.right!r})"
@@ -133,20 +130,20 @@ class Internal(_Frozen):
         return Internal, (self.left, self.right)
 
 
-(_i_left, _i_right, _i_key, _i_leaves, _i_galls, _i_aut, _i_expansion,
+(_i_left, _i_right, _i_key, _i_leaves, _i_galls, _i_aut, _i_size,
  _i_scan) = _slot_setters(Internal)
 
 
 class GallTop(_Frozen):
     __slots__ = ("left_seq", "right_seq", "ret_child", "key", "n_leaves", "n_galls", "aut",
-                 "expansion", "scan")
+                 "size", "scan")
 
     def __init__(self, left_seq, right_seq, ret_child, paths: Optional[_Paths] = None):
         """paths is the two paths' encoding, from _encode_paths; generation
         passes it in once for every reticulation subtree that shares the pair."""
         if paths is None:
             paths = _encode_paths(left_seq, right_seq)
-        body, n_leaves, n_galls, aut = paths
+        body, n_leaves, n_galls, aut, size = paths
         rk = ret_child.key
         _g_left_seq(self, left_seq)
         _g_right_seq(self, right_seq)
@@ -155,17 +152,8 @@ class GallTop(_Frozen):
         _g_leaves(self, n_leaves + ret_child.n_leaves)
         _g_galls(self, 1 + n_galls + ret_child.n_galls)
         _g_aut(self, aut * ret_child.aut)
-        _g_expansion(self, None)
+        _g_size(self, size + ret_child.size)
         _g_scan(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is not GallTop:
-            return NotImplemented
-        return ((self.left_seq, self.right_seq, self.ret_child)
-                == (other.left_seq, other.right_seq, other.ret_child))
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return (f"GallTop(left_seq={self.left_seq!r}, right_seq={self.right_seq!r}, "
@@ -176,17 +164,18 @@ class GallTop(_Frozen):
 
 
 (_g_left_seq, _g_right_seq, _g_ret_child, _g_key, _g_leaves, _g_galls, _g_aut,
- _g_expansion, _g_scan) = _slot_setters(GallTop)
+ _g_size, _g_scan) = _slot_setters(GallTop)
 
 
-_Paths = Tuple[bytes, int, int, int]
+_Paths = Tuple[bytes, int, int, int, int]
 
 
 def _encode_paths(left_seq, right_seq, kls=None, krs=None) -> _Paths:
     """A gall's share of its key and tallies that comes from its two paths:
     the two key sequences in the lexicographically smaller orientation, each
-    length-prefixed, and the paths' leaf, gall and automorphism tallies, the
-    last doubled when swapping the paths is an automorphism.  kls and krs are
+    length-prefixed, the paths' leaf, gall and automorphism tallies, the
+    last doubled when swapping the paths is an automorphism, and the record
+    count of the gall without its reticulation's subtree.  kls and krs are
     the paths' key tuples, when the caller has them."""
     if kls is None:
         kls, krs = _keys(left_seq), _keys(right_seq)
@@ -196,11 +185,13 @@ def _encode_paths(left_seq, right_seq, kls=None, krs=None) -> _Paths:
     body = _blob(bytes([len(kls)]) + b"".join(map(_blob, kls)))
     body += _blob(bytes([len(krs)]) + b"".join(map(_blob, krs)))
     n_leaves = n_galls = 0
+    size = 2  # the top and the reticulation; each piece brings its path node
     for x in left_seq + right_seq:
         n_leaves += x.n_leaves
         n_galls += x.n_galls
         aut *= x.aut
-    return body, n_leaves, n_galls, aut
+        size += 1 + x.size
+    return body, n_leaves, n_galls, aut, size
 
 
 def leaves(s) -> int:
@@ -385,34 +376,30 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
 # record is the pair (parent offsets, child offsets), each offset relative to
 # v: its parents are v - o and its children v + o, in the order the edges are
 # made.  Relative offsets make a subtree's records the same wherever it sits,
-# so a node's expansion is the records its own node makes (a split's root; a
-# gall's top, reticulation and path nodes), laid out by `_layout`, joined with
-# its children's, each child's root record gaining its one parent offset.
+# so the records a structure's own node makes (a split's root; a gall's top,
+# reticulation and path nodes), laid out by `_layout`, follow from its shape
+# alone: a split's root is ((), (1, 1 + left.size)), and a gall's top,
+# reticulation and path nodes follow from its left path's piece count and its
+# pieces' sizes, in order, a node's size being its record count, stored when
+# it is built.  `_expansion` lays out a whole DAG, node by node, each child's
+# root gaining its one parent offset.
 #
-# A node used as a child keeps its expansion in its `expansion` slot, as a
-# tuple of interned records (and with them their offset tuples): few distinct
-# ones occur (180 records over 59 offset tuples once every structure with
-# n <= 7 is validated).  Beside it, its `scan` slot keeps what the checks
-# find in those records, its root read with one parent: scans are interned
-# too, and the n = 7 validation of every class keeps 2,116 of them with 45
-# distinct values.  A scan is summed up from the node's own check and its
+# No records are kept.  A node used as a child keeps its `scan`: what the
+# checks find in its records, its root read with one parent.  Scans are
+# interned, and the n = 7 validation of every class keeps 2,116 of them with
+# 45 distinct values.  A scan is summed up from the node's own check and its
 # children's scans (`_tally`), and `validate` reads a structure the same way.
 # The own check is what the checks find in the records the node itself
-# makes, and those records follow from its shape alone: a split's root is
-# ((), (1, 1 + len(left.expansion))), and a gall's top, reticulation and path
-# nodes follow from its left path's piece count and its pieces' expansion
-# lengths, in order.  So `_OWN`, keyed by (rooted, shape), holds each own
-# check, `_own_check` filling an entry from `_layout`'s records the first
-# time its shape is seen.  Validating every structure with n <= 7 against
-# its class fills 491 entries, 360 rooted and 131 for kept children;
-# `_CHECKS` interns the 12 distinct checks among them, so the table costs
-# little memory.  Only a structure they do not pass gets the full pass over
-# its whole expansion (`_report`), which words the report; that expansion is
-# built for the call and dropped, its new records plain tuples, never
-# interned.
+# makes, so `_OWN`, keyed by (rooted, shape), holds each own check,
+# `_own_check` filling an entry from `_layout`'s records the first time its
+# shape is seen.  Validating every structure with n <= 7 against its class
+# fills 491 entries, 360 rooted and 131 for kept children; `_CHECKS` interns
+# the 12 distinct checks among them, so the table costs little memory.  Only
+# a structure they do not pass, or a child whose scan they cannot sum, gets
+# the full pass over its whole expansion (`_report` or `_scan`), laid out for
+# the call and dropped after it.
 
 _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
-_RECORDS: Dict[_Record, _Record] = {}
 _Scan = Tuple[bool, int, int, bool, bool]  # clean, leaves, reticulations, short, below
 _SCANS: Dict[_Scan, _Scan] = {}
 _OwnCheck = Tuple[int, int, bool, Tuple[int, ...]]  # leaves, reticulations, short, below at
@@ -432,10 +419,26 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
-def _expansion(s) -> Sequence[_Record]:
-    """The DAG records of s: its kept expansion, or a fresh one left unkept."""
-    e = s.expansion
-    return _join(*_layout(s)) if e is None else e
+def _expansion(s) -> List[_Record]:
+    """The DAG records of s, laid out whole from an explicit stack: `_layout`
+    once for each split or gall node, a leaf child's record written in
+    place."""
+    if s.__class__ is Leaf:
+        return [((), ())]
+    out: List = [None] * s.size
+    stack = [(0, (), s)]
+    while stack:
+        i, up, x = stack.pop()
+        own, placed = _layout(x)
+        for j, rec in own.items():
+            out[i + j] = rec
+        out[i] = (up, own[0][1])
+        for j, parent, c in placed:
+            if c.__class__ is Leaf:
+                out[i + j] = ((j - parent,), ())
+            else:
+                stack.append((i + j, (j - parent,), c))
+    return out
 
 
 def _children(s) -> Tuple:
@@ -445,51 +448,35 @@ def _children(s) -> Tuple:
     return s.left_seq + s.right_seq + (s.ret_child,)
 
 
-def _kept(s) -> Tuple[_Record, ...]:
-    """The expansion of s, a node used as a child, kept on it with its scan.
-    Every descendant still without them is kept first, from an explicit
-    stack: how deep a structure can be validated is bounded by memory, not by
-    recursion."""
-    intern = _RECORDS.setdefault
+def _kept(s) -> None:
+    """Fill the scan of s, a node used as a child, and first that of every
+    descendant still without one, bottom-up from an explicit stack: how deep
+    a structure can be validated is bounded by memory, not by recursion."""
     stack = [s]
     while stack:
         x = stack[-1]
-        if x.expansion is not None:  # a node pushed twice is kept once
+        if x.scan is not None:  # a node pushed twice is kept once
             stack.pop()
             continue
         depth = len(stack)
         cs = _children(x)
         for c in cs:
-            if c.expansion is None:
+            if c.scan is None:
                 stack.append(c)
         if len(stack) > depth:
             continue
         stack.pop()
-        # Only the own records and the children's roots are new: the rest of
-        # the children's records are interned already.
-        own, placed = _layout(x)
-        for i, rec in own.items():
-            own[i] = intern(rec, rec)
-        out = _join(own, placed)
-        for i, _, _ in placed:
-            out[i] = intern(out[i], out[i])
-        e = tuple(out)
-        scan = _tally(x, cs, False) or _scan(e)
-        object.__setattr__(x, "expansion", e)
+        scan = _tally(x, cs, False) or _scan(_expansion(x))
         object.__setattr__(x, "scan", _SCANS.setdefault(scan, scan))
-    return s.expansion
 
 
 def _layout(s) -> Tuple[Dict[int, _Record], List[Tuple[int, int, object]]]:
     """The records s's own node makes, keyed by record index, and where its
     children go, in preorder: (index of the child's root record, index of its
-    parent's record, child).  The children's expansions are kept."""
+    parent's record, child)."""
     if s.__class__ is Internal:
-        a, b = s.left, s.right
-        j = 1 + len(a.expansion or _kept(a))
-        if b.expansion is None:
-            _kept(b)
-        return {0: ((), (1, j))}, [(1, 0, a), (j, 0, b)]
+        j = 1 + s.left.size
+        return {0: ((), (1, j))}, [(1, 0, s.left), (j, 0, s.right)]
     # The top node is record 0 and its reticulation record 1, both filled in
     # once the paths are laid out; each path node's piece hangs one below it.
     own: Dict[int, _Record] = {}
@@ -502,32 +489,15 @@ def _layout(s) -> Tuple[Dict[int, _Record], List[Tuple[int, int, object]]]:
         last = len(seq) - 1
         for i, piece in enumerate(seq):
             w = n
-            n += 1 + len(piece.expansion or _kept(piece))
+            n += 1 + piece.size
             own[w] = ((w - prev,), (1, (n if i < last else 1) - w))
             placed.append((w + 1, w, piece))
             prev = w
         tails.append(prev)
     own[0] = ((), tuple(heads))
     own[1] = ((1 - tails[0], 1 - tails[1]), (n - 1,))
-    rc = s.ret_child
-    if rc.expansion is None:
-        _kept(rc)
-    placed.append((n, 1, rc))
+    placed.append((n, 1, s.ret_child))
     return own, placed
-
-
-def _join(own: Dict[int, _Record], placed) -> List[_Record]:
-    """The whole expansion of a layout: the own records with the children's
-    kept ones, each child's root gaining its one parent offset."""
-    end, _, last = placed[-1]
-    out: List = [None] * (end + len(last.expansion))
-    for i, rec in own.items():
-        out[i] = rec
-    for i, parent, c in placed:
-        e = c.expansion
-        out[i:i + len(e)] = e
-        out[i] = ((i - parent,), e[0][1])
-    return out
 
 
 def _build_dag(s) -> Tuple[List[List[int]], List[List[int]]]:
@@ -614,8 +584,8 @@ def _survey(recs, indices: Iterable[int], rooted: bool):
     return n_leaf_nodes, ret_nodes, faults, parallel, cycles, unmet, shared, short
 
 
-def _scan(e: Tuple[_Record, ...]) -> _Scan:
-    """The scan of a node, from a survey of all its kept records, its root
+def _scan(e: Sequence[_Record]) -> _Scan:
+    """The scan of a node, from a survey of all its records, e, its root
     given one parent just outside them: (clean, leaf tally, reticulation
     tally, short, below).  clean: every record has a legal degree and no
     repeated parent, every merge walk meets within the records and no two
@@ -668,13 +638,13 @@ def _tally(s, cs, rooted: bool, short_ok: bool = True, below_ok: bool = True) ->
     clean; None too as soon as a short path shows, unless short_ok, or a
     non-leaf below a reticulation, unless below_ok: the full survey or pass
     then decides."""
-    # A split's shape is its left child's length, never 0; a gall's is the
-    # piece count of its left path, then each piece's length.  The two kinds
+    # A split's shape is its left child's size, never 0; a gall's is the
+    # piece count of its left path, then each piece's size.  The two kinds
     # never share a shape.
     if s.__class__ is Internal:
-        shape = rooted, len(cs[0].expansion)
+        shape = rooted, cs[0].size
     else:
-        shape = rooted, len(s.left_seq), *[len(c.expansion) for c in cs[:-1]]
+        shape = rooted, len(s.left_seq), *[c.size for c in cs[:-1]]
     check = _OWN.get(shape, _UNSEEN)
     if check is _UNSEEN:
         check = _own_check(s, rooted)
@@ -694,7 +664,7 @@ def _tally(s, cs, rooted: bool, short_ok: bool = True, below_ok: bool = True) ->
         short = short or c_short
         below = below or c_below
     for k in below_at:
-        if cs[k].expansion[0][1]:
+        if cs[k].__class__ is not Leaf:
             if not below_ok:
                 return None
             below = True
@@ -712,20 +682,19 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     a merge walk up the reticulation's two chains that steps the one at the
     higher node number until they meet; no chain is climbed past the top.
     The checks over the records s's own node makes are read from a table
-    keyed by s's shape, and its children's scans stand in for their kept
-    records; the full pass over the whole expansion runs only for a report
-    that is not clean.  The flags decide the class: general ignores short
-    paths and non-leaves below a reticulation, time-consistent rejects the
-    first, simplex both.
+    keyed by s's shape, and its children's scans stand in for their records,
+    which are never kept; the full pass lays out the whole expansion and runs
+    only for a report that is not clean.  The flags decide the class:
+    general ignores short paths and non-leaves below a reticulation,
+    time-consistent rejects the first, simplex both.
     Violation texts quote node numbers, and these follow the structure's own
     orientation: a mirror image has the same canonical key but numbers its
-    nodes differently, which is why expansions are kept per node object and
-    never per key."""
+    nodes differently."""
     if s.__class__ is Leaf:
-        return _report(s, network_class, s.expansion)
+        return _report(s, network_class, _expansion(s))
     cs = _children(s)
     for c in cs:
-        if c.expansion is None:
+        if c.scan is None:
             _kept(c)
     short_ok = network_class is _GENERAL
     scan = _tally(s, cs, True, short_ok, short_ok or network_class is _TIME_CONSISTENT)
@@ -934,7 +903,6 @@ def _parse_seq(text, pos, terminator):
 def clear_cache() -> None:
     _gen_cache.clear()
     _all_cache.clear()
-    _RECORDS.clear()
     _SCANS.clear()
     _OWN.clear()
     _CHECKS.clear()

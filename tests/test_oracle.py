@@ -341,7 +341,7 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     # the slots are the structural fields, then the stored ones
     for cls, structural in ((Internal, ("left", "right")),
                             (GallTop, ("left_seq", "right_seq", "ret_child"))):
-        assert cls.__slots__ == structural + ("key", "n_leaves", "n_galls", "aut", "expansion",
+        assert cls.__slots__ == structural + ("key", "n_leaves", "n_galls", "aut", "size",
                                               "scan")
     cherry = Internal(LEAF, LEAF)
     assert repr(cherry) == "Internal(left=Leaf(), right=Leaf())"
@@ -360,10 +360,10 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     # the mirror image shares the key but is a different plane structure
     m = parse_text(_mirror_text(b))
     assert canonical_key(m) == canonical_key(b) and m != b
-    # a kept expansion changes none of that
+    # a kept scan changes none of that
     validate(b, NetworkClass.GENERAL)
-    assert b.ret_child.expansion is not None
-    assert a == b and hash(a) == hash(b) and "expansion" not in repr(b)
+    assert b.ret_child.scan is not None
+    assert a == b and hash(a) == hash(b) and "scan" not in repr(b)
     # the nodes are frozen: no field can be assigned or deleted
     for node in (cherry, b):
         for name in type(node).__slots__:
@@ -371,11 +371,11 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
                 setattr(node, name, None)
             with pytest.raises(AttributeError):
                 delattr(node, name)
-    assert b.ret_child.expansion is not None and cherry.left is LEAF
+    assert b.ret_child.scan is not None and cherry.left is LEAF
     # copying and pickling rebuild a node from its structural fields, down to the one LEAF
     for c in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert c is not b and c == b and canonical_key(c) == canonical_key(b)
-        assert c.expansion is None and c.ret_child.ret_child is LEAF
+        assert c.scan is None and c.ret_child.ret_child is LEAF
 
 
 # -- the flat expansion against the recursive one -----------------------------
@@ -532,29 +532,24 @@ def test_flat_expansion_matches_the_recursive_one_at_seven_leaves():
     assert checked == 430 * 2 * 3
 
 
-def test_unkept_and_kept_expansions_agree():
-    # a structure expanded on its own leaves its new records plain tuples;
-    # once it is a child its expansion is kept, its records interned, and it
-    # must describe the same DAG
+def test_sizes_count_the_records_and_a_kept_child_keeps_none():
+    # a node's stored size is its DAG's record count, and validating it as a
+    # child keeps only its scan: its DAG is laid out the same afterwards
     import galledtrees.oracle as oracle_module
 
     oracle_module.clear_cache()
     try:
-        for s in _generated():
-            if s is LEAF:  # its one record is a class constant, kept from the start
-                continue
-            unkept = _build_dag(s)
-            assert s.expansion is None, dump_text(s)
-            parent = Internal(s, LEAF)
-            validate(parent, NetworkClass.GENERAL)
-            assert all(oracle_module._RECORDS[r] is r for r in s.expansion), dump_text(s)
-            assert _build_dag(s) == unkept, dump_text(s)
-            # every child of s and of these parents is kept now: no new record
-            records = len(oracle_module._RECORDS)
-            for c in NetworkClass:
-                for x in (s, parent, Internal(LEAF, s), GallTop((s,), (LEAF,), LEAF)):
-                    validate(x, c)
-            assert len(oracle_module._RECORDS) == records, dump_text(s)
+        checked = 0
+        for cls in NetworkClass:
+            for n in range(1, 8):
+                for s in generate_all(cls, n):
+                    dag = _build_dag(s)
+                    assert s.size == len(dag[0]) - 1 == len(_expansion(s)), dump_text(s)
+                    assert dag == _reference_build_dag(s), dump_text(s)
+                    validate(Internal(s, LEAF), NetworkClass.GENERAL)
+                    assert s.scan is not None and _build_dag(s) == dag, dump_text(s)
+                    checked += 1
+        assert checked == 13553
     finally:
         oracle_module.clear_cache()
 
@@ -623,11 +618,11 @@ def test_kept_scans_match_a_survey_of_the_kept_records(monkeypatch):
             if s is LEAF:
                 continue
             validate(Internal(s, LEAF), NetworkClass.GENERAL)
-            assert surveyed == [] and s.scan == full_survey(s.expansion), dump_text(s)
+            assert surveyed == [] and s.scan == full_survey(_expansion(s)), dump_text(s)
             assert oracle_module._SCANS[s.scan] is s.scan
         broken = GallTop((), (), LEAF)  # its doubled top-reticulation edge fails the own checks
         validate(GallTop((broken,), (LEAF,), LEAF), NetworkClass.GENERAL)
-        assert surveyed == [broken.expansion] and not broken.scan[0]
+        assert surveyed == [_expansion(broken)] and not broken.scan[0]
     finally:
         oracle_module.clear_cache()
 
@@ -702,9 +697,9 @@ def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
 
 
 def test_deep_structures_validate():
-    # expansions are kept from an explicit stack, so validation does not
-    # recurse: 600-deep splits and galls validate, and text nested past the
-    # parser's recursion is refused with its depth
+    # scans are kept from an explicit stack, so validation does not recurse:
+    # 600-deep splits and galls validate, and text nested past the parser's
+    # recursion is refused with its depth
     import galledtrees.oracle as oracle_module
 
     try:
@@ -721,13 +716,46 @@ def test_deep_structures_validate():
         oracle_module.clear_cache()
 
 
+def _chains(depth):
+    split, gall = LEAF, LEAF
+    for _ in range(depth):
+        split, gall = Internal(split, LEAF), GallTop((LEAF,), (LEAF,), gall)
+    return split, gall
+
+
+def test_validating_deep_chains_keeps_memory_linear_in_the_depth():
+    # a kept child holds its scan and no records, so validating a 1500-deep
+    # split or gall chain stays under a 2 MiB peak
+    import tracemalloc
+
+    import galledtrees.oracle as oracle_module
+
+    split, gall = _chains(1500)
+    oracle_module.clear_cache()
+    try:
+        for s, want in ((split, (1501, 0, [])), (gall, (3001, 1500, []))):
+            tracemalloc.start()
+            try:
+                assert validate(s, NetworkClass.GENERAL) == want
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (dump_text(s)[:20], peak)
+    finally:
+        oracle_module.clear_cache()
+
+
 def test_deep_structures_print_canonicalize_and_hash():
-    # dump_text, canonicalize and hash keep no recursion of their own, so
+    # dump_text, canonicalize, hash and == keep no recursion of their own, so
     # 1500-deep split and gall chains, past the interpreter's recursion limit,
     # go through them; parse_text still refuses the text with its depth
-    split, gall = LEAF, LEAF
+    split, gall = _chains(1500)
+    split2, gall2 = _chains(1500)
+    assert split2 is not split and split2 == split and gall2 == gall and split != gall
+    mirror = LEAF  # the split chain with each split's children swapped
     for _ in range(1500):
-        split, gall = Internal(split, LEAF), GallTop((LEAF,), (LEAF,), gall)
+        mirror = Internal(LEAF, mirror)
+    assert canonical_key(mirror) == canonical_key(split) and mirror != split
     for s, text in ((split, "(" * 1500 + "x" + ",x)" * 1500),
                     (gall, "[x|x;" * 1500 + "x" + "]" * 1500)):
         assert dump_text(s) == text
