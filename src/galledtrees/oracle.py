@@ -20,16 +20,18 @@ something that knows nothing about them.
 
 The DAG is a flat list of per-node records in preorder, each the node's
 parent and child offsets relative to itself.  Relative offsets make a
-subtree's records the same wherever it sits, and the records a structure's
-own node makes depend only on its shape: its kind and its children's record
-counts.  So the checks over them run once per shape, and a table keeps what
-they found.  Each node used as a child keeps no records, only its scan, what
-the checks find in its records: whether they are clean, its leaf and
-reticulation tallies, and whether a gall path is short or a reticulation's
-child is not a leaf.  Validation reads a structure's own check from that
-table and adds up its children's scans.  The full pass lays out the whole
-DAG, and drops it after the call, only to word a report that is not clean
-or to scan a child that is not clean.  Its node numbers follow the plane
+subtree's records the same wherever it sits.  The records a structure's own
+node makes depend only on its kind and its children's record counts, and
+those counts only renumber them, keeping their order.  So the checks over
+them run once per topology -- rooted or not, a split or a gall with so many
+pieces on each path -- over the node of that topology whose children are
+all leaves, and a cache keeps what they found.  Each node used as a child
+keeps no records, only its scan, what the checks find in its records:
+whether they are clean, its leaf and reticulation tallies, and whether a
+gall path is short or a reticulation's child is not a leaf.  Validation
+reads a structure's own check from that cache and adds up its children's
+scans.  The full pass lays out the whole DAG, and drops it after the call,
+only to word a report that does not pass.  Its node numbers follow the plane
 orientation of the node objects: a mirror image has the same key but other
 node numbers.
 
@@ -43,6 +45,7 @@ node number, until they meet.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -377,12 +380,12 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
 # v: its parents are v - o and its children v + o, in the order the edges are
 # made.  Relative offsets make a subtree's records the same wherever it sits,
 # so the records a structure's own node makes (a split's root; a gall's top,
-# reticulation and path nodes), laid out by `_layout`, follow from its shape
-# alone: a split's root is ((), (1, 1 + left.size)), and a gall's top,
-# reticulation and path nodes follow from its left path's piece count and its
-# pieces' sizes, in order, a node's size being its record count, stored when
-# it is built.  `_expansion` lays out a whole DAG, node by node, each child's
-# root gaining its one parent offset.
+# reticulation and path nodes), laid out by `_layout`, follow from its kind
+# and its children's sizes alone: a split's root is ((), (1, 1 + left.size)),
+# and a gall's top, reticulation and path nodes follow from its left path's
+# piece count and its pieces' sizes, in order, a node's size being its
+# record count, stored when it is built.  `_expansion` lays out a whole DAG,
+# node by node, each child's root gaining its one parent offset.
 #
 # No records are kept.  A node used as a child keeps its `scan`: what the
 # checks find in its records, its root read with one parent.  Scans are
@@ -390,22 +393,26 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
 # 45 distinct values.  A scan is summed up from the node's own check and its
 # children's scans (`_tally`), and `validate` reads a structure the same way.
 # The own check is what the checks find in the records the node itself
-# makes, so `_OWN`, keyed by (rooted, shape), holds each own check,
-# `_own_check` filling an entry from `_layout`'s records the first time its
-# shape is seen.  Validating every structure with n <= 7 against its class
-# fills 491 entries, 360 rooted and 131 for kept children; `_CHECKS` interns
-# the 12 distinct checks among them, so the table costs little memory.  Only
-# a structure they do not pass, or a child whose scan they cannot sum, gets
-# the full pass over its whole expansion (`_report` or `_scan`), laid out for
-# the call and dropped after it.
+# makes, and it depends only on the node's topology: whether it is rooted,
+# and whether it is a split or a gall with so many pieces on each path.  The
+# children's sizes only renumber the own records, keeping their order, and
+# the checks read degrees, repeated parents, which of two nodes has the
+# higher number (the merge walk steps that one) and which child's root lies
+# below a reticulation, all of which an order-keeping renumbering leaves
+# alone.  So `_own_check`, cached by topology, surveys the records of the
+# node of that topology whose children are all leaves; validating every
+# structure with n <= 7 against its class surveys 34 of them.  A node whose
+# own check fails, or with a child that is not clean, is not clean and keeps
+# `_UNCLEAN`, whose other fields no one reads: it fails its parent's sum in
+# turn.  Only a structure whose sum fails or does not pass gets the full pass
+# over its whole expansion (`_report`), laid out for the call and dropped
+# after it.
 
 _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
 _Scan = Tuple[bool, int, int, bool, bool]  # clean, leaves, reticulations, short, below
 _SCANS: Dict[_Scan, _Scan] = {}
 _OwnCheck = Tuple[int, int, bool, Tuple[int, ...]]  # leaves, reticulations, short, below at
-_OWN: Dict[Tuple, Optional[_OwnCheck]] = {}
-_CHECKS: Dict[Optional[_OwnCheck], Optional[_OwnCheck]] = {}
-_UNSEEN = object()
+_UNCLEAN: _Scan = (False, 0, 0, False, False)  # a kept node's scan once it is not clean
 _GENERAL, _TIME_CONSISTENT = NetworkClass.GENERAL, NetworkClass.TIME_CONSISTENT
 
 
@@ -451,7 +458,8 @@ def _children(s) -> Tuple:
 def _kept(s) -> None:
     """Fill the scan of s, a node used as a child, and first that of every
     descendant still without one, bottom-up from an explicit stack: how deep
-    a structure can be validated is bounded by memory, not by recursion."""
+    a structure can be validated is bounded by memory, not by recursion.  A
+    node whose scan `_tally` cannot sum is not clean and gets `_UNCLEAN`."""
     stack = [s]
     while stack:
         x = stack[-1]
@@ -466,7 +474,7 @@ def _kept(s) -> None:
         if len(stack) > depth:
             continue
         stack.pop()
-        scan = _tally(x, cs, False) or _scan(_expansion(x))
+        scan = _tally(x, cs, False) or _UNCLEAN
         object.__setattr__(x, "scan", _SCANS.setdefault(scan, scan))
 
 
@@ -584,35 +592,19 @@ def _survey(recs, indices: Iterable[int], rooted: bool):
     return n_leaf_nodes, ret_nodes, faults, parallel, cycles, unmet, shared, short
 
 
-def _scan(e: Sequence[_Record]) -> _Scan:
-    """The scan of a node, from a survey of all its records, e, its root
-    given one parent just outside them: (clean, leaf tally, reticulation
-    tally, short, below).  clean: every record has a legal degree and no
-    repeated parent, every merge walk meets within the records and no two
-    cycles share a node; short: some gall path has fewer than 2 edges;
-    below: some reticulation's child is not a leaf."""
-    recs = dict(enumerate(e))
-    recs[0] = ((1,), e[0][1])
-    n_leaf_nodes, ret_nodes, faults, parallel, _, unmet, shared, short = _survey(
-        recs, recs, False)
-    clean = not (faults or parallel or unmet or shared)
-    below = False
-    for r in ret_nodes:
-        rec = recs.get(r - 1 + recs[r - 1][1][0])
-        if rec is None:
-            clean = False
-        elif rec[1]:
-            below = True
-    return clean, n_leaf_nodes, len(ret_nodes), bool(short), below
-
-
-def _own_check(s, rooted: bool) -> Optional[_OwnCheck]:
-    """What the checks find in the records s's own node makes, laid out by
-    `_layout`; rooted as in `_survey`.  (leaf tally, reticulation tally,
-    short, the positions among s's children of those whose roots are an own
-    reticulation's child), or None unless the own records pass the checks,
-    each own reticulation's walk stays on them and its child is a child's
-    root: the full survey or pass then decides."""
+@functools.lru_cache(maxsize=None)
+def _own_check(shape: Tuple) -> Optional[_OwnCheck]:
+    """What the checks find in the records a node of this topology makes,
+    shape being (rooted,) for a split and (rooted, left path length, right
+    path length) for a gall; rooted as in `_survey`.  The records are laid
+    out by `_layout` for the node of that topology whose children are all
+    leaves.  (leaf tally, reticulation tally, short, the positions among the
+    node's children of those whose roots are an own reticulation's child),
+    or None unless the own records pass the checks, each own reticulation's
+    walk stays on them and its child is a child's root: the node is then not
+    clean."""
+    rooted, *paths = shape
+    s = GallTop((LEAF,) * paths[0], (LEAF,) * paths[1], LEAF) if paths else Internal(LEAF, LEAF)
     own, placed = _layout(s)
     if not rooted:
         own[0] = ((1,), own[0][1])  # the root's one parent, outside its records
@@ -631,24 +623,15 @@ def _own_check(s, rooted: bool) -> Optional[_OwnCheck]:
 
 
 def _tally(s, cs, rooted: bool, short_ok: bool = True, below_ok: bool = True) -> Optional[_Scan]:
-    """The scan `_scan` finds, read off s's own check and the scans of cs,
-    its kept children; rooted as in `_survey`.  The own check comes from
-    `_OWN` by s's shape, `_own_check` filling the entry the first time that
-    shape is seen.  None unless the own check passes and every child is
-    clean; None too as soon as a short path shows, unless short_ok, or a
-    non-leaf below a reticulation, unless below_ok: the full survey or pass
-    then decides."""
-    # A split's shape is its left child's size, never 0; a gall's is the
-    # piece count of its left path, then each piece's size.  The two kinds
-    # never share a shape.
+    """The scan of s, read off the own check of its topology and the scans
+    of cs, its kept children; rooted as in `_survey`.  None when the own
+    check fails or a child is not clean, s then not being clean either; None
+    too as soon as a short path shows, unless short_ok, or a non-leaf below
+    a reticulation, unless below_ok: the full pass then decides."""
     if s.__class__ is Internal:
-        shape = rooted, cs[0].size
+        check = _own_check((rooted,))
     else:
-        shape = rooted, len(s.left_seq), *[c.size for c in cs[:-1]]
-    check = _OWN.get(shape, _UNSEEN)
-    if check is _UNSEEN:
-        check = _own_check(s, rooted)
-        check = _OWN[shape] = _CHECKS.setdefault(check, check)
+        check = _own_check((rooted, len(s.left_seq), len(s.right_seq)))
     if check is None:
         return None
     n_leaf_nodes, n_ret_nodes, short, below_at = check
@@ -681,12 +664,12 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     offset, so parent chains strictly decrease, and a gall's top is found by
     a merge walk up the reticulation's two chains that steps the one at the
     higher node number until they meet; no chain is climbed past the top.
-    The checks over the records s's own node makes are read from a table
-    keyed by s's shape, and its children's scans stand in for their records,
-    which are never kept; the full pass lays out the whole expansion and runs
-    only for a report that is not clean.  The flags decide the class:
-    general ignores short paths and non-leaves below a reticulation,
-    time-consistent rejects the first, simplex both.
+    The checks over the records s's own node makes are read from a cache
+    keyed by s's topology, and its children's scans stand in for their
+    records, which are never kept; the full pass lays out the whole
+    expansion and runs only for a report that does not pass.  The flags
+    decide the class: general ignores short paths and non-leaves below a
+    reticulation, time-consistent rejects the first, simplex both.
     Violation texts quote node numbers, and these follow the structure's own
     orientation: a mirror image has the same canonical key but numbers its
     nodes differently."""
@@ -904,6 +887,5 @@ def clear_cache() -> None:
     _gen_cache.clear()
     _all_cache.clear()
     _SCANS.clear()
-    _OWN.clear()
-    _CHECKS.clear()
+    _own_check.cache_clear()
     _seq_cache.clear()

@@ -57,9 +57,11 @@ def test_count_by_galls_published_rows():
 
 
 @pytest.mark.parametrize("ncls", list(NetworkClass))
-def test_oracle_matches_recursion_unlabeled(ncls):
+def test_oracle_matches_recursion_unlabeled(ncls, monkeypatch):
+    # n = 8 is the default brute-force guard
+    monkeypatch.delenv("GALLED_MAX_N", raising=False)
     spec = TreeClassSpec(ncls, Labeling.UNLABELED)
-    for n in range(1, 8):
+    for n in range(1, 9):
         hist = count_by_galls(ncls, n)
         for g in range(spec.max_galls(n) + 1):
             assert hist.get(g, 0) == count(spec, n, g), (ncls, n, g)
@@ -67,9 +69,10 @@ def test_oracle_matches_recursion_unlabeled(ncls):
 
 
 @pytest.mark.parametrize("ncls", list(NetworkClass))
-def test_oracle_matches_recursion_labeled(ncls):
+def test_oracle_matches_recursion_labeled(ncls, monkeypatch):
+    monkeypatch.delenv("GALLED_MAX_N", raising=False)
     spec = TreeClassSpec(ncls, Labeling.LEAF_LABELED)
-    for n in range(1, 6):
+    for n in range(1, 9):
         hist = labeled_count(ncls, n)
         for g in range(spec.max_galls(n) + 1):
             assert hist.get(g, 0) == count(spec, n, g), (ncls, n, g)
@@ -603,26 +606,54 @@ def test_validate_matches_the_full_pass():
     assert checked == 12714 + 6 * len(invalid)
 
 
-def test_kept_scans_match_a_survey_of_the_kept_records(monkeypatch):
-    # a kept node's scan is summed from its own records and its children's
-    # scans, with no survey of all its records unless that fails; such a
-    # survey must find the same
+def _reference_scan(e):
+    """The scan of a node from a survey of all its records, e, its root given
+    one parent just outside them: (clean, leaf tally, reticulation tally,
+    short, below).  clean: every record has a legal degree and no repeated
+    parent, every merge walk meets within the records and no two cycles share
+    a node; short: some gall path has fewer than 2 edges; below: some
+    reticulation's child is not a leaf."""
     import galledtrees.oracle as oracle_module
 
-    full_survey = oracle_module._scan
-    surveyed = []
-    monkeypatch.setattr(oracle_module, "_scan", lambda e: surveyed.append(e) or full_survey(e))
+    recs = dict(enumerate(e))
+    recs[0] = ((1,), e[0][1])
+    n_leaf_nodes, ret_nodes, faults, parallel, _, unmet, shared, short = oracle_module._survey(
+        recs, recs, False)
+    clean = not (faults or parallel or unmet or shared)
+    below = False
+    for r in ret_nodes:
+        rec = recs.get(r - 1 + recs[r - 1][1][0])
+        if rec is None:
+            clean = False
+        elif rec[1]:
+            below = True
+    return clean, n_leaf_nodes, len(ret_nodes), bool(short), below
+
+
+def test_kept_scans_match_a_survey_of_the_kept_records():
+    # a kept node's scan is summed from its own check and its children's
+    # scans, and a survey of all its records must find the same; a node that
+    # is not clean keeps the one unclean scan, which sends its parent to the
+    # full pass
+    import galledtrees.oracle as oracle_module
+
     oracle_module.clear_cache()
     try:
         for s in _generated():
             if s is LEAF:
                 continue
             validate(Internal(s, LEAF), NetworkClass.GENERAL)
-            assert surveyed == [] and s.scan == full_survey(_expansion(s)), dump_text(s)
+            assert s.scan == _reference_scan(_expansion(s)), dump_text(s)
             assert oracle_module._SCANS[s.scan] is s.scan
         broken = GallTop((), (), LEAF)  # its doubled top-reticulation edge fails the own checks
-        validate(GallTop((broken,), (LEAF,), LEAF), NetworkClass.GENERAL)
-        assert surveyed == [_expansion(broken)] and not broken.scan[0]
+        parent = GallTop((broken,), (LEAF,), LEAF)
+        for c in NetworkClass:
+            report = validate(parent, c)
+            assert report == _report(parent, c, _expansion(parent)) and not report.ok, c
+        validate(Internal(parent, LEAF), NetworkClass.GENERAL)
+        for x in (broken, parent):
+            assert x.scan == oracle_module._UNCLEAN and not x.scan[0], dump_text(x)
+            assert not _reference_scan(_expansion(x))[0], dump_text(x)
     finally:
         oracle_module.clear_cache()
 
@@ -641,8 +672,8 @@ def test_a_walk_must_stay_within_the_records_given():
 
 def test_each_own_check_is_surveyed_once_per_shape(monkeypatch):
     # validating every n <= 6 structure surveys the records a structure's own
-    # node makes once per entry of the table of own checks, which is keyed by
-    # shape; a second pass surveys nothing and interns no scan
+    # node makes once per miss of the own-check cache, which is keyed by
+    # topology; a second pass surveys nothing and interns no scan
     import galledtrees.oracle as oracle_module
 
     surveyed = []
@@ -658,19 +689,20 @@ def test_each_own_check_is_surveyed_once_per_shape(monkeypatch):
         pairs = [(s, cls) for cls in NetworkClass for n in range(2, 7)
                  for s in generate_all(cls, n)]
         assert all(validate(s, cls).ok for s, cls in pairs)
-        own = len(oracle_module._OWN)
-        assert len(surveyed) == own and True in surveyed and False in surveyed
+        info = oracle_module._own_check.cache_info()
+        assert len(surveyed) == info.misses == info.currsize
+        assert True in surveyed and False in surveyed
         surveyed.clear()
         scans = len(oracle_module._SCANS)
         assert all(validate(s, cls).ok for s, cls in pairs)
         assert surveyed == [] and len(oracle_module._SCANS) == scans
-        assert len(oracle_module._OWN) == own < len(pairs)
+        assert oracle_module._own_check.cache_info().misses == info.misses < len(pairs)
     finally:
         oracle_module.clear_cache()
 
 
 def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
-    # the own records of [x|x;x] and [x|x;(x,x)] are the same, so the second
+    # [x|x;x] and [x|x;(x,x)] are rooted galls of one topology, so the second
     # reads the first's own check; the subtree below the reticulation still
     # decides the simplex verdict
     import galledtrees.oracle as oracle_module
@@ -678,21 +710,23 @@ def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
     checked = []
     own_check = oracle_module._own_check
 
-    def counted(s, rooted):
-        checked.append((dump_text(s), rooted))
-        return own_check(s, rooted)
+    def counted(shape):
+        checked.append(shape)
+        return own_check(shape)
 
-    monkeypatch.setattr(oracle_module, "_own_check", counted)
     oracle_module.clear_cache()
+    monkeypatch.setattr(oracle_module, "_own_check", counted)
     try:
         a, b = parse_text("[x|x;x]"), parse_text("[x|x;(x,x)]")
         assert validate(a, NetworkClass.SIMPLEX_TC).ok
         assert validate(b, NetworkClass.SIMPLEX_TC).violations == [
             "reticulation 2: subtree below it is not a single leaf"]
         assert validate(b, NetworkClass.TIME_CONSISTENT).ok
-        assert checked == [("[x|x;x]", True), ("(x,x)", False)]
-        assert sum(rooted for rooted, *_ in oracle_module._OWN) == 1
+        assert checked == [(True, 1, 1), (False,), (True, 1, 1), (True, 1, 1)]
+        info = own_check.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
     finally:
+        monkeypatch.undo()
         oracle_module.clear_cache()
 
 
@@ -725,7 +759,9 @@ def _chains(depth):
 
 def test_validating_deep_chains_keeps_memory_linear_in_the_depth():
     # a kept child holds its scan and no records, so validating a 1500-deep
-    # split or gall chain stays under a 2 MiB peak
+    # split or gall chain stays under a 2 MiB peak; the own checks are keyed
+    # by topology, so the two chains fill 4 of them, rooted and not, however
+    # deep
     import tracemalloc
 
     import galledtrees.oracle as oracle_module
@@ -741,6 +777,7 @@ def test_validating_deep_chains_keeps_memory_linear_in_the_depth():
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20, (dump_text(s)[:20], peak)
+        assert oracle_module._own_check.cache_info().currsize == 4
     finally:
         oracle_module.clear_cache()
 
