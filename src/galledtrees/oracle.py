@@ -10,8 +10,8 @@ one gall and dividing the rest between its reticulation subtree and its two
 paths.  A caller that asks for one gall count builds only the buckets that
 count reaches, and `generate_all(cls, n)` merges the buckets of one n.  Each
 node carries its canonical key, its leaf and gall tallies, its automorphism
-order and its DAG's record count, computed once when it is built from its
-children's stored fields.
+order, its DAG's record count and its scan, computed once when it is built
+from its children's stored fields.
 Validation is deliberately independent of that algebra: a structure is
 expanded to an explicit node/edge DAG and checked against the degree and
 reticulation-cycle conditions directly, so the halving factors and
@@ -23,14 +23,14 @@ parent and child offsets relative to itself.  Relative offsets make a
 subtree's records the same wherever it sits.  The records a structure's own
 node makes depend only on its kind and its children's record counts, and
 those counts only renumber them, keeping their order.  So the checks over
-them run once per topology -- rooted or not, a split or a gall with so many
-pieces on each path -- over the node of that topology whose children are
-all leaves, and a cache keeps what they found.  Each node used as a child
-keeps no records, only its scan, what the checks find in its records:
-whether they are clean, its leaf and reticulation tallies, and whether a
-gall path is short or a reticulation's child is not a leaf.  Validation
-reads a structure's own check from that cache and adds up its children's
-scans.  The full pass lays out the whole DAG, and drops it after the call,
+them run once per topology -- a split, or a gall with so many pieces on
+each path -- over the node of that topology whose children are all leaves,
+and a cache keeps what they found.  A node keeps no records, only its scan,
+what the checks find in its records: whether they are clean, its leaf and
+reticulation tallies, and whether a gall path is short or a reticulation's
+child is not a leaf.  The scan is summed when the node is built, from its
+topology's own check and its children's scans, and validation reads it
+alone.  The full pass lays out the whole DAG, and drops it after the call,
 only to word a report that does not pass.  Its node numbers follow the plane
 orientation of the node objects: a mirror image has the same key but other
 node numbers.
@@ -83,8 +83,7 @@ LEAF = Leaf()
 # reads the stored key, which equal structures share (a mirror image shares
 # it too, and only collides); == compares the key, then `dump_text`, which
 # keeps each orientation, so a mirror image stays unequal.  Neither recurses,
-# so no depth is out of their reach.  The scan is filled lazily, the first
-# time the node is validated as a child.
+# so no depth is out of their reach.
 
 
 class _Frozen:
@@ -124,7 +123,7 @@ class Internal(_Frozen):
         _i_galls(self, left.n_galls + right.n_galls)
         _i_aut(self, left.aut * right.aut * (2 if a == b else 1))
         _i_size(self, 1 + left.size + right.size)
-        _i_scan(self, None)
+        _i_scan(self, _scan(_own_check(()), (left, right)))
 
     def __repr__(self):
         return f"Internal(left={self.left!r}, right={self.right!r})"
@@ -156,7 +155,8 @@ class GallTop(_Frozen):
         _g_galls(self, 1 + n_galls + ret_child.n_galls)
         _g_aut(self, aut * ret_child.aut)
         _g_size(self, size + ret_child.size)
-        _g_scan(self, None)
+        _g_scan(self, _scan(_own_check((len(left_seq), len(right_seq))),
+                            left_seq + right_seq + (ret_child,)))
 
     def __repr__(self):
         return (f"GallTop(left_seq={self.left_seq!r}, right_seq={self.right_seq!r}, "
@@ -260,6 +260,7 @@ def canonicalize(s):
 _gen_cache: Dict[Tuple[str, int, int], Tuple] = {}
 _all_cache: Dict[Tuple[str, int], Tuple] = {}
 _seq_cache: Dict[Tuple[str, int, int], Tuple[Tuple[Tuple, Tuple], ...]] = {}
+_by_key = operator.attrgetter("key")
 
 
 def _max_leaves_guard() -> int:
@@ -292,19 +293,20 @@ def generate_all(network_class: NetworkClass, n: int, g: Optional[int] = None) -
     got = _all_cache.get(key)
     if got is None:
         merged = itertools.chain(*(_generate(network_class, n, g) for g in range(n)))
-        got = _all_cache[key] = tuple(sorted(merged, key=operator.attrgetter("key")))
+        got = _all_cache[key] = tuple(sorted(merged, key=_by_key))
     return got
 
 
 def _generate(cls: NetworkClass, n: int, g: int) -> Tuple:
-    """The structures with n leaves and g galls, 0 <= g < n, sorted by key."""
+    """The structures with n leaves and g galls, 0 <= g < n, sorted by key.
+    Each is built once, in its canonical orientation, so no two share a key."""
     key = (cls._value_, n, g)
     got = _gen_cache.get(key)
     if got is not None:
         return got
-    out = {}
+    out = []
     if n == 1:
-        out[LEAF.key] = LEAF
+        out.append(LEAF)
     else:
         # unordered root split, its galls divided ga + gb
         for a in range(1, n // 2 + 1):
@@ -314,14 +316,11 @@ def _generate(cls: NetworkClass, n: int, g: int) -> Tuple:
                     for sb in _generate(cls, b, g - ga):
                         if a == b and sb.key < sa.key:
                             continue
-                        s = Internal(sa, sb)
-                        out[s.key] = s
+                        out.append(Internal(sa, sb))
         if g:
-            for s in _root_galls(cls, n, g):
-                out[s.key] = s
-    result = tuple(out[k] for k in sorted(out))
-    _gen_cache[key] = result
-    return result
+            out += _root_galls(cls, n, g)
+    got = _gen_cache[key] = tuple(sorted(out, key=_by_key))
+    return got
 
 
 def _root_galls(cls, n, g) -> Iterable[GallTop]:
@@ -387,33 +386,34 @@ def _sequences_index(cls: NetworkClass, total: int, g: int) -> Tuple[Tuple[Tuple
 # record count, stored when it is built.  `_expansion` lays out a whole DAG,
 # node by node, each child's root gaining its one parent offset.
 #
-# No records are kept.  A node used as a child keeps its `scan`: what the
-# checks find in its records, its root read with one parent.  Scans are
-# interned, and the n = 7 validation of every class keeps 2,116 of them with
-# 45 distinct values.  A scan is summed up from the node's own check and its
-# children's scans (`_tally`), and `validate` reads a structure the same way.
-# The own check is what the checks find in the records the node itself
-# makes, and it depends only on the node's topology: whether it is rooted,
-# and whether it is a split or a gall with so many pieces on each path.  The
-# children's sizes only renumber the own records, keeping their order, and
-# the checks read degrees, repeated parents, which of two nodes has the
-# higher number (the merge walk steps that one) and which child's root lies
-# below a reticulation, all of which an order-keeping renumbering leaves
-# alone.  So `_own_check`, cached by topology, surveys the records of the
-# node of that topology whose children are all leaves; validating every
-# structure with n <= 7 against its class surveys 34 of them.  A node whose
-# own check fails, or with a child that is not clean, is not clean and keeps
-# `_UNCLEAN`, whose other fields no one reads: it fails its parent's sum in
-# turn.  Only a structure whose sum fails or does not pass gets the full pass
-# over its whole expansion (`_report`), laid out for the call and dropped
-# after it.
+# No records are kept.  Each node keeps its `scan`: what the checks find in
+# its records.  It is summed when the node is built (`_scan`) from the
+# node's own check and its children's scans, and interned: building every
+# structure with n <= 7 of every class makes 64 distinct scans.  The own
+# check is what the checks find in the records the node itself makes, and it
+# depends only on the node's topology: a split, or a gall with so many pieces
+# on each path.  The children's sizes only renumber the own records, keeping
+# their order, and the checks read degrees, repeated parents, which of two
+# nodes has the higher number (the merge walk steps that one) and which
+# child's root lies below a reticulation, all of which an order-keeping
+# renumbering leaves alone.  The own records are read as a root's: a root
+# and a child's root have two children either way, zero parents or one are
+# both legal, and no merge walk steps from the top.  So `_own_check`, cached
+# by topology, surveys the records of the node of that topology whose
+# children are all leaves; building every structure with n <= 7 surveys 20
+# of them.  A node whose own check fails, or with a child that is not clean,
+# is not clean and keeps `_UNCLEAN`, whose other fields no one reads: it
+# fails its parent's sum in turn.  `validate` passes a structure on its scan
+# alone; only one whose scan is not clean or does not suit the class gets
+# the full pass over its whole expansion (`_report`), laid out for the call
+# and dropped after it.
 
 _Record = Tuple[Tuple[int, ...], Tuple[int, ...]]
 _Scan = Tuple[bool, int, int, bool, bool]  # clean, leaves, reticulations, short, below
 _SCANS: Dict[_Scan, _Scan] = {}
 _OwnCheck = Tuple[int, int, bool, Tuple[int, ...]]  # leaves, reticulations, short, below at
-_UNCLEAN: _Scan = (False, 0, 0, False, False)  # a kept node's scan once it is not clean
-_GENERAL, _TIME_CONSISTENT = NetworkClass.GENERAL, NetworkClass.TIME_CONSISTENT
+_UNCLEAN: _Scan = (False, 0, 0, False, False)  # the scan of every node that is not clean
+_GENERAL, _SIMPLEX = NetworkClass.GENERAL, NetworkClass.SIMPLEX_TC
 
 
 class ValidationReport(NamedTuple):
@@ -453,29 +453,6 @@ def _children(s) -> Tuple:
     if s.__class__ is Internal:
         return s.left, s.right
     return s.left_seq + s.right_seq + (s.ret_child,)
-
-
-def _kept(s) -> None:
-    """Fill the scan of s, a node used as a child, and first that of every
-    descendant still without one, bottom-up from an explicit stack: how deep
-    a structure can be validated is bounded by memory, not by recursion.  A
-    node whose scan `_tally` cannot sum is not clean and gets `_UNCLEAN`."""
-    stack = [s]
-    while stack:
-        x = stack[-1]
-        if x.scan is not None:  # a node pushed twice is kept once
-            stack.pop()
-            continue
-        depth = len(stack)
-        cs = _children(x)
-        for c in cs:
-            if c.scan is None:
-                stack.append(c)
-        if len(stack) > depth:
-            continue
-        stack.pop()
-        scan = _tally(x, cs, False) or _UNCLEAN
-        object.__setattr__(x, "scan", _SCANS.setdefault(scan, scan))
 
 
 def _layout(s) -> Tuple[Dict[int, _Record], List[Tuple[int, int, object]]]:
@@ -518,13 +495,12 @@ def _build_dag(s) -> Tuple[List[List[int]], List[List[int]]]:
     return parents, children
 
 
-def _survey(recs, indices: Iterable[int], rooted: bool):
+def _survey(recs, indices: Iterable[int]):
     """The degree pass and the merge walks, over all or some of a DAG's records.
 
     Node v's record is recs[v - 1], recs being a whole expansion or a dict
     of some records keyed by index, which no walk may leave; indices are the
-    records to check.  With rooted, node 1 is the network's root, of degree
-    (0, 2); else the caller has given it its one parent, outside recs.
+    records to check.  Node 1 is the network's root, of degree (0, 2).
     Returns (leaf count, reticulations, faults, parallel, cycles, unmet,
     shared, short): faults are the (node, degree) pairs of illegal nodes;
     parallel whether a node repeats a parent; cycles the (reticulation,
@@ -538,7 +514,7 @@ def _survey(recs, indices: Iterable[int], rooted: bool):
     n_leaf_nodes, ret_nodes = 0, []
     for i in indices:
         p, c = recs[i]
-        if not i and rooted:
+        if not i:
             if not p and len(c) == 2:
                 continue  # the root
         elif len(p) == 1:
@@ -593,23 +569,22 @@ def _survey(recs, indices: Iterable[int], rooted: bool):
 
 
 @functools.lru_cache(maxsize=None)
-def _own_check(shape: Tuple) -> Optional[_OwnCheck]:
+def _own_check(shape: Tuple[int, ...]) -> Optional[_OwnCheck]:
     """What the checks find in the records a node of this topology makes,
-    shape being (rooted,) for a split and (rooted, left path length, right
-    path length) for a gall; rooted as in `_survey`.  The records are laid
-    out by `_layout` for the node of that topology whose children are all
-    leaves.  (leaf tally, reticulation tally, short, the positions among the
-    node's children of those whose roots are an own reticulation's child),
-    or None unless the own records pass the checks, each own reticulation's
-    walk stays on them and its child is a child's root: the node is then not
-    clean."""
-    rooted, *paths = shape
-    s = GallTop((LEAF,) * paths[0], (LEAF,) * paths[1], LEAF) if paths else Internal(LEAF, LEAF)
+    shape being () for a split and (left path length, right path length)
+    for a gall.  The records are laid out by `_layout` for the node of that
+    topology whose children are all leaves, given its structural fields
+    alone: its __init__ would ask for this very check.  (leaf tally,
+    reticulation tally, short, the positions among the node's children of
+    those whose roots are an own reticulation's child), or None unless the
+    own records pass the checks, each own reticulation's walk stays on them
+    and its child is a child's root: the node is then not clean."""
+    s = object.__new__(GallTop if shape else Internal)
+    fields = ((LEAF,) * shape[0], (LEAF,) * shape[1], LEAF) if shape else (LEAF, LEAF)
+    for set_field, value in zip(_slot_setters(s.__class__), fields):
+        set_field(s, value)
     own, placed = _layout(s)
-    if not rooted:
-        own[0] = ((1,), own[0][1])  # the root's one parent, outside its records
-    n_leaf_nodes, ret_nodes, faults, parallel, _, unmet, shared, short = _survey(
-        own, own, rooted)
+    n_leaf_nodes, ret_nodes, faults, parallel, _, unmet, shared, short = _survey(own, own)
     if faults or parallel or unmet or shared:
         return None
     roots = [i for i, _, _ in placed]
@@ -622,36 +597,26 @@ def _own_check(shape: Tuple) -> Optional[_OwnCheck]:
     return n_leaf_nodes, len(ret_nodes), bool(short), tuple(below)
 
 
-def _tally(s, cs, rooted: bool, short_ok: bool = True, below_ok: bool = True) -> Optional[_Scan]:
-    """The scan of s, read off the own check of its topology and the scans
-    of cs, its kept children; rooted as in `_survey`.  None when the own
-    check fails or a child is not clean, s then not being clean either; None
-    too as soon as a short path shows, unless short_ok, or a non-leaf below
-    a reticulation, unless below_ok: the full pass then decides."""
-    if s.__class__ is Internal:
-        check = _own_check((rooted,))
-    else:
-        check = _own_check((rooted, len(s.left_seq), len(s.right_seq)))
+def _scan(check: Optional[_OwnCheck], cs: Tuple) -> _Scan:
+    """The interned scan of a node whose own check is check and whose
+    children are cs: the own check's tallies and flags added to the
+    children's, or `_UNCLEAN` when the own check fails or a child is not
+    clean."""
     if check is None:
-        return None
+        return _UNCLEAN
     n_leaf_nodes, n_ret_nodes, short, below_at = check
-    if short and not short_ok:
-        return None
     below = False
     for c in cs:
         clean, c_leaves, c_rets, c_short, c_below = c.scan
-        if not clean or c_short and not short_ok or c_below and not below_ok:
-            return None
+        if not clean:
+            return _UNCLEAN
         n_leaf_nodes += c_leaves
         n_ret_nodes += c_rets
         short = short or c_short
         below = below or c_below
-    for k in below_at:
-        if cs[k].__class__ is not Leaf:
-            if not below_ok:
-                return None
-            below = True
-    return True, n_leaf_nodes, n_ret_nodes, short, below
+    below = below or any(cs[k].__class__ is not Leaf for k in below_at)
+    scan = (True, n_leaf_nodes, n_ret_nodes, short, below)
+    return _SCANS.setdefault(scan, scan)
 
 
 def validate(s, network_class: NetworkClass) -> ValidationReport:
@@ -664,24 +629,18 @@ def validate(s, network_class: NetworkClass) -> ValidationReport:
     offset, so parent chains strictly decrease, and a gall's top is found by
     a merge walk up the reticulation's two chains that steps the one at the
     higher node number until they meet; no chain is climbed past the top.
-    The checks over the records s's own node makes are read from a cache
-    keyed by s's topology, and its children's scans stand in for their
-    records, which are never kept; the full pass lays out the whole
-    expansion and runs only for a report that does not pass.  The flags
-    decide the class: general ignores short paths and non-leaves below a
-    reticulation, time-consistent rejects the first, simplex both.
-    Violation texts quote node numbers, and these follow the structure's own
+    s passes on its stored scan, summed when it was built, when that is
+    clean, its tallies are s's and its flags suit the class: general
+    ignores short paths and non-leaves below a reticulation,
+    time-consistent rejects the first, simplex both.  Otherwise the full
+    pass lays out the whole expansion and words the report.  Violation
+    texts quote node numbers, and these follow the structure's own
     orientation: a mirror image has the same canonical key but numbers its
     nodes differently."""
-    if s.__class__ is Leaf:
-        return _report(s, network_class, _expansion(s))
-    cs = _children(s)
-    for c in cs:
-        if c.scan is None:
-            _kept(c)
-    short_ok = network_class is _GENERAL
-    scan = _tally(s, cs, True, short_ok, short_ok or network_class is _TIME_CONSISTENT)
-    if scan is not None and scan[1] == s.n_leaves and scan[2] == s.n_galls:
+    clean, n_leaf_nodes, n_ret_nodes, short, below = s.scan
+    if (clean and n_leaf_nodes == s.n_leaves and n_ret_nodes == s.n_galls
+            and (network_class is _GENERAL or not short)
+            and (network_class is not _SIMPLEX or not below)):
         return ValidationReport(s.n_leaves, s.n_galls, [])
     return _report(s, network_class, _expansion(s))
 
@@ -693,7 +652,7 @@ def _report(s, network_class: NetworkClass, recs: Sequence[_Record]) -> Validati
     report = ValidationReport(s.n_leaves, s.n_galls, [])
     bad = report.violations.append
     n_leaf_nodes, ret_nodes, faults, parallel, cycles, unmet, shared, short = _survey(
-        recs, range(n_nodes) if n_nodes > 1 else (), True)  # else the trivial one-leaf network
+        recs, range(n_nodes) if n_nodes > 1 else ())  # else the trivial one-leaf network
     if parallel:
         bad("parallel edges (not a simple graph)")
     for v, degree in faults:

@@ -183,9 +183,23 @@ def test_charsys_time_consistent_soft_targets():
     sol = asym.solve_charsys(CharFamily.TIME_CONSISTENT_UNLABELED, 25)
     assert abs(sol.r - 0.2073) <= 1e-3
     assert abs(sol.delta - 0.2762) <= 1e-3
-    sol = asym.solve_charsys(CharFamily.TIME_CONSISTENT_LABELED)
-    assert abs(sol.r - 0.2383) <= 1e-3
-    assert abs(sol.delta - 0.2548) <= 1e-3
+
+
+_LABELED_CONSTANTS = {  # family: (s, r, delta)
+    CharFamily.GENERAL_LABELED: ((5 - math.sqrt(17)) / 4, 1 / 8, 0.189366093740917),
+    # s: the root in (0, 1) of 2w^4 - 7w^3 + 9w^2 - 8w + 2
+    CharFamily.TIME_CONSISTENT_LABELED: (0.358296182829164, 0.238257574966267, 0.254810958491150),
+    CharFamily.SIMPLEX_LABELED: (1 - 1 / math.sqrt(3), 0.262891711531604, 0.352474747654162),
+}
+
+
+@pytest.mark.parametrize("family", list(_LABELED_CONSTANTS), ids=lambda f: f.value)
+def test_charsys_labeled_constants(family):
+    s, r, delta = _LABELED_CONSTANTS[family]
+    sol = asym.solve_charsys(family)
+    assert abs(sol.s - s) <= 1e-12
+    assert abs(sol.r - r) <= 1e-12
+    assert abs(sol.delta - delta) <= 1e-12
 
 
 def test_charsys_truncation_error():

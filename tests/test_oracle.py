@@ -65,6 +65,9 @@ def test_oracle_matches_recursion_unlabeled(ncls, monkeypatch):
         hist = count_by_galls(ncls, n)
         for g in range(spec.max_galls(n) + 1):
             assert hist.get(g, 0) == count(spec, n, g), (ncls, n, g)
+            # generation is canonical: a bucket is a sorted list, not merged by key
+            keys = [s.key for s in generate_all(ncls, n, g)]
+            assert len(set(keys)) == len(keys), (ncls, n, g)
         assert all(g <= spec.max_galls(n) for g in hist)
 
 
@@ -363,10 +366,8 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
     # the mirror image shares the key but is a different plane structure
     m = parse_text(_mirror_text(b))
     assert canonical_key(m) == canonical_key(b) and m != b
-    # a kept scan changes none of that
-    validate(b, NetworkClass.GENERAL)
-    assert b.ret_child.scan is not None
-    assert a == b and hash(a) == hash(b) and "scan" not in repr(b)
+    # the scan, stored when the node is built, changes none of that
+    assert b.scan is a.scan and "scan" not in repr(b)
     # the nodes are frozen: no field can be assigned or deleted
     for node in (cherry, b):
         for name in type(node).__slots__:
@@ -374,11 +375,15 @@ def test_stored_fields_stay_out_of_eq_hash_and_repr():
                 setattr(node, name, None)
             with pytest.raises(AttributeError):
                 delattr(node, name)
-    assert b.ret_child.scan is not None and cherry.left is LEAF
-    # copying and pickling rebuild a node from its structural fields, down to the one LEAF
+    assert cherry.left is LEAF
+    # copying and pickling rebuild a node from its structural fields, down to
+    # the one LEAF, and with them its interned scan
+    import galledtrees.oracle as oracle_module
+
+    assert oracle_module._SCANS[b.scan] is b.scan
     for c in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert c is not b and c == b and canonical_key(c) == canonical_key(b)
-        assert c.scan is None and c.ret_child.ret_child is LEAF
+        assert c.scan is b.scan and c.ret_child.ret_child is LEAF
 
 
 # -- the flat expansion against the recursive one -----------------------------
@@ -537,7 +542,7 @@ def test_flat_expansion_matches_the_recursive_one_at_seven_leaves():
 
 def test_sizes_count_the_records_and_a_kept_child_keeps_none():
     # a node's stored size is its DAG's record count, and validating it as a
-    # child keeps only its scan: its DAG is laid out the same afterwards
+    # child leaves its DAG laid out the same
     import galledtrees.oracle as oracle_module
 
     oracle_module.clear_cache()
@@ -587,7 +592,7 @@ def test_flat_expansion_reports_invalid_structures_like_the_recursive_one():
             assert validate(s, c).violations == violations, (dump_text(s), c)
 
 
-# -- validation from kept scans ------------------------------------------------
+# -- validation from stored scans ----------------------------------------------
 
 
 def test_validate_matches_the_full_pass():
@@ -607,18 +612,16 @@ def test_validate_matches_the_full_pass():
 
 
 def _reference_scan(e):
-    """The scan of a node from a survey of all its records, e, its root given
-    one parent just outside them: (clean, leaf tally, reticulation tally,
-    short, below).  clean: every record has a legal degree and no repeated
-    parent, every merge walk meets within the records and no two cycles share
-    a node; short: some gall path has fewer than 2 edges; below: some
-    reticulation's child is not a leaf."""
+    """The scan of a node from a survey of all its records, e: (clean, leaf
+    tally, reticulation tally, short, below).  clean: every record has a
+    legal degree and no repeated parent, every merge walk meets within the
+    records and no two cycles share a node; short: some gall path has fewer
+    than 2 edges; below: some reticulation's child is not a leaf."""
     import galledtrees.oracle as oracle_module
 
     recs = dict(enumerate(e))
-    recs[0] = ((1,), e[0][1])
     n_leaf_nodes, ret_nodes, faults, parallel, _, unmet, shared, short = oracle_module._survey(
-        recs, recs, False)
+        recs, recs)
     clean = not (faults or parallel or unmet or shared)
     below = False
     for r in ret_nodes:
@@ -631,10 +634,10 @@ def _reference_scan(e):
 
 
 def test_kept_scans_match_a_survey_of_the_kept_records():
-    # a kept node's scan is summed from its own check and its children's
-    # scans, and a survey of all its records must find the same; a node that
-    # is not clean keeps the one unclean scan, which sends its parent to the
-    # full pass
+    # a node's scan is summed, when it is built, from its own check and its
+    # children's scans, and a survey of all its records must find the same; a
+    # node that is not clean keeps the one unclean scan, which sends it and
+    # its parent to the full pass
     import galledtrees.oracle as oracle_module
 
     oracle_module.clear_cache()
@@ -642,16 +645,14 @@ def test_kept_scans_match_a_survey_of_the_kept_records():
         for s in _generated():
             if s is LEAF:
                 continue
-            validate(Internal(s, LEAF), NetworkClass.GENERAL)
             assert s.scan == _reference_scan(_expansion(s)), dump_text(s)
             assert oracle_module._SCANS[s.scan] is s.scan
         broken = GallTop((), (), LEAF)  # its doubled top-reticulation edge fails the own checks
         parent = GallTop((broken,), (LEAF,), LEAF)
-        for c in NetworkClass:
-            report = validate(parent, c)
-            assert report == _report(parent, c, _expansion(parent)) and not report.ok, c
-        validate(Internal(parent, LEAF), NetworkClass.GENERAL)
         for x in (broken, parent):
+            for c in NetworkClass:
+                report = validate(x, c)
+                assert report == _report(x, c, _expansion(x)) and not report.ok, c
             assert x.scan == oracle_module._UNCLEAN and not x.scan[0], dump_text(x)
             assert not _reference_scan(_expansion(x))[0], dump_text(x)
     finally:
@@ -664,47 +665,52 @@ def test_a_walk_must_stay_within_the_records_given():
     import galledtrees.oracle as oracle_module
 
     recs = {1: ((1,), (1, 5)), 2: ((1, 2), (1,))}
-    _, ret_nodes, faults, _, cycles, unmet, _, _ = oracle_module._survey(recs, recs, False)
+    _, ret_nodes, faults, _, cycles, unmet, _, _ = oracle_module._survey(recs, recs)
     assert (ret_nodes, faults, cycles, unmet) == ([3], [], [], [3])
     recs[0] = ((), (1, 2))
-    assert oracle_module._survey(recs, recs, True)[4] == [(3, [2, 1], [1])]
+    assert oracle_module._survey(recs, recs)[4] == [(3, [2, 1], [1])]
 
 
 def test_each_own_check_is_surveyed_once_per_shape(monkeypatch):
-    # validating every n <= 6 structure surveys the records a structure's own
+    # building every n <= 6 structure surveys the records a structure's own
     # node makes once per miss of the own-check cache, which is keyed by
-    # topology; a second pass surveys nothing and interns no scan
+    # topology; validating a structure that passes then reads its stored scan
+    # alone: it surveys nothing, asks for no own check and interns no scan
     import galledtrees.oracle as oracle_module
 
-    surveyed = []
-    survey = oracle_module._survey
+    surveyed, checked = [], []
+    survey, own_check = oracle_module._survey, oracle_module._own_check
 
-    def counted(recs, indices, rooted):
-        surveyed.append(rooted)
-        return survey(recs, indices, rooted)
+    def counted_survey(recs, indices):
+        surveyed.append(recs)
+        return survey(recs, indices)
 
-    monkeypatch.setattr(oracle_module, "_survey", counted)
+    def counted_check(shape):
+        checked.append(shape)
+        return own_check(shape)
+
+    monkeypatch.setattr(oracle_module, "_survey", counted_survey)
     oracle_module.clear_cache()
     try:
         pairs = [(s, cls) for cls in NetworkClass for n in range(2, 7)
                  for s in generate_all(cls, n)]
-        assert all(validate(s, cls).ok for s, cls in pairs)
-        info = oracle_module._own_check.cache_info()
-        assert len(surveyed) == info.misses == info.currsize
-        assert True in surveyed and False in surveyed
+        info = own_check.cache_info()
+        assert len(surveyed) == info.misses == info.currsize < len(pairs)
         surveyed.clear()
         scans = len(oracle_module._SCANS)
+        monkeypatch.setattr(oracle_module, "_own_check", counted_check)
         assert all(validate(s, cls).ok for s, cls in pairs)
-        assert surveyed == [] and len(oracle_module._SCANS) == scans
-        assert oracle_module._own_check.cache_info().misses == info.misses < len(pairs)
+        assert surveyed == [] == checked and len(oracle_module._SCANS) == scans
+        assert own_check.cache_info() == info
     finally:
+        monkeypatch.undo()
         oracle_module.clear_cache()
 
 
 def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
-    # [x|x;x] and [x|x;(x,x)] are rooted galls of one topology, so the second
-    # reads the first's own check; the subtree below the reticulation still
-    # decides the simplex verdict
+    # [x|x;x] and [x|x;(x,x)] are galls of one topology, so the second is
+    # built from the first's own check; the subtree below the reticulation
+    # still decides the simplex verdict
     import galledtrees.oracle as oracle_module
 
     checked = []
@@ -722,7 +728,7 @@ def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
         assert validate(b, NetworkClass.SIMPLEX_TC).violations == [
             "reticulation 2: subtree below it is not a single leaf"]
         assert validate(b, NetworkClass.TIME_CONSISTENT).ok
-        assert checked == [(True, 1, 1), (False,), (True, 1, 1), (True, 1, 1)]
+        assert checked == [(1, 1), (), (1, 1)]  # asked for while parsing, not validating
         info = own_check.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
     finally:
@@ -731,9 +737,9 @@ def test_galls_of_one_shape_share_an_own_check_but_not_a_verdict(monkeypatch):
 
 
 def test_deep_structures_validate():
-    # scans are kept from an explicit stack, so validation does not recurse:
-    # 600-deep splits and galls validate, and text nested past the parser's
-    # recursion is refused with its depth
+    # each node's scan is stored when it is built, so validation does not
+    # recurse: 600-deep splits and galls validate, and text nested past the
+    # parser's recursion is refused with its depth
     import galledtrees.oracle as oracle_module
 
     try:
@@ -758,17 +764,17 @@ def _chains(depth):
 
 
 def test_validating_deep_chains_keeps_memory_linear_in_the_depth():
-    # a kept child holds its scan and no records, so validating a 1500-deep
-    # split or gall chain stays under a 2 MiB peak; the own checks are keyed
-    # by topology, so the two chains fill 4 of them, rooted and not, however
-    # deep
+    # a node holds its scan and no records, so validating a 1500-deep split or
+    # gall chain stays under a 2 MiB peak; the own checks are keyed by
+    # topology, so building the two chains fills 2 of them, however deep
     import tracemalloc
 
     import galledtrees.oracle as oracle_module
 
-    split, gall = _chains(1500)
     oracle_module.clear_cache()
     try:
+        split, gall = _chains(1500)
+        assert oracle_module._own_check.cache_info().currsize == 2
         for s, want in ((split, (1501, 0, [])), (gall, (3001, 1500, []))):
             tracemalloc.start()
             try:
@@ -777,7 +783,7 @@ def test_validating_deep_chains_keeps_memory_linear_in_the_depth():
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20, (dump_text(s)[:20], peak)
-        assert oracle_module._own_check.cache_info().currsize == 4
+        assert oracle_module._own_check.cache_info().currsize == 2
     finally:
         oracle_module.clear_cache()
 
@@ -883,17 +889,12 @@ def test_gall_buckets_partition_each_generation(cls):
 
 
 def test_oracle_at_eight_leaves_matches_the_recursion(monkeypatch):
-    # the general n = 8 row reaches g = 7, past every other brute-force check
+    # at n = 8, the default guard, the general row reaches g = 7 and every
+    # time-consistent and simplex structure validates
     import galledtrees.oracle as oracle_module
 
     monkeypatch.delenv("GALLED_MAX_N", raising=False)
     try:
-        for cls in NetworkClass:
-            unlabeled = count_by_galls(cls, 8)
-            labeled = labeled_count(cls, 8)
-            for g in range(8):
-                assert unlabeled.get(g, 0) == count(TreeClassSpec(cls, Labeling.UNLABELED), 8, g)
-                assert labeled.get(g, 0) == count(TreeClassSpec(cls, Labeling.LEAF_LABELED), 8, g)
         assert max(count_by_galls(NetworkClass.GENERAL, 8)) == 7
         for cls, size in ((NetworkClass.TIME_CONSISTENT, 1064), (NetworkClass.SIMPLEX_TC, 545)):
             structures = generate_all(cls, 8)
